@@ -10,10 +10,12 @@ wavefunction, reduces it to the effective interferometer parameters
 (transmission, pair loss, nonlinear phase), and produces joint
 detection-time intensities.
 
-All integrals use Gauss-Legendre quadrature.  The pair norm involves a
-Lorentzian tail in the frequency difference, which a tangent change of
-variables turns into a smooth integrand on a finite interval; node
-doubling then certifies convergence.
+The bound channel is a closed form in the Faddeeva function.  The pair
+norm and overlap use Gauss-Legendre quadrature: they involve a Lorentzian
+tail in the frequency difference, which a tangent change of variables
+turns into a smooth integrand on a finite interval; node doubling then
+certifies convergence.  Time maps are transformed from a Gauss-Legendre
+frequency grid.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import wofz
 
 TWO_PI = 2.0 * math.pi
 
@@ -84,7 +87,13 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Frequency-integration window (in pulse widths) and node count."""
+    """Frequency-integration window (in pulse widths) and node count.
+
+    Sets the rotated pair grid that ``nonlinear_params`` and
+    ``full_statistics`` integrate on, and the frequency grid that ``jti``
+    and ``circuit_jti`` transform to detection times.  The bound channel
+    is a closed form and takes no quadrature.
+    """
 
     half_width: float = 8.0
     nodes: int = 512
@@ -132,69 +141,58 @@ def gaussian_spectrum(omega: np.ndarray | float, pulse: PulseSpec) -> np.ndarray
     return float(result) if result.ndim == 0 else result
 
 
-def bound_channel_integral(
-    s: np.ndarray | float,
-    pulse: PulseSpec,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> np.ndarray | complex:
+def bound_channel_integral(s: np.ndarray | float, pulse: PulseSpec) -> np.ndarray | complex:
     """Spectral weight of the bound pair channel at total frequency ``s``.
 
     Twice the convolution of the pulse with itself against the emitter
-    pole, integrated over one constituent frequency.
+    pole, integrated over one constituent frequency.  Completing the
+    square in the Gaussian pair product leaves a Gaussian against the
+    pole, which is the Faddeeva function at (s/2 + i)/(sqrt(2) sigma).
+    That argument lies in the upper half-plane, so the closed form holds
+    for any finite ``delta`` and any ``sigma > 0``.
     """
     pulse.validate()
-    quad.validate()
     s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
-    s2 = np.atleast_1d(s)[:, None]
-    nu, w = _scaled_gl(
-        pulse.delta - quad.half_width * pulse.sigma,
-        pulse.delta + quad.half_width * pulse.sigma,
-        quad.nodes,
+    envelope = np.exp(-((s - 2.0 * pulse.delta) ** 2) / (8.0 * pulse.sigma**2)) / math.sqrt(
+        TWO_PI * pulse.sigma**2
     )
-    kernel = gaussian_spectrum(nu[None, :], pulse) * gaussian_spectrum(s2 - nu[None, :], pulse)
-    values = 2.0 * (kernel / (nu[None, :] + 1j)) @ w
-    return complex(values[0]) if scalar else values
+    values = -TWO_PI * 1j * envelope * wofz((0.5 * s + 1j) / (math.sqrt(2.0) * pulse.sigma))
+    return complex(values) if values.ndim == 0 else values
+
+
+def _pair_terms(
+    x: np.ndarray, y: np.ndarray, weight: np.ndarray, pulse: PulseSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Independent product and bound term of the pair amplitude at ``(x, y)``.
+
+    ``weight`` is the bound-channel weight at the total frequency ``x + y``.
+    Both terms share the emitter poles: t(x) t(y) = x y / ((x + i)(y + i)).
+    """
+    pole = 1.0 / ((x + 1j) * (y + 1j))
+    product = (x * y) * (gaussian_spectrum(x, pulse) * gaussian_spectrum(y, pulse)) * pole
+    return product, (1j / TWO_PI) * weight * pole
 
 
 def two_photon_output(
     x: np.ndarray | float,
     y: np.ndarray | float,
     pulse: PulseSpec,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> np.ndarray | complex:
     """Pair output amplitude at constituent frequencies ``(x, y)``.
 
     Sum of the independently transmitted product and the bound-channel
-    term; symmetric under exchange of its frequency arguments.  Raises
-    ``QuadratureError`` when node doubling moves any requested value by
-    more than 1e-6 of the largest amplitude in the call.
+    term; symmetric under exchange of its frequency arguments.  A closed
+    form, valid for any finite ``delta`` and any ``sigma > 0``.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    scalar = x.ndim == 0 and y.ndim == 0
-    x, y = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     # Evaluate on the ordered pair so exchange symmetry holds bitwise;
     # fused multiplies in the array loop would otherwise round the two
     # argument orders differently.
     lo = np.minimum(x, y)
     hi = np.maximum(x, y)
-    product = (transmission_coefficient(lo) * transmission_coefficient(hi)) * (
-        gaussian_spectrum(lo, pulse) * gaussian_spectrum(hi, pulse)
-    )
-    pole = (1j / TWO_PI) / ((lo + 1j) * (hi + 1j))
-    total = (lo + hi).ravel()
-    bound = pole * np.asarray(bound_channel_integral(total, pulse, quad)).reshape(x.shape)
-    doubled = QuadratureConfig(half_width=quad.half_width, nodes=2 * quad.nodes)
-    fine = pole * np.asarray(bound_channel_integral(total, pulse, doubled)).reshape(x.shape)
-    result = product + fine
-    scale = float(np.max(np.abs(result)))
-    if scale > 0.0 and float(np.max(np.abs(fine - bound))) > 1e-6 * scale:
-        raise QuadratureError(
-            f"pair amplitude drift under node doubling exceeds 1e-6 at "
-            f"half_width={quad.half_width}, nodes={quad.nodes}"
-        )
-    return complex(result.ravel()[0]) if scalar else result
+    product, bound = _pair_terms(lo, hi, bound_channel_integral(lo + hi, pulse), pulse)
+    result = product + bound
+    return complex(result) if result.ndim == 0 else result
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +222,15 @@ class NonlinearParams:
 
 
 class _Profile:
-    """Cached pair wavefunction and weights on the rotated pair grid."""
+    """Pulse integrals that the parameters and the fringe are read from.
 
-    __slots__ = ("psi2", "ff", "weights", "eta2", "p_single", "overlap")
+    ``p_single`` is the transmitted single-photon norm.  On the rotated
+    pair grid, ``eta2`` is the squared pair norm, ``ff_norm`` the squared
+    norm of the independent product and ``overlap`` the projection of the
+    pair output onto that product.
+    """
+
+    __slots__ = ("p_single", "eta2", "ff_norm", "overlap")
 
     def __init__(self, pulse: PulseSpec, quad: QuadratureConfig) -> None:
         hw = quad.half_width * pulse.sigma
@@ -243,20 +247,15 @@ class _Profile:
         w_d = 2.0 * w_u / np.cos(u) ** 2
         x = 0.5 * (s[:, None] + d[None, :])
         y = 0.5 * (s[:, None] - d[None, :])
-        self.weights = 0.5 * w_s[:, None] * w_d[None, :]
+        weights = 0.5 * w_s[:, None] * w_d[None, :]
 
-        i_s = np.asarray(bound_channel_integral(s, pulse, quad))
-        self.ff = (
-            transmission_coefficient(x)
-            * transmission_coefficient(y)
-            * gaussian_spectrum(x, pulse)
-            * gaussian_spectrum(y, pulse)
-        )
-        bound = (1j / TWO_PI) * i_s[:, None] / ((x + 1j) * (y + 1j))
-        self.psi2 = self.ff + bound
-
-        self.eta2 = float(np.sum(self.weights * np.abs(self.psi2) ** 2))
-        self.overlap = complex(np.sum(self.weights * np.conj(self.psi2) * self.ff))
+        # The bound channel depends on the total frequency alone, so it is
+        # evaluated once per grid row.
+        ff, bound = _pair_terms(x, y, bound_channel_integral(s, pulse)[:, None], pulse)
+        psi2 = ff + bound
+        self.eta2 = float(np.sum(weights * np.abs(psi2) ** 2))
+        self.ff_norm = float(np.sum(weights * np.abs(ff) ** 2))
+        self.overlap = complex(np.sum(weights * np.conj(psi2) * ff))
 
 
 @lru_cache(maxsize=8)
@@ -327,24 +326,22 @@ def full_statistics(
 ) -> np.ndarray:
     """Raw output-pattern probabilities of the full spectral model.
 
-    For each linear phase the three port patterns are assembled from
-    the pair wavefunction and the independent product on the quadrature
-    grid and integrated directly; nothing is reduced to the effective
-    parameters first.  Returns an array of rows (p20, p11, p02).
+    The both-photons-one-port patterns carry the amplitude
+    ``a * psi2 +/- b * ff`` of the pair wavefunction and the independent
+    product.  Its squared norm expands into three integrals over the
+    quadrature grid, the two squared norms and the overlap, so every
+    phase is exact without a grid sum of its own; nothing is reduced to
+    the effective parameters first.  Returns an array of rows
+    (p20, p11, p02).
     """
     prof = _profile(pulse, quad)
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    out = np.empty((phis.size, 3))
-    for k, phi in enumerate(phis):
-        a = (np.exp(2j * phi) + 1.0) / 4.0
-        b = np.exp(1j * phi) / 2.0
-        c = (np.exp(2j * phi) - 1.0) / (2.0 * math.sqrt(2.0))
-        aa = a * prof.psi2 + b * prof.ff
-        bb = a * prof.psi2 - b * prof.ff
-        out[k, 0] = np.sum(prof.weights * np.abs(aa) ** 2)
-        out[k, 1] = prof.eta2 * abs(c) ** 2
-        out[k, 2] = np.sum(prof.weights * np.abs(bb) ** 2)
-    return out
+    a = (np.exp(2j * phis) + 1.0) / 4.0
+    b = np.exp(1j * phis) / 2.0
+    c = (np.exp(2j * phis) - 1.0) / (2.0 * math.sqrt(2.0))
+    norms = np.abs(a) ** 2 * prof.eta2 + np.abs(b) ** 2 * prof.ff_norm
+    cross = 2.0 * np.real(np.conj(a) * b * prof.overlap)
+    return np.stack([norms + cross, prof.eta2 * np.abs(c) ** 2, norms - cross], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -392,31 +389,22 @@ def _time_amplitudes(
     hw = quad.half_width * pulse.sigma
     x, w_x = _scaled_gl(pulse.delta - hw, pulse.delta + hw, quad.nodes)
     f_x = transmission_coefficient(x) * gaussian_spectrum(x, pulse)
-
-    nu, w_nu = _scaled_gl(pulse.delta - hw, pulse.delta + hw, quad.nodes)
-    pole = w_nu / (nu + 1j)
-    n = quad.nodes
-    psi2 = np.empty((n, n), dtype=complex)
-    chunk = max(1, (1 << 22) // (n * n))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        s_block = x[start:stop, None, None] + x[None, :, None]
-        kernel = gaussian_spectrum(nu[None, None, :], pulse) * gaussian_spectrum(
-            s_block - nu[None, None, :], pulse
-        )
-        i_block = 2.0 * kernel @ pole
-        psi2[start:stop] = f_x[start:stop, None] * f_x[None, :] + (
-            (1j / TWO_PI) * i_block / ((x[start:stop, None] + 1j) * (x[None, :] + 1j))
-        )
+    col, row = x[:, None], x[None, :]
+    product, bound = _pair_terms(col, row, bound_channel_integral(col + row, pulse), pulse)
 
     phases = np.exp(-1j * np.outer(times, x)) * w_x[None, :]
-    psi_t = phases @ psi2 @ phases.T / TWO_PI
-    # The pair amplitude is symmetric by construction; averaging with
-    # the transpose removes summation-order noise so the symmetry is
-    # exact on the grid.
-    psi_t = 0.5 * (psi_t + psi_t.T)
+    psi_t = phases @ (product + bound) @ phases.T / TWO_PI
     f_t = (phases @ f_x) / math.sqrt(TWO_PI)
     return psi_t, f_t
+
+
+def _symmetric_intensity(amplitude: np.ndarray) -> np.ndarray:
+    """Intensity of a pair amplitude that is symmetric in exact arithmetic.
+
+    Averaging with the transpose removes summation-order and product-order
+    rounding, so the returned map is exactly symmetric.
+    """
+    return np.abs(0.5 * (amplitude + amplitude.T)) ** 2
 
 
 def jti(
@@ -430,7 +418,7 @@ def jti(
     times = np.asarray(times, dtype=float)
     _check_time_window(pulse, times)
     psi_t, _ = _time_amplitudes(pulse, quad, times)
-    return JointTimeIntensity(times=times, intensity=np.abs(psi_t) ** 2)
+    return JointTimeIntensity(times=times, intensity=_symmetric_intensity(psi_t))
 
 
 def circuit_jti(
@@ -448,7 +436,7 @@ def circuit_jti(
     a = (np.exp(2j * phi) + 1.0) / 4.0
     b = np.exp(1j * phi) / 2.0
     amplitude = a * psi_t + b * np.outer(f_t, f_t)
-    return JointTimeIntensity(times=times, intensity=np.abs(amplitude) ** 2)
+    return JointTimeIntensity(times=times, intensity=_symmetric_intensity(amplitude))
 
 
 def factorization_residual(intensity: np.ndarray) -> float:

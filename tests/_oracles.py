@@ -1,9 +1,11 @@
 """Independent reference computations used only by the test suite.
 
 Everything here deliberately takes a different route than the package:
-Faddeeva-function closed forms instead of quadrature, a dense
-two-boson transfer matrix instead of layered evolution, and the scipy
-Voigt profile instead of direct convolution.
+direct quadrature for the bound channel, which the package evaluates in
+closed form; per-phase grid integrals of the fringe on a grid of its
+own, where the package expands the fringe into three pulse integrals;
+a dense two-boson transfer matrix instead of layered evolution; and the
+scipy Voigt profile instead of direct convolution.
 """
 
 from __future__ import annotations
@@ -14,6 +16,15 @@ import numpy as np
 from scipy.special import wofz
 
 TWO_PI = 2.0 * math.pi
+
+
+def _spectrum(w, delta: float, sigma: float):
+    return (TWO_PI * sigma**2) ** -0.25 * np.exp(-((w - delta) ** 2) / (4.0 * sigma**2))
+
+
+def _product(x, y, delta: float, sigma: float):
+    """Independently transmitted pair: both photons pass the emitter alone."""
+    return x / (x + 1j) * y / (y + 1j) * _spectrum(x, delta, sigma) * _spectrum(y, delta, sigma)
 
 
 def bound_integral_faddeeva(s, delta: float, sigma: float):
@@ -28,29 +39,41 @@ def bound_integral_faddeeva(s, delta: float, sigma: float):
     return 2.0 * envelope * (-1j * math.pi) * wofz(z)
 
 
+def bound_integral_quadrature(s, delta: float, sigma: float, nodes: int = 512):
+    """Bound-channel weight by Gauss-Legendre quadrature of the pole integral.
+
+    Integrates one constituent frequency over +/-8 pulse widths around the
+    pulse center.
+    """
+    s = np.asarray(s, dtype=float)
+    u, wu = np.polynomial.legendre.leggauss(nodes)
+    nu = delta + 8.0 * sigma * u
+    kernel = _spectrum(nu, delta, sigma) * _spectrum(s[..., None] - nu, delta, sigma)
+    return 2.0 * (kernel / (nu + 1j)) @ (8.0 * sigma * wu)
+
+
+def _pair_wavefunction(x, y, delta: float, sigma: float, bound):
+    return _product(x, y, delta, sigma) + (1j / TWO_PI) * bound / ((x + 1j) * (y + 1j))
+
+
 def pair_wavefunction_faddeeva(x, y, delta: float, sigma: float):
-    """Two-photon output amplitude with the oracle bound integral."""
+    """Two-photon output amplitude with the closed-form bound integral."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    norm = (TWO_PI * sigma**2) ** -0.25
-
-    def phi(w):
-        return norm * np.exp(-((w - delta) ** 2) / (4.0 * sigma**2))
-
-    def t(w):
-        return w / (w + 1j)
-
-    product = t(x) * t(y) * phi(x) * phi(y)
-    bound = (1j / TWO_PI) * bound_integral_faddeeva(x + y, delta, sigma) / ((x + 1j) * (y + 1j))
-    return product + bound
+    return _pair_wavefunction(x, y, delta, sigma, bound_integral_faddeeva(x + y, delta, sigma))
 
 
-def pair_norm_faddeeva(delta: float, sigma: float, nodes: int = 768) -> float:
-    """Squared norm of the pair output on an independently built grid.
+def pair_wavefunction_quadrature(x, y, delta: float, sigma: float, nodes: int = 1024):
+    """Two-photon output amplitude with the quadrature bound integral."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    bound = bound_integral_quadrature(x + y, delta, sigma, nodes)
+    return _pair_wavefunction(x, y, delta, sigma, bound)
 
-    Gauss-Legendre in the total frequency, a tangent map along the
-    difference so the Lorentzian tails are integrated over all of R.
-    """
+
+def _rotated_grid(delta: float, sigma: float, nodes: int):
+    """Gauss-Legendre in the total frequency, a tangent map along the
+    difference so the Lorentzian tails are integrated over all of R."""
     u, wu = np.polynomial.legendre.leggauss(nodes)
     s = 2.0 * delta + 16.0 * sigma * u
     ws = 16.0 * sigma * wu
@@ -59,8 +82,36 @@ def pair_norm_faddeeva(delta: float, sigma: float, nodes: int = 768) -> float:
     wd = 0.5 * math.pi * 2.0 * wu / np.cos(v) ** 2
     x = 0.5 * (s[:, None] + d[None, :])
     y = 0.5 * (s[:, None] - d[None, :])
+    return x, y, 0.5 * ws[:, None] * wd[None, :]
+
+
+def pair_norm_faddeeva(delta: float, sigma: float, nodes: int = 768) -> float:
+    """Squared norm of the pair output on an independently built grid."""
+    x, y, weights = _rotated_grid(delta, sigma, nodes)
     psi = pair_wavefunction_faddeeva(x, y, delta, sigma)
-    return float(np.sum(0.5 * ws[:, None] * wd[None, :] * np.abs(psi) ** 2))
+    return float(np.sum(weights * np.abs(psi) ** 2))
+
+
+def full_statistics_per_phase(phis, delta: float, sigma: float, nodes: int = 768):
+    """Raw (p20, p11, p02) rows of the spectral model, one grid sum per phase.
+
+    For each linear phase the both-photons-one-port amplitudes
+    ``a psi +/- b ff`` are built on the oracle grid and their squared
+    magnitudes integrated directly.
+    """
+    x, y, weights = _rotated_grid(delta, sigma, nodes)
+    psi = pair_wavefunction_faddeeva(x, y, delta, sigma)
+    ff = _product(x, y, delta, sigma)
+    eta2 = float(np.sum(weights * np.abs(psi) ** 2))
+    out = np.empty((len(phis), 3))
+    for k, phi in enumerate(phis):
+        a = (np.exp(2j * phi) + 1.0) / 4.0
+        b = np.exp(1j * phi) / 2.0
+        c = (np.exp(2j * phi) - 1.0) / (2.0 * math.sqrt(2.0))
+        out[k, 0] = np.sum(weights * np.abs(a * psi + b * ff) ** 2)
+        out[k, 1] = eta2 * abs(c) ** 2
+        out[k, 2] = np.sum(weights * np.abs(a * psi - b * ff) ** 2)
+    return out
 
 
 def voigt_transmission(omega, depth: float, fwhm: float, sigma_sd: float):
