@@ -228,40 +228,54 @@ def calibrate_phase_offset(config: TBIConfig, scan_points: int = 720) -> float:
 # Closed-form output statistics
 
 
+def _raw_statistics(
+    phis: np.ndarray,
+    phi_nl: float,
+    ell_nl: float,
+    theta_perp: float,
+) -> np.ndarray:
+    """Raw (p20, p11, p02) rows of the balanced circuit, one per phase."""
+    finite = np.isfinite(phis)
+    if not finite.all():
+        raise ValueError(f"phi must be finite, got {float(phis[~finite][0])!r}")
+    for name, value in (("phi_nl", phi_nl), ("theta_perp", theta_perp)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not 0.0 <= ell_nl <= 1.0:
+        raise ValueError(f"ell_nl must be in [0, 1], got {ell_nl!r}")
+    if theta_perp != 0.0:
+        # Only the diagonal linear-phase layer depends on the phase: the
+        # state after the first splitter and the transfer of the layers
+        # after the phase are built once, and every phase is one row of
+        # the same array product.
+        first, _, *tail = states.standard_circuit(0.0, phi_nl, ell_nl, theta_perp=theta_perp)
+        head = states.apply_layer(states.new_input(), first).amplitudes
+        amps = (states.linear_phase_factors(phis) * head) @ states.circuit_transfer(tail).T
+        return states.click_weights(amps)
+    t = 1.0 - ell_nl
+    cos_2phi = np.cos(2.0 * phis)
+    cross = 8.0 * t * np.cos(phis) * math.cos(phi_nl)
+    base = 2.0 * (1.0 + cos_2phi) + 4.0 * t * t
+    return np.stack([(base + cross) / 16.0, (1.0 - cos_2phi) / 4.0, (base - cross) / 16.0], axis=1)
+
+
 def model_statistics(
     phi: float,
     phi_nl: float,
     ell_nl: float,
     theta_perp: float = 0.0,
 ) -> DetectionProbabilities:
-    """Two-photon output statistics of the balanced circuit.
+    """Two-photon output statistics of the balanced circuit at one phase.
 
     The overall transmission factors out of the renormalized result and
     is set to one here.  Without distinguishability the three closed
     forms are evaluated directly; with it the extended-basis state
-    evolution supplies the result.
+    evolution supplies the result.  Valid domain: finite ``phi``,
+    ``phi_nl`` and ``theta_perp``, and ``ell_nl`` in [0, 1]; anything
+    else raises ``ValueError`` naming the parameter.
     """
-    if not 0.0 <= ell_nl <= 1.0:
-        raise ValueError(f"ell_nl must be in [0, 1], got {ell_nl!r}")
-    if theta_perp != 0.0:
-        out = states.apply_circuit(
-            states.new_input(),
-            states.standard_circuit(phi, phi_nl, ell_nl, eta=1.0, theta_perp=theta_perp),
-        )
-        return states.detection_probabilities(out)
-    t = 1.0 - ell_nl
-    cos_phi = math.cos(phi)
-    cos_2phi = math.cos(2.0 * phi)
-    cross = 8.0 * t * cos_phi * math.cos(phi_nl)
-    base = 2.0 * (1.0 + cos_2phi) + 4.0 * t * t
-    p20 = (base + cross) / 16.0
-    p02 = (base - cross) / 16.0
-    p11 = (1.0 - cos_2phi) / 4.0
-    raw = (p20, p11, p02)
-    total = p20 + p11 + p02
-    if total < states.DEGENERATE_TOTAL:
-        return DetectionProbabilities(raw=raw, renormalized=None)
-    return DetectionProbabilities(raw=raw, renormalized=tuple(p / total for p in raw))
+    raw = _raw_statistics(np.array([phi], dtype=float), phi_nl, ell_nl, theta_perp)[0]
+    return DetectionProbabilities.from_raw(raw)
 
 
 def model_triple(
@@ -270,15 +284,19 @@ def model_triple(
     ell_nl: float,
     theta_perp: float = 0.0,
 ) -> np.ndarray:
-    """Renormalized (p20, p11, p02) stacked over an array of phases."""
+    """Renormalized (p20, p11, p02) stacked over an array of phases.
+
+    Evaluates every phase at once, on the same domain as
+    ``model_statistics``: finite phases, finite ``phi_nl`` and
+    ``theta_perp``, and ``ell_nl`` in [0, 1].  Raises
+    ``DegenerateStateError`` if any phase loses all two-photon weight.
+    """
     phis = np.atleast_1d(np.asarray(phi, dtype=float))
-    out = np.empty((phis.size, 3))
-    for idx, value in enumerate(phis):
-        stats = model_statistics(float(value), phi_nl, ell_nl, theta_perp)
-        if stats.renormalized is None:
-            raise states.DegenerateStateError("all outcomes suppressed; cannot renormalize")
-        out[idx] = stats.renormalized
-    return out
+    raw = _raw_statistics(phis, phi_nl, ell_nl, theta_perp)
+    total = raw.sum(axis=1, keepdims=True)
+    if np.any(total < states.DEGENERATE_TOTAL):
+        raise states.DegenerateStateError("all outcomes suppressed; cannot renormalize")
+    return raw / total
 
 
 # ---------------------------------------------------------------------------

@@ -284,17 +284,15 @@ def _params_from_profile(pulse: PulseSpec, prof: _Profile) -> NonlinearParams:
     )
 
 
-def nonlinear_params(
-    pulse: PulseSpec,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> NonlinearParams:
-    """Extract the effective circuit parameters for a pulse.
+def _checked_profile(pulse: PulseSpec, quad: QuadratureConfig) -> _Profile:
+    """The pulse profile, once its parameters settle under node doubling.
 
-    Recomputes at doubled node count and raises ``QuadratureError``
-    when the extraction has not settled to 1e-6, which points at a
-    window too narrow or too coarse for the requested pulse.
+    Raises ``QuadratureError`` when the extracted parameters move by
+    more than 1e-6 at doubled node count, which points at a window too
+    narrow or too coarse for the requested pulse.
     """
-    base = _params_from_profile(pulse, _profile(pulse, quad))
+    prof = _profile(pulse, quad)
+    base = _params_from_profile(pulse, prof)
     doubled = QuadratureConfig(half_width=quad.half_width, nodes=2 * quad.nodes)
     fine = _params_from_profile(pulse, _profile(pulse, doubled))
     drift = max(
@@ -308,7 +306,19 @@ def nonlinear_params(
             f"half_width={quad.half_width}, nodes={quad.nodes}; "
             "widen the window or increase nodes"
         )
-    return base
+    return prof
+
+
+def nonlinear_params(
+    pulse: PulseSpec,
+    quad: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> NonlinearParams:
+    """Extract the effective circuit parameters for a pulse.
+
+    Raises ``QuadratureError`` when the parameters have not settled to
+    1e-6 under node doubling.
+    """
+    return _params_from_profile(pulse, _checked_profile(pulse, quad))
 
 
 def parameter_sweep(
@@ -332,9 +342,10 @@ def full_statistics(
     quadrature grid, the two squared norms and the overlap, so every
     phase is exact without a grid sum of its own; nothing is reduced to
     the effective parameters first.  Returns an array of rows
-    (p20, p11, p02).
+    (p20, p11, p02).  Raises ``QuadratureError`` for a pulse whose
+    profile is not resolved, like ``nonlinear_params``.
     """
-    prof = _profile(pulse, quad)
+    prof = _checked_profile(pulse, quad)
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     a = (np.exp(2j * phis) + 1.0) / 4.0
     b = np.exp(1j * phis) / 2.0

@@ -4,9 +4,12 @@ The circuit acts on two time-bin modes, early (index 0) and late
 (index 1), plus one orthogonal ancilla copy of each (indices 2 and 3)
 used to model partially distinguishable photons.  A two-photon state
 is a vector of ten complex amplitudes, one per occupation
-configuration; every layer is a 10x10 transfer matrix obtained by
-lifting a single-particle mode map to the two-boson space, except the
-nonlinear layer which is diagonal in the configuration basis.
+configuration.  The splitter and distinguishability layers are 10x10
+transfer matrices obtained by lifting a single-particle mode map to the
+two-boson space with precomputed index arrays.  The linear-phase and
+nonlinear layers are diagonal in the configuration basis: they scale
+each amplitude by a factor and build no matrix, so a phase sweep is one
+array of factors rather than one lifted matrix per phase.
 
 This module is the brute-force reference for the closed-form output
 statistics implemented elsewhere: it makes no algebraic simplification
@@ -59,6 +62,18 @@ _CONFIG_INDEX = {pair: idx for idx, pair in enumerate(_PAIRS)}
 # Time bin of each mode: ancilla copies live in the same bin as their
 # physical partner.
 _BIN = (0, 1, 0, 1)
+
+# Per-configuration index arrays: the two occupied modes, the norm
+# sqrt(2) of a doubly occupied pair, the number of early-bin photons,
+# whether both photons share a bin, and the click pattern (number of
+# late-bin photons) that indexes (p20, p11, p02).
+_FIRST, _SECOND = (np.array(modes) for modes in zip(*_PAIRS))
+_PAIR_NORM = np.where(_FIRST == _SECOND, math.sqrt(2.0), 1.0)
+_LIFT_NORM = np.outer(_PAIR_NORM, _PAIR_NORM)
+_LATE = np.take(_BIN, _FIRST) + np.take(_BIN, _SECOND)
+_N_EARLY = 2 - _LATE
+_SAME_BIN = _LATE != 1
+_CLICK_BINNING = np.eye(3)[_LATE]
 
 NORM_EPSILON = 1e-12
 DEGENERATE_TOTAL = 1e-15
@@ -161,6 +176,15 @@ class DetectionProbabilities:
     def total(self) -> float:
         return sum(self.raw)
 
+    @classmethod
+    def from_raw(cls, raw: np.ndarray) -> DetectionProbabilities:
+        """Renormalize three raw weights, or flag a degenerate total."""
+        raw_t = tuple(float(p) for p in raw)
+        total = sum(raw_t)
+        if total < DEGENERATE_TOTAL:
+            return cls(raw=raw_t, renormalized=None)
+        return cls(raw=raw_t, renormalized=tuple(p / total for p in raw_t))
+
 
 def new_input() -> TwoPhotonState:
     """Two photons in the early bin, the circuit's standard input."""
@@ -173,21 +197,14 @@ def _two_boson_transfer(single: np.ndarray) -> np.ndarray:
     """Lift a 4x4 single-particle mode map to the 10-dim pair space.
 
     ``single[k, i]`` is the coefficient of mode k in the image of mode
-    i's creation operator.  Equal-index pairs carry a 1/sqrt(2)
-    normalization relative to the bare operator product.
+    i's creation operator.  Entry (row, col) maps the pair (i, j) of
+    column configuration to the pair (k, l) of the row configuration:
+    both photon assignments summed, divided by the sqrt(2) norms of
+    doubly occupied pairs on either side.
     """
-    transfer = np.zeros((N_CONFIGURATIONS, N_CONFIGURATIONS), dtype=complex)
-    for col, (i, j) in enumerate(_PAIRS):
-        n_in = math.sqrt(2.0) if i == j else 1.0
-        for row, (k, l) in enumerate(_PAIRS):
-            if k == l:
-                coeff = single[k, i] * single[k, j]
-                n_out = math.sqrt(2.0)
-            else:
-                coeff = single[k, i] * single[l, j] + single[l, i] * single[k, j]
-                n_out = 1.0
-            transfer[row, col] = coeff * n_out / n_in
-    return transfer
+    k, l = _FIRST[:, None], _SECOND[:, None]
+    i, j = _FIRST[None, :], _SECOND[None, :]
+    return (single[k, i] * single[l, j] + single[l, i] * single[k, j]) / _LIFT_NORM
 
 
 def _beam_splitter_single() -> np.ndarray:
@@ -203,9 +220,14 @@ def _beam_splitter_single() -> np.ndarray:
 _BS_TRANSFER = _two_boson_transfer(_beam_splitter_single())
 
 
-def _linear_phase_transfer(phi: float) -> np.ndarray:
-    single = np.diag(np.exp(1j * phi * np.array([1.0, 0.0, 1.0, 0.0])))
-    return _two_boson_transfer(single)
+def linear_phase_factors(phi: np.ndarray | float) -> np.ndarray:
+    """Diagonal factors exp(i phi n_early) of the linear-phase layer.
+
+    The phase sits on the early bin and its ancilla copy, so a
+    configuration picks it up once per early photon.  An array of
+    phases gives one row of ten factors per phase.
+    """
+    return np.exp(1j * np.multiply.outer(phi, _N_EARLY))
 
 
 def _distinguishability_transfer(theta_perp: float) -> np.ndarray:
@@ -224,27 +246,43 @@ def _nonlinear_factors(phi_nl: float, ell_nl: float, eta: float) -> np.ndarray:
     # Two photons in the same time bin scatter as a pair and acquire the
     # nonlinear phase; photons in different bins scatter one at a time
     # and each suffers the extra single-photon loss.
-    factors = np.empty(N_CONFIGURATIONS, dtype=complex)
-    for idx, (i, j) in enumerate(_PAIRS):
-        if _BIN[i] == _BIN[j]:
-            factors[idx] = eta * np.exp(1j * phi_nl)
-        else:
-            factors[idx] = eta * (1.0 - ell_nl)
-    return factors
+    return eta * np.where(_SAME_BIN, np.exp(1j * phi_nl), 1.0 - ell_nl)
+
+
+def _layer_transfer(layer: LayerSpec) -> np.ndarray:
+    """The layer's action on the ten amplitudes.
+
+    Diagonal layers (linear phase, nonlinear) give a vector of ten
+    factors; the others give a 10x10 transfer matrix.
+    """
+    layer.validate()
+    if layer.kind in ("beam_splitter_first", "beam_splitter_second"):
+        return _BS_TRANSFER
+    if layer.kind == "linear_phase":
+        return linear_phase_factors(layer.phi)
+    if layer.kind == "distinguishability":
+        return _distinguishability_transfer(layer.theta_perp)
+    return _nonlinear_factors(layer.phi_nl, layer.ell_nl, layer.eta)
+
+
+def _apply(transfer: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    # Diagonal factors scale the rows of a vector or of a 10 x n block.
+    if transfer.ndim == 1:
+        return (transfer * amplitudes.T).T
+    return transfer @ amplitudes
 
 
 def apply_layer(state: TwoPhotonState, layer: LayerSpec) -> TwoPhotonState:
     """Apply one layer, returning a new state."""
-    layer.validate()
-    if layer.kind in ("beam_splitter_first", "beam_splitter_second"):
-        amps = _BS_TRANSFER @ state.amplitudes
-    elif layer.kind == "linear_phase":
-        amps = _linear_phase_transfer(layer.phi) @ state.amplitudes
-    elif layer.kind == "distinguishability":
-        amps = _distinguishability_transfer(layer.theta_perp) @ state.amplitudes
-    else:
-        amps = _nonlinear_factors(layer.phi_nl, layer.ell_nl, layer.eta) * state.amplitudes
-    return TwoPhotonState(amps)
+    return TwoPhotonState(_apply(_layer_transfer(layer), state.amplitudes))
+
+
+def circuit_transfer(layers: list[LayerSpec]) -> np.ndarray:
+    """The 10x10 matrix of a layer sequence, first layer applied first."""
+    transfer = np.eye(N_CONFIGURATIONS, dtype=complex)
+    for layer in layers:
+        transfer = _apply(_layer_transfer(layer), transfer)
+    return transfer
 
 
 def apply_circuit(state: TwoPhotonState, layers: list[LayerSpec]) -> TwoPhotonState:
@@ -277,20 +315,15 @@ def standard_circuit(
     return layers
 
 
-def detection_probabilities(state: TwoPhotonState) -> DetectionProbabilities:
-    """Click-pattern probabilities, summed over ancilla labels.
+def click_weights(amplitudes: np.ndarray) -> np.ndarray:
+    """Raw (p20, p11, p02) weights of amplitudes over the last axis.
 
     Detectors do not resolve the ancilla identity: a photon in the
     early ancilla mode counts as an early-bin photon.
     """
-    weights = np.abs(state.amplitudes) ** 2
-    raw = [0.0, 0.0, 0.0]
-    for idx, (i, j) in enumerate(_PAIRS):
-        bins = _BIN[i] + _BIN[j]
-        raw[bins] += float(weights[idx])
-    raw_t = (raw[0], raw[1], raw[2])
-    total = sum(raw_t)
-    if total < DEGENERATE_TOTAL:
-        return DetectionProbabilities(raw=raw_t, renormalized=None)
-    renorm = tuple(p / total for p in raw_t)
-    return DetectionProbabilities(raw=raw_t, renormalized=renorm)
+    return np.abs(amplitudes) ** 2 @ _CLICK_BINNING
+
+
+def detection_probabilities(state: TwoPhotonState) -> DetectionProbabilities:
+    """Click-pattern probabilities, summed over ancilla labels."""
+    return DetectionProbabilities.from_raw(click_weights(state.amplitudes))

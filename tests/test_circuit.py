@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from nltimebin import circuit, states
 
+from _oracles import pair_tensor_triples
+
 
 def uniform_histogram(value: int = 100) -> circuit.PeakHistogram:
     return circuit.PeakHistogram(np.full((6, 3, 3), value, dtype=np.int64))
@@ -96,6 +98,42 @@ def test_distinguishability_delegates_to_state_evolution():
     evolved = states.apply_circuit(states.new_input(), layers)
     ref = states.detection_probabilities(evolved)
     assert np.allclose(mine.renormalized, ref.renormalized, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    phi_nl=st.floats(0.0, math.pi),
+    ell_nl=st.floats(0.0, 1.0, exclude_max=True),
+    theta_perp=st.one_of(st.just(0.0), st.floats(0.0, 0.5 * math.pi)),
+)
+def test_batched_model_matches_pair_tensor_oracle(phi_nl, ell_nl, theta_perp):
+    phis = np.linspace(0.0, 2.0 * math.pi, 101)
+    batched = circuit.model_triple(phis, phi_nl, ell_nl, theta_perp)
+    ref = pair_tensor_triples(phis, phi_nl, ell_nl, theta_perp)
+    assert np.max(np.abs(batched - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("theta_perp", [0.0, 0.1])
+@pytest.mark.parametrize(
+    "name, phi, phi_nl",
+    [
+        ("phi", math.nan, 1.0),
+        ("phi", -math.inf, 1.0),
+        ("phi_nl", 0.3, math.inf),
+        ("phi_nl", 0.3, math.nan),
+    ],
+)
+def test_non_finite_inputs_rejected_on_both_paths(theta_perp, name, phi, phi_nl):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        circuit.model_triple([0.3, phi], phi_nl, 0.2, theta_perp)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        circuit.model_statistics(phi, phi_nl, 0.2, theta_perp)
+
+
+@pytest.mark.parametrize("theta_perp", [math.inf, math.nan])
+def test_non_finite_overlap_angle_rejected(theta_perp):
+    with pytest.raises(ValueError, match="^theta_perp must be finite"):
+        circuit.model_triple([0.3], 1.0, 0.2, theta_perp)
 
 
 def test_raw_totals_ignore_the_phases():

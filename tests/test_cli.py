@@ -219,3 +219,15 @@ def test_module_execution_entry_point(tmp_path):
     assert proc.returncode == 0
     assert (out / "water.csv").exists()
     assert proc.stdout.strip().endswith("water.csv")
+
+
+def test_only_the_fit_subcommand_loads_the_optimizer():
+    code = (
+        "import sys, nltimebin.cli, nltimebin; "
+        "before = 'scipy.optimize' in sys.modules; "
+        "nltimebin.fit.fit_nl; "
+        "print(before, 'scipy.optimize' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

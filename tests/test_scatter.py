@@ -183,6 +183,11 @@ def test_unresolved_quadrature_is_reported():
         scatter.nonlinear_params(scatter.PulseSpec(0.0, 400.0))
 
 
+def test_full_statistics_reports_unresolved_quadrature():
+    with pytest.raises(scatter.QuadratureError):
+        scatter.full_statistics([0.0, 1.0], scatter.PulseSpec(0.0, 400.0))
+
+
 def test_parameter_sweep_matches_single_calls(swept_params):
     pulses = [scatter.PulseSpec(0.0, 1.0), scatter.PulseSpec(1.0, 1.0)]
     swept = scatter.parameter_sweep(pulses)

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from nltimebin import states
 
+from _oracles import pair_tensor_amplitude, pair_tensor_evolve, pair_tensor_from_configuration
+
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -146,3 +148,32 @@ def test_state_amplitudes_are_read_only():
     state = states.new_input()
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0
+
+
+def _modes(occupation):
+    return tuple(m for m in range(4) for _ in range(occupation[m]))
+
+
+def _oracle_transfer(single: np.ndarray) -> np.ndarray:
+    """Columns of the pair-space transfer, one basis configuration at a time."""
+    transfer = np.empty((states.N_CONFIGURATIONS, states.N_CONFIGURATIONS), dtype=complex)
+    for col, occ_in in enumerate(states.CONFIGURATIONS):
+        psi = pair_tensor_evolve(pair_tensor_from_configuration(*_modes(occ_in)), single)
+        for row, occ_out in enumerate(states.CONFIGURATIONS):
+            transfer[row, col] = pair_tensor_amplitude(psi, *_modes(occ_out))
+    return transfer
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lift_matches_pair_tensor_oracle(seed):
+    rng = np.random.default_rng(seed)
+    single = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    lift = states._two_boson_transfer(single)
+    assert np.max(np.abs(lift - _oracle_transfer(single))) < 1e-12
+
+
+@given(phi=angles)
+def test_linear_phase_factors_are_the_lifted_diagonal(phi):
+    single = np.diag(np.exp(1j * phi * np.array([1.0, 0.0, 1.0, 0.0])))
+    factors = states.linear_phase_factors(phi)
+    assert np.max(np.abs(np.diag(factors) - _oracle_transfer(single))) < 1e-12
