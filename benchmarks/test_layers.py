@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from nltimebin import circuit, fit, vibsim
+from nltimebin import circuit, fit, scatter, vibsim
 
 
 @pytest.mark.parametrize("theta_perp", [0.0, 0.2])
@@ -43,3 +43,27 @@ def test_fit_nl_distinguishability(benchmark):
 def test_vibsim_trace(benchmark):
     points = benchmark(vibsim.trace, 0.5, 51, vibsim.water_spec())
     assert len(points) == 51
+
+
+@pytest.mark.parametrize("delta, sigma", [(0.0, 1.0), (6.0, 0.3)])
+def test_nonlinear_params_cold(benchmark, delta, sigma):
+    # (6, 0.3) puts the emitter line outside the total-frequency window.
+    pulse = scatter.PulseSpec(delta, sigma)
+
+    def cold():
+        scatter._profile.cache_clear()
+        return scatter.nonlinear_params(pulse)
+
+    params = benchmark(cold)
+    assert 0.0 < params.eta <= 1.0
+
+
+def test_full_statistics(benchmark):
+    phis = np.linspace(0.0, 2.0 * math.pi, 101)
+    out = benchmark(scatter.full_statistics, phis, scatter.PulseSpec(0.0, 1.0))
+    assert out.shape == (101, 3)
+
+
+def test_jti(benchmark):
+    result = benchmark(scatter.jti, scatter.PulseSpec(0.0, 1.0))
+    assert result.intensity.shape == (256, 256)

@@ -10,12 +10,13 @@ wavefunction, reduces it to the effective interferometer parameters
 (transmission, pair loss, nonlinear phase), and produces joint
 detection-time intensities.
 
-The bound channel is a closed form in the Faddeeva function.  The pair
-norm and overlap use Gauss-Legendre quadrature: they involve a Lorentzian
-tail in the frequency difference, which a tangent change of variables
-turns into a smooth integrand on a finite interval; node doubling then
-certifies convergence.  Time maps are transformed from a Gauss-Legendre
-frequency grid.
+The bound channel is a closed form in the Faddeeva function, and so are
+the single-photon norm (a Voigt profile) and every integral over the
+frequency difference of the two photons.  The pair norm and overlap are
+then one-dimensional integrals over the total frequency, taken by
+Gauss-Legendre quadrature on two panels split at the emitter line; node
+doubling certifies convergence.  Time maps are transformed from a
+Gauss-Legendre frequency grid.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import wofz
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,7 +73,13 @@ class EmitterFrame:
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """Gaussian pulse: center detuning and spectral width, natural units."""
+    """Gaussian pulse: center detuning and spectral width, natural units.
+
+    Any finite ``delta`` and ``sigma > 0`` is valid input.  At the default
+    quadrature the effective parameters resolve, measured, for
+    ``sigma`` from 0.02 to 1000 at ``delta`` of 0, 5 and 20; ``sigma`` of
+    3000 and 1e4 raise ``QuadratureError`` there.
+    """
 
     delta: float
     sigma: float
@@ -89,10 +95,14 @@ class PulseSpec:
 class QuadratureConfig:
     """Frequency-integration window (in pulse widths) and node count.
 
-    Sets the rotated pair grid that ``nonlinear_params`` and
-    ``full_statistics`` integrate on, and the frequency grid that ``jti``
-    and ``circuit_jti`` transform to detection times.  The bound channel
-    is a closed form and takes no quadrature.
+    ``nonlinear_params`` and ``full_statistics`` integrate over the total
+    frequency s = x + y within ``2 * half_width`` pulse widths of twice
+    the pulse center; ``nodes`` counts those s-grid nodes, split into two
+    Gauss-Legendre panels of ``nodes // 2`` at the emitter line s = 0
+    (at the window centre when the line lies outside).  ``nodes`` also
+    sizes the frequency grid that ``jti`` and ``circuit_jti`` transform
+    to detection times.  The bound channel, the single-photon norm and
+    the integrals over the frequency difference are closed forms.
     """
 
     half_width: float = 8.0
@@ -125,6 +135,14 @@ def _scaled_gl(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (a + b) + half * nodes, half * weights
 
 
+def _faddeeva(z: np.ndarray | complex) -> np.ndarray | complex:
+    # Deferred: importing scipy.special costs start-up that --help and
+    # the water trace never use.
+    from scipy.special import wofz
+
+    return wofz(z)
+
+
 def transmission_coefficient(omega: np.ndarray | float) -> np.ndarray | complex:
     """Single-photon transmission amplitude of the emitter line."""
     omega = np.asarray(omega, dtype=float)
@@ -141,6 +159,13 @@ def gaussian_spectrum(omega: np.ndarray | float, pulse: PulseSpec) -> np.ndarray
     return float(result) if result.ndim == 0 else result
 
 
+def _pair_envelope(s: np.ndarray, pulse: PulseSpec) -> np.ndarray:
+    """The pulse pair product g(x) g(y) at x = y = s / 2."""
+    return np.exp(-((s - 2.0 * pulse.delta) ** 2) / (8.0 * pulse.sigma**2)) / math.sqrt(
+        TWO_PI * pulse.sigma**2
+    )
+
+
 def bound_channel_integral(s: np.ndarray | float, pulse: PulseSpec) -> np.ndarray | complex:
     """Spectral weight of the bound pair channel at total frequency ``s``.
 
@@ -153,10 +178,8 @@ def bound_channel_integral(s: np.ndarray | float, pulse: PulseSpec) -> np.ndarra
     """
     pulse.validate()
     s = np.asarray(s, dtype=float)
-    envelope = np.exp(-((s - 2.0 * pulse.delta) ** 2) / (8.0 * pulse.sigma**2)) / math.sqrt(
-        TWO_PI * pulse.sigma**2
-    )
-    values = -TWO_PI * 1j * envelope * wofz((0.5 * s + 1j) / (math.sqrt(2.0) * pulse.sigma))
+    z = (0.5 * s + 1j) / (math.sqrt(2.0) * pulse.sigma)
+    values = -TWO_PI * 1j * _pair_envelope(s, pulse) * _faddeeva(z)
     return complex(values) if values.ndim == 0 else values
 
 
@@ -221,41 +244,69 @@ class NonlinearParams:
     phi_nl: float
 
 
+def _difference_kernel(a: np.ndarray, sigma: float) -> np.ndarray:
+    """K(a) = int (a^2 - u^2) exp(-u^2 / (2 sigma^2)) / (((a+u)^2 + 1)((a-u)^2 + 1)) du.
+
+    The two photons' transmissions and emitter poles at x = a + u,
+    y = a - u against the Gaussian in their frequency difference.
+    Partial fractions leave a Gaussian against a pole: with
+    z = (a + i) / (sqrt(2) sigma), K = (pi / (2 a)) Re[(1 - 2 a i) w(z) / (a + i)]
+    = pi / (2 (a^2 + 1)) ((1 + 2 a^2) Im w / a - Re w).  K is even and
+    smooth; its removable 0/0 at a = 0 is taken at |a| = 1e-100, below
+    any rounding of the O(a^2) change, where the Faddeeva function still
+    resolves Im w to full relative accuracy.  (The closed-form slope
+    2/sqrt(pi) - 2 y erfcx(y) of Im w would cancel up to nine digits.)
+    """
+    a = np.asarray(a, dtype=float)
+    a = np.where(np.abs(a) < 1e-100, 1e-100, a)
+    w = _faddeeva((a + 1j) / (math.sqrt(2.0) * sigma))
+    return 0.5 * math.pi / (a**2 + 1.0) * ((1.0 + 2.0 * a**2) * w.imag / a - w.real)
+
+
+def _total_frequency_grid(
+    pulse: PulseSpec, quad: QuadratureConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two Gauss-Legendre panels of ``nodes // 2`` over the total-frequency window.
+
+    They split at s = 0 when the emitter line lies inside the window and
+    at its centre otherwise.
+    """
+    lo = 2.0 * (pulse.delta - quad.half_width * pulse.sigma)
+    hi = 2.0 * (pulse.delta + quad.half_width * pulse.sigma)
+    split = 0.0 if lo < 0.0 < hi else 2.0 * pulse.delta
+    left = _scaled_gl(lo, split, quad.nodes // 2)
+    right = _scaled_gl(split, hi, quad.nodes // 2)
+    return np.concatenate([left[0], right[0]]), np.concatenate([left[1], right[1]])
+
+
 class _Profile:
     """Pulse integrals that the parameters and the fringe are read from.
 
-    ``p_single`` is the transmitted single-photon norm.  On the rotated
-    pair grid, ``eta2`` is the squared pair norm, ``ff_norm`` the squared
-    norm of the independent product and ``overlap`` the projection of the
-    pair output onto that product.
+    ``p_single`` is the transmitted single-photon norm, ``eta2`` the
+    squared pair norm and ``overlap`` the projection of the pair output
+    onto the independent product, whose squared norm is ``p_single**2``.
     """
 
-    __slots__ = ("p_single", "eta2", "ff_norm", "overlap")
+    __slots__ = ("p_single", "eta2", "overlap")
 
     def __init__(self, pulse: PulseSpec, quad: QuadratureConfig) -> None:
-        hw = quad.half_width * pulse.sigma
-        # Single-photon line and transmitted norm.
-        nu, w_nu = _scaled_gl(pulse.delta - hw, pulse.delta + hw, quad.nodes)
-        f_line = transmission_coefficient(nu) * gaussian_spectrum(nu, pulse)
-        self.p_single = float(np.abs(f_line) ** 2 @ w_nu)
-
-        # Rotated grid: Gauss-Legendre in the total frequency, tangent
-        # map in the difference so the Lorentzian tails become smooth.
-        s, w_s = _scaled_gl(2.0 * pulse.delta - 2.0 * hw, 2.0 * pulse.delta + 2.0 * hw, quad.nodes)
-        u, w_u = _scaled_gl(-0.5 * math.pi, 0.5 * math.pi, quad.nodes)
-        d = 2.0 * np.tan(u)
-        w_d = 2.0 * w_u / np.cos(u) ** 2
-        x = 0.5 * (s[:, None] + d[None, :])
-        y = 0.5 * (s[:, None] - d[None, :])
-        weights = 0.5 * w_s[:, None] * w_d[None, :]
-
-        # The bound channel depends on the total frequency alone, so it is
-        # evaluated once per grid row.
-        ff, bound = _pair_terms(x, y, bound_channel_integral(s, pulse)[:, None], pulse)
-        psi2 = ff + bound
-        self.eta2 = float(np.sum(weights * np.abs(psi2) ** 2))
-        self.ff_norm = float(np.sum(weights * np.abs(ff) ** 2))
-        self.overlap = complex(np.sum(weights * np.conj(psi2) * ff))
+        # Transmitted single-photon norm: one minus a Voigt profile at the line.
+        z = complex(pulse.delta, 1.0) / (math.sqrt(2.0) * pulse.sigma)
+        self.p_single = 1.0 - math.sqrt(0.5 * math.pi) / pulse.sigma * _faddeeva(z).real
+        # Every integral over the frequency difference is a closed form;
+        # what is left is one integral over the total frequency s, whose
+        # panels split at s = 0 so the width-2 emitter feature resolves.
+        s, w_s = _total_frequency_grid(pulse, quad)
+        bound = bound_channel_integral(s, pulse)
+        # Bound term against itself: the emitter poles of the two photons
+        # convolve to 2 pi / (s^2 + 4).
+        bound_norm = float((np.abs(bound) ** 2 / (s**2 + 4.0)) @ w_s) / TWO_PI
+        # Bound term against the independent product.
+        product = _pair_envelope(s, pulse) * _difference_kernel(0.5 * s, pulse.sigma)
+        cross = 1j / TWO_PI * complex((bound * product) @ w_s)
+        ff_norm = self.p_single**2
+        self.eta2 = ff_norm + 2.0 * cross.real + bound_norm
+        self.overlap = ff_norm + cross.conjugate()
 
 
 @lru_cache(maxsize=8)
@@ -300,10 +351,12 @@ def _checked_profile(pulse: PulseSpec, quad: QuadratureConfig) -> _Profile:
         abs(base.ell_nl - fine.ell_nl),
         abs(base.phi_nl - fine.phi_nl),
     )
-    if drift > 1e-6:
+    budget = 1e-6
+    if drift > budget:
         raise QuadratureError(
-            f"parameter drift {drift:.2e} under node doubling at "
-            f"half_width={quad.half_width}, nodes={quad.nodes}; "
+            f"pulse delta={float(pulse.delta)!r}, sigma={float(pulse.sigma)!r}: "
+            f"parameter drift {drift:.2e} under node doubling exceeds the {budget:.0e} "
+            f"budget at half_width={quad.half_width}, nodes={quad.nodes}; "
             "widen the window or increase nodes"
         )
     return prof
@@ -316,7 +369,10 @@ def nonlinear_params(
     """Extract the effective circuit parameters for a pulse.
 
     Raises ``QuadratureError`` when the parameters have not settled to
-    1e-6 under node doubling.
+    1e-6 under node doubling.  With the default quadrature they settle,
+    measured, for ``sigma`` from 0.02 to 1000 at ``delta`` of 0, 5 and
+    20, where they agree with an adaptive-quadrature oracle; ``sigma``
+    of 3000 and 1e4 raise.
     """
     return _params_from_profile(pulse, _checked_profile(pulse, quad))
 
@@ -338,19 +394,19 @@ def full_statistics(
 
     The both-photons-one-port patterns carry the amplitude
     ``a * psi2 +/- b * ff`` of the pair wavefunction and the independent
-    product.  Its squared norm expands into three integrals over the
-    quadrature grid, the two squared norms and the overlap, so every
-    phase is exact without a grid sum of its own; nothing is reduced to
-    the effective parameters first.  Returns an array of rows
-    (p20, p11, p02).  Raises ``QuadratureError`` for a pulse whose
-    profile is not resolved, like ``nonlinear_params``.
+    product.  Its squared norm expands into three pulse integrals, the
+    two squared norms and the overlap, so every phase is exact without a
+    grid sum of its own; nothing is reduced to the effective parameters
+    first.  Returns an array of rows (p20, p11, p02).  Raises
+    ``QuadratureError`` for a pulse whose profile is not resolved, like
+    ``nonlinear_params``.
     """
     prof = _checked_profile(pulse, quad)
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     a = (np.exp(2j * phis) + 1.0) / 4.0
     b = np.exp(1j * phis) / 2.0
     c = (np.exp(2j * phis) - 1.0) / (2.0 * math.sqrt(2.0))
-    norms = np.abs(a) ** 2 * prof.eta2 + np.abs(b) ** 2 * prof.ff_norm
+    norms = np.abs(a) ** 2 * prof.eta2 + np.abs(b) ** 2 * prof.p_single**2
     cross = 2.0 * np.real(np.conj(a) * b * prof.overlap)
     return np.stack([norms + cross, prof.eta2 * np.abs(c) ** 2, norms - cross], axis=1)
 

@@ -175,9 +175,10 @@ def test_errors_name_the_offending_flag(tmp_path, capsys):
 
 
 def test_quadrature_failure_maps_to_exit_three(tmp_path, capsys):
-    assert run(["fringe", "--sigma", 400, "--grid", 3, "--out", tmp_path / "x"]) == 3
+    assert run(["fringe", "--sigma", 1e4, "--grid", 3, "--out", tmp_path / "x"]) == 3
     err = capsys.readouterr().err
     assert "--sigma" in err or "--delta" in err
+    assert "sigma=10000.0" in err
 
 
 def test_far_detuned_fringe_reports_full_visibility(tmp_path):
@@ -219,6 +220,13 @@ def test_module_execution_entry_point(tmp_path):
     assert proc.returncode == 0
     assert (out / "water.csv").exists()
     assert proc.stdout.strip().endswith("water.csv")
+
+
+def test_importing_the_cli_leaves_scipy_special_unloaded():
+    code = "import sys, nltimebin.cli; print('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_only_the_fit_subcommand_loads_the_optimizer():

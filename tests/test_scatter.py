@@ -6,13 +6,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nltimebin import scatter
 
 from _oracles import (
     bound_integral_quadrature,
+    difference_kernel_quad,
     full_statistics_per_phase,
+    lorentzian_convolution_quad,
     pair_norm_faddeeva,
+    pair_profile_quad,
     pair_wavefunction_quadrature,
 )
 
@@ -179,13 +184,73 @@ def test_node_doubling_is_converged():
 
 
 def test_unresolved_quadrature_is_reported():
-    with pytest.raises(scatter.QuadratureError):
-        scatter.nonlinear_params(scatter.PulseSpec(0.0, 400.0))
+    with pytest.raises(scatter.QuadratureError, match=r"delta=0\.0, sigma=10000\.0.*1e-06 budget"):
+        scatter.nonlinear_params(scatter.PulseSpec(0.0, 1e4))
 
 
 def test_full_statistics_reports_unresolved_quadrature():
     with pytest.raises(scatter.QuadratureError):
-        scatter.full_statistics([0.0, 1.0], scatter.PulseSpec(0.0, 400.0))
+        scatter.full_statistics([0.0, 1.0], scatter.PulseSpec(0.0, 1e4))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    log_sigma=st.floats(math.log(0.02), math.log(1000.0)),
+    delta=st.floats(-20.0, 20.0),
+    position=st.floats(-1.0, 1.0),
+)
+def test_difference_integrals_match_adaptive_quadrature(log_sigma, delta, position):
+    # Total frequencies across the default window of the pulse.
+    sigma = math.exp(log_sigma)
+    s = 2.0 * delta + 16.0 * sigma * position
+    kernel = float(scatter._difference_kernel(0.5 * s, sigma))
+    scale = difference_kernel_quad(0.5 * s, sigma, magnitude=True)
+    assert abs(kernel - difference_kernel_quad(0.5 * s, sigma)) <= 1e-9 * scale
+    convolution = lorentzian_convolution_quad(s)
+    assert abs(2.0 * math.pi / (s * s + 4.0) - convolution) <= 1e-12 * convolution
+
+
+@pytest.mark.parametrize("sigma", [0.02, 1.0, 1000.0])
+def test_difference_kernel_is_finite_and_continuous_at_the_line(sigma):
+    at_line = float(scatter._difference_kernel(0.0, sigma))
+    assert math.isfinite(at_line)
+    for near in (1e-12, -1e-12):
+        assert abs(float(scatter._difference_kernel(near, sigma)) - at_line) <= 1e-12 * abs(at_line)
+    assert abs(at_line - difference_kernel_quad(0.0, sigma)) <= 1e-9 * abs(at_line)
+
+
+@pytest.mark.parametrize("sigma", [10.0, 50.0, 400.0])
+def test_broadband_pulse_matches_adaptive_quadrature(sigma):
+    params = scatter.nonlinear_params(scatter.PulseSpec(0.0, sigma))
+    p_single, eta2, overlap = pair_profile_quad(0.0, sigma)
+    assert abs(params.p_single - p_single) < 1e-12
+    assert abs(params.eta**2 - eta2) / eta2 < 1e-9
+    mine = params.r_int * params.eta * params.p_single * complex(
+        math.cos(params.theta_int), math.sin(params.theta_int)
+    )
+    assert abs(mine - overlap) < 1e-9 * eta2
+
+
+@pytest.mark.parametrize("delta", [0.0, 5.0, 20.0])
+@pytest.mark.parametrize("sigma", [0.02, 1000.0])
+def test_parameters_resolve_across_the_stated_width_domain(delta, sigma):
+    params = scatter.nonlinear_params(scatter.PulseSpec(delta, sigma))
+    assert 0.0 < params.p_single <= 1.0 and 0.0 < params.eta <= 1.0
+
+
+def test_default_quadrature_builds_no_doubled_legendre_rule(monkeypatch):
+    # Profiles use two panels of nodes // 2 (256, and 512 when doubled) and
+    # jti one 512-node grid, so no 1024-node rule is ever built.
+    orders = []
+    build = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: orders.append(n) or build(n))
+    scatter._leggauss.cache_clear()
+    scatter._profile.cache_clear()
+    pulse = scatter.PulseSpec(0.3, 1.0)
+    scatter.nonlinear_params(pulse)
+    scatter.full_statistics([0.0, 1.0], pulse)
+    scatter.jti(pulse, times=np.linspace(-8.0, 8.0, 16))
+    assert sorted(orders) == [256, 512]
 
 
 def test_parameter_sweep_matches_single_calls(swept_params):
