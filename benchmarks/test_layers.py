@@ -67,3 +67,36 @@ def test_full_statistics(benchmark):
 def test_jti(benchmark):
     result = benchmark(scatter.jti, scatter.PulseSpec(0.0, 1.0))
     assert result.intensity.shape == (256, 256)
+
+
+def test_sample_statistics(benchmark):
+    phis = np.linspace(0.0, 2.0 * math.pi, 25)
+    triples, _ = benchmark(circuit.sample_statistics, phis, 0.9, 0.2, 100_000, 3)
+    assert triples.shape == (25, 3)
+
+
+@pytest.mark.parametrize(
+    "qd",
+    [
+        fit.QDCharacterization(beta=0.88, sigma_sd=0.3),
+        fit.QDCharacterization(beta=0.88, gamma=7e-3, sigma_sd=1.0),
+    ],
+    ids=["sigma0.3", "narrow"],
+)
+def test_fit_rt(benchmark, qd):
+    omega = np.linspace(-6.0, 6.0, 50) * max(qd.sigma_sd, qd.gamma)
+    data = fit.rt_spectrum(omega, qd)
+    template = fit.QDCharacterization(beta=0.5, gamma=qd.gamma)
+    result = benchmark.pedantic(
+        fit.fit_rt, args=(omega, data), kwargs={"qd_template": template},
+        rounds=5, iterations=1,
+    )
+    assert result.converged
+
+
+def test_fit_fringe(benchmark):
+    phis = np.linspace(0.0, 2.0 * math.pi, 61)
+    rng = np.random.default_rng(7)
+    data = 0.25 * (1.0 + 0.971 * np.cos(2.0 * phis - 0.8)) + rng.normal(0.0, 0.001, phis.size)
+    result = benchmark(fit.fit_fringe, phis, data, np.full(phis.size, 0.001))
+    assert result.converged

@@ -26,16 +26,9 @@ def main() -> int:
 
     params = nonlinear_params(PulseSpec(delta=args.delta, sigma=args.sigma))
     phis = np.linspace(0.1, 3.0, args.grid)
-    triples = np.empty((args.grid, 3))
-    errors = np.empty((args.grid, 3))
-    for k, phi in enumerate(phis):
-        hist = circuit.synthesize_histogram(
-            phi=float(phi), phi_nl=params.phi_nl, ell_nl=params.ell_nl,
-            shots=args.shots, seed=args.seed * 10_000 + k,
-        )
-        stats = circuit.normalize_counts(hist)
-        triples[k] = (stats.p20, stats.p11, stats.p02)
-        errors[k] = stats.uncertainties
+    triples, errors = circuit.sample_statistics(
+        phis, params.phi_nl, params.ell_nl, args.shots, args.seed
+    )
 
     result = fit.fit_nl(phis, triples, errors)
     for name, truth in (("phi_nl", params.phi_nl), ("ell_nl", params.ell_nl)):

@@ -10,7 +10,8 @@ Covers four layers of the experiment pipeline:
   distinguishability is switched on;
 * normalization of raw coincidence histograms into output-pattern
   probabilities, with first-order Poisson error propagation;
-* Monte Carlo synthesis of raw 3x3 peak histograms per detector pair.
+* Monte Carlo synthesis of raw 3x3 peak histograms per detector pair,
+  and the seeded synthesize -> normalize sweep built on it.
 
 Efficiencies and transmissions are probabilities; they enter field
 amplitudes as square roots.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +45,7 @@ PEAKS = ("E", "M", "L")
 # Pair classes for the count normalization: both photons in port a,
 # one per port, both in port b.
 _PAIR_CLASS = (0, 1, 1, 1, 1, 2)
+_CLASS_KEYS = ("20", "11", "02")
 
 
 @dataclass(frozen=True)
@@ -87,22 +89,6 @@ class TBIConfig:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
-    def efficiency(self, arm: str, detector: str) -> float:
-        """Probability that a photon on the given arm reaches the detector."""
-        base = {
-            ("S", "a1"): self.eta_sa1,
-            ("L", "a1"): self.eta_la1,
-            ("S", "b1"): self.eta_sb1,
-            ("L", "b1"): self.eta_lb1,
-        }
-        port_first = "a1" if detector.startswith("a") else "b1"
-        ratio = 1.0
-        if detector == "a2":
-            ratio = self.eta_ratio_a2
-        elif detector == "b2":
-            ratio = self.eta_ratio_b2
-        return base[(arm, port_first)] * ratio
-
 
 @dataclass(frozen=True)
 class ExcitationFields:
@@ -127,19 +113,26 @@ class ExcitationFields:
         return abs(self.e_late) ** 2
 
 
-def excitation_fields(config: TBIConfig) -> ExcitationFields:
-    """Fields of the early/late excitation pulses and their relative phase."""
+def _excitation_amplitudes(config: TBIConfig, phis) -> tuple[np.ndarray, np.ndarray]:
+    """Early and late excitation fields at each programmed phase in ``phis``."""
     config.validate()
-    phi, tq = config.phi, config.theta_qwp
+    phis = np.asarray(phis, dtype=float)
+    tq = config.theta_qwp
     pref = (1.0 + 1.0j) / 2.0
-    e_early = pref * math.sqrt(config.t_short) * (math.sin(phi) + 1j * math.sin(phi - 2 * tq))
+    e_early = pref * math.sqrt(config.t_short) * (np.sin(phis) + 1j * np.sin(phis - 2 * tq))
     e_late = (
         np.exp(-1j * config.theta)
         * pref
         * math.sqrt(config.t_long)
-        * (math.cos(phi) - 1j * math.cos(phi - 2 * tq))
+        * (np.cos(phis) - 1j * np.cos(phis - 2 * tq))
     )
-    relative_phase = config.theta + 2.0 * phi - math.pi / 2.0
+    return e_early, e_late
+
+
+def excitation_fields(config: TBIConfig) -> ExcitationFields:
+    """Fields of the early/late excitation pulses and their relative phase."""
+    e_early, e_late = _excitation_amplitudes(config, config.phi)
+    relative_phase = config.theta + 2.0 * config.phi - math.pi / 2.0
     return ExcitationFields(
         e_early=complex(e_early),
         e_late=complex(e_late),
@@ -147,38 +140,40 @@ def excitation_fields(config: TBIConfig) -> ExcitationFields:
     )
 
 
-def _detection_arm_amplitudes(config: TBIConfig) -> dict[tuple[str, str], complex]:
-    """Complex amplitude from each arm to each output port of the recombiner.
+def _detection_optics(config: TBIConfig) -> np.ndarray:
+    """(arm, port) field amplitudes to the first detector of each port.
 
-    The long arm carries the detection-path phase; the splitter phases
-    sit on the short-to-b and long-to-a reflections.
+    Rows are the short and long arm, columns ports a and b.  The long
+    arm carries the detection-path phase; the splitter phases sit on
+    the short-to-b and long-to-a reflections.  The recombiner splits
+    evenly, and the arm-and-detector efficiency enters as a root since
+    loss acts on the probability.
     """
-    return {
-        ("S", "a"): 1.0 / math.sqrt(2.0),
-        ("S", "b"): np.exp(-1j * config.theta1) / math.sqrt(2.0),
-        ("L", "a"): np.exp(-1j * (config.theta2 + config.theta_prime)) / math.sqrt(2.0),
-        ("L", "b"): np.exp(-1j * config.theta_prime) / math.sqrt(2.0),
-    }
+    phases = [[0.0, config.theta1], [config.theta2 + config.theta_prime, config.theta_prime]]
+    efficiency = np.array([[config.eta_sa1, config.eta_sb1], [config.eta_la1, config.eta_lb1]])
+    return np.exp(-1j * np.array(phases)) * np.sqrt(efficiency / 2.0)
+
+
+def _middle_window_intensities(config: TBIConfig, phis) -> np.ndarray:
+    """Middle-window intensities at a1 and b1, one (a1, b1) row per phase.
+
+    The early pulse reaches the middle window through the long arm, the
+    late pulse through the short arm; their interference carries the
+    fringe.  Only the excitation fields depend on the phase.
+    """
+    e_early, e_late = _excitation_amplitudes(config, phis)
+    optics = _detection_optics(config)
+    fields = np.multiply.outer(e_early, optics[1]) + np.multiply.outer(e_late, optics[0])
+    return np.abs(fields) ** 2
 
 
 def middle_peak_intensities(config: TBIConfig) -> tuple[float, float]:
     """Middle-window intensities at the first detector of each port.
 
-    The early pulse reaches the middle window through the long arm, the
-    late pulse through the short arm; their interference carries the
-    fringe.
+    The one-phase view, at ``config.phi``, of the phase-sweep fields.
     """
-    fields = excitation_fields(config)
-    arm = _detection_arm_amplitudes(config)
-    e_a1 = (
-        fields.e_early * arm[("L", "a")] * math.sqrt(config.eta_la1)
-        + fields.e_late * arm[("S", "a")] * math.sqrt(config.eta_sa1)
-    )
-    e_b1 = (
-        fields.e_early * arm[("L", "b")] * math.sqrt(config.eta_lb1)
-        + fields.e_late * arm[("S", "b")] * math.sqrt(config.eta_sb1)
-    )
-    return abs(e_a1) ** 2, abs(e_b1) ** 2
+    i_a1, i_b1 = _middle_window_intensities(config, config.phi)
+    return float(i_a1), float(i_b1)
 
 
 def contrast_amplitude(config: TBIConfig) -> float:
@@ -196,14 +191,11 @@ def fringe_contrast(config: TBIConfig, phi_sweep: np.ndarray) -> tuple[np.ndarra
 
     For balanced efficiencies the curve is -C*cos(2*phi + theta - theta')
     with C = contrast_amplitude(config); imbalanced detectors add a
-    constant offset on top of the same fringe amplitude.
+    constant offset on top of the same fringe amplitude.  ``config.phi``
+    is ignored: the sweep supplies the phases.
     """
-    phi_sweep = np.asarray(phi_sweep, dtype=float)
-    contrast = np.empty_like(phi_sweep)
-    for idx, phi in enumerate(phi_sweep):
-        i_a1, i_b1 = middle_peak_intensities(replace(config, phi=float(phi)))
-        contrast[idx] = (i_a1 - i_b1) / (i_a1 + i_b1)
-    return contrast, contrast_amplitude(config)
+    i_a1, i_b1 = _middle_window_intensities(config, np.asarray(phi_sweep, dtype=float)).T
+    return (i_a1 - i_b1) / (i_a1 + i_b1), contrast_amplitude(config)
 
 
 def calibrate_phase_offset(config: TBIConfig, scan_points: int = 720) -> float:
@@ -214,7 +206,7 @@ def calibrate_phase_offset(config: TBIConfig, scan_points: int = 720) -> float:
     the interfering window before re-zeroing the phase.
     """
     grid = np.linspace(0.0, math.pi, scan_points, endpoint=False)
-    values = np.array([middle_peak_intensities(replace(config, phi=float(p)))[0] for p in grid])
+    values = _middle_window_intensities(config, grid)[:, 0]
     k = int(np.argmin(values))
     # Parabolic refinement through the minimum and its periodic neighbours.
     h = grid[1] - grid[0]
@@ -334,13 +326,9 @@ class PeakHistogram:
 
     def class_counts(self) -> dict[str, tuple[float, float]]:
         """(center, side) count sums for the three pair classes."""
-        e, m, l = 0, 1, 2
-        sums: dict[str, list[float]] = {"20": [0, 0], "11": [0, 0], "02": [0, 0]}
-        for p, cls in enumerate(_PAIR_CLASS):
-            key = ("20", "11", "02")[cls]
-            sums[key][0] += int(self.counts[p, m, m])
-            sums[key][1] += int(self.counts[p, e, l]) + int(self.counts[p, l, e])
-        return {k: (float(v[0]), float(v[1])) for k, v in sums.items()}
+        center = np.bincount(_PAIR_CLASS, self.counts[:, 1, 1], minlength=3)
+        side = np.bincount(_PAIR_CLASS, self.counts[:, 0, 2] + self.counts[:, 2, 0], minlength=3)
+        return {key: (float(c), float(s)) for key, c, s in zip(_CLASS_KEYS, center, side)}
 
     def to_csv_rows(self) -> list[tuple[str, str, str, int]]:
         rows = []
@@ -392,7 +380,7 @@ class NormalizationError(ValueError):
 # Center-peak prefactors relative to the side-peak reference: the
 # bunched classes reach a specific detector pair half the time, the
 # split class a quarter of the time.
-_CENTER_PREFACTOR = {"20": 0.5, "11": 0.25, "02": 0.5}
+_CENTER_PREFACTOR = np.array([0.5, 0.25, 0.5])
 
 
 def normalize_counts(hist: PeakHistogram) -> NormalizedStats:
@@ -404,89 +392,79 @@ def normalize_counts(hist: PeakHistogram) -> NormalizedStats:
     output probability; normalizing the three ratios cancels every
     efficiency.
     """
-    cls = hist.class_counts()
-    for key, (_, side) in cls.items():
-        if side <= 0:
-            raise NormalizationError(
-                f"no side-peak counts for pair class {key}; normalization impossible"
-            )
-    weights = {}
-    for key, (center, side) in cls.items():
-        weights[key] = center / side / _CENTER_PREFACTOR[key]
-    total = sum(weights.values())
+    center, side = np.array(list(hist.class_counts().values())).T
+    if np.any(side <= 0):
+        key = _CLASS_KEYS[int(np.argmax(side <= 0))]
+        raise NormalizationError(
+            f"no side-peak counts for pair class {key}; normalization impossible"
+        )
+    weights = center / side / _CENTER_PREFACTOR
+    total = weights.sum()
     if total <= 0.0:
         raise NormalizationError("no center-peak counts in any pair class")
-    probs = {key: w / total for key, w in weights.items()}
 
-    # First-order propagation over the six independent Poisson sums.
+    # First-order propagation over the six independent Poisson sums,
+    # with d p_t / d w_k = (total [t == k] - w_t) / total^2.
     # var(w) = w^2 (1/center + 1/side) vanishes with the center count,
     # so zero-count classes contribute zero rather than NaN.
-    variance = {key: 0.0 for key in weights}
-    for key, (center, side) in cls.items():
-        w = weights[key]
-        if w == 0.0:
-            continue
-        var_w = w * w * (1.0 / center + 1.0 / side)
-        for target in weights:
-            if target == key:
-                dp = (total - w) / (total * total)
-            else:
-                dp = -weights[target] / (total * total)
-            variance[target] += dp * dp * var_w
-    sigma = {key: math.sqrt(v) for key, v in variance.items()}
-    return NormalizedStats(
-        p20=probs["20"],
-        p11=probs["11"],
-        p02=probs["02"],
-        uncertainties=(sigma["20"], sigma["11"], sigma["02"]),
-    )
+    var_w = weights**2 * (1.0 / np.maximum(center, 1.0) + 1.0 / side)
+    jacobian = (total * np.eye(3) - weights[:, None]) / (total * total)
+    sigma = np.sqrt(jacobian**2 @ var_w)
+    p20, p11, p02 = (float(w / total) for w in weights)
+    return NormalizedStats(p20=p20, p11=p11, p02=p02, uncertainties=tuple(map(float, sigma)))
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo synthesis
 
 
-def _tbi_single_photon_map(config: TBIConfig) -> dict[int, dict[tuple[int, int, int], complex]]:
-    """Per-mode amplitudes onto (window, detector, ancilla) detection slots.
+# Detection slots (window, detector, ancilla flag), flattened in that
+# order.  Ancilla photons follow the same optics as their physical
+# partners but never interfere with them.
+_SLOT_SHAPE = (len(PEAKS), len(DETECTORS), 2)
+_SLOT_WINDOW, _SLOT_DETECTOR, _ = np.unravel_index(np.arange(math.prod(_SLOT_SHAPE)), _SLOT_SHAPE)
 
-    Early photons split between the short arm (early window) and long
-    arm (middle window); late photons between short (middle) and long
-    (late).  Each port then splits evenly onto its two detectors, and
-    the arm-and-detector efficiency enters as a root since loss acts on
-    the probability.  Slots are (window index, detector index, ancilla
-    flag); ancilla photons follow the same optics but never interfere
-    with their physical partners.
+# Every route of a mode to the detectors: (arm, time bin, ancilla flag)
+# with arm 0 short and 1 long.  The short arm keeps a photon in its own
+# window, the long arm delays it by one: early -> E/M, late -> M/L.
+_ROUTE_ARM, _ROUTE_BIN, _ROUTE_ANCILLA = np.indices((2, 2, 2)).reshape(3, -1)
+
+# Port (0 = a, 1 = b) of each detector.
+_DETECTOR_PORT = np.array([0, 0, 1, 1])
+
+# Slot pairs (s, t) on different detectors, det(s) < det(t), so each
+# coincidence appears once, and the flat (detector pair, window of s,
+# window of t) histogram cell each one feeds.
+_SLOT_S, _SLOT_T = np.nonzero(_SLOT_DETECTOR[:, None] < _SLOT_DETECTOR[None, :])
+# DETECTOR_PAIRS lists the pairs i < j of DETECTORS in row-major order.
+_PAIR_OF_DETECTORS = np.zeros((len(DETECTORS),) * 2, dtype=int)
+_PAIR_OF_DETECTORS[np.triu_indices(len(DETECTORS), 1)] = np.arange(len(DETECTOR_PAIRS))
+_HIST_SHAPE = (len(DETECTOR_PAIRS), len(PEAKS), len(PEAKS))
+_SLOT_CELL = np.ravel_multi_index(
+    (
+        _PAIR_OF_DETECTORS[_SLOT_DETECTOR[_SLOT_S], _SLOT_DETECTOR[_SLOT_T]],
+        _SLOT_WINDOW[_SLOT_S],
+        _SLOT_WINDOW[_SLOT_T],
+    ),
+    _HIST_SHAPE,
+)
+
+
+def _slot_map(config: TBIConfig) -> np.ndarray:
+    """24x4 amplitudes from each mode onto the detection slots.
+
+    Each photon splits evenly between the short and long arm and each
+    port evenly onto its two detectors; the second detector of a port
+    scales its efficiency by the port's ratio.
     """
-    arm = _detection_arm_amplitudes(config)
-    routes = {
-        0: (("S", 0), ("L", 1)),  # early bin: short->E, long->M
-        1: (("S", 1), ("L", 2)),  # late bin: short->M, long->L
-    }
-    split = 1.0 / math.sqrt(2.0)
-    excitation = {0: 1.0 + 0.0j, 1: np.exp(-1j * config.theta)}
-    table: dict[int, dict[tuple[int, int, int], complex]] = {}
-    for mode in range(4):
-        bin_idx = mode % 2
-        ancilla = 1 if mode >= 2 else 0
-        amps: dict[tuple[int, int, int], complex] = {}
-        for arm_name, window in routes[bin_idx]:
-            for d_idx, det in enumerate(DETECTORS):
-                port = det[0]
-                eff = config.efficiency(arm_name, det)
-                amp = (
-                    excitation[bin_idx]
-                    * split  # arm split
-                    * arm[(arm_name, port)]
-                    * split  # detector split
-                    * math.sqrt(eff)
-                )
-                if amp != 0.0:
-                    amps[(window, d_idx, ancilla)] = amps.get((window, d_idx, ancilla), 0.0) + amp
-        table[mode] = amps
-    return table
-
-
-_PAIR_INDEX = {pair: idx for idx, pair in enumerate(DETECTOR_PAIRS)}
+    ratio = np.array([1.0, config.eta_ratio_a2, 1.0, config.eta_ratio_b2])
+    optics = _detection_optics(config)[:, _DETECTOR_PORT] * np.sqrt(ratio / 4.0)
+    excitation = np.array([1.0, np.exp(-1j * config.theta)])
+    slots = np.zeros(_SLOT_SHAPE + (states.N_MODES,), dtype=complex)
+    slots[_ROUTE_ARM + _ROUTE_BIN, :, _ROUTE_ANCILLA, _ROUTE_BIN + 2 * _ROUTE_ANCILLA] = (
+        excitation[_ROUTE_BIN, None] * optics[_ROUTE_ARM]
+    )
+    return slots.reshape(-1, states.N_MODES)
 
 
 def peak_cell_probabilities(
@@ -507,44 +485,21 @@ def peak_cell_probabilities(
     a single detector are dropped (they produce one click).  Weights
     are unnormalized probabilities; their sum is below one because of
     losses and dropped same-detector events.
+
+    With the slot map M and the symmetric mode tensor psi of the state,
+    ``M psi M^T`` holds the amplitude of every pair of distinct slots,
+    and distinct configurations interfere in it.
     """
     if config is None:
         config = TBIConfig()
     config.validate()
     offset = config.theta2 + config.theta_prime - config.theta
-    layers = [
-        states.beam_splitter_first(),
-        states.linear_phase(phi + offset),
-        states.nonlinear(phi_nl, ell_nl, 1.0),
-    ]
-    if theta_perp != 0.0:
-        layers.append(states.distinguishability(theta_perp))
+    *layers, _ = states.standard_circuit(phi + offset, phi_nl, ell_nl, theta_perp=theta_perp)
     pre = states.apply_circuit(states.new_input(), layers)
-
-    single = _tbi_single_photon_map(config)
-    # Accumulate the two-boson amplitude per unordered slot pair across
-    # all input configurations; distinct configurations interfere.
-    pair_amps: dict[tuple[tuple[int, int, int], tuple[int, int, int]], complex] = {}
-    for c_idx, (i, j) in enumerate(states._PAIRS):
-        amp_c = pre.amplitudes[c_idx]
-        if amp_c == 0.0:
-            continue
-        norm_in = math.sqrt(2.0) if i == j else 1.0
-        for s1, v1 in single[i].items():
-            for s2, v2 in single[j].items():
-                key = (s1, s2) if s1 <= s2 else (s2, s1)
-                pair_amps[key] = pair_amps.get(key, 0.0) + amp_c * v1 * v2 / norm_in
-    cells = np.zeros((len(DETECTOR_PAIRS), 3, 3))
-    for (s1, s2), amp in pair_amps.items():
-        # Same slot or same detector: a lone click, never a coincidence.
-        if s1[1] == s2[1]:
-            continue
-        weight = abs(amp) ** 2
-        if s1[1] > s2[1]:
-            s1, s2 = s2, s1
-        det_pair = (DETECTORS[s1[1]], DETECTORS[s2[1]])
-        cells[_PAIR_INDEX[det_pair], s1[0], s2[0]] += weight
-    return cells
+    slots = _slot_map(config)
+    pairs = slots @ states.pair_tensor(pre.amplitudes) @ slots.T
+    weights = np.abs(pairs[_SLOT_S, _SLOT_T]) ** 2
+    return np.bincount(_SLOT_CELL, weights, minlength=math.prod(_HIST_SHAPE)).reshape(_HIST_SHAPE)
 
 
 def synthesize_histogram(
@@ -552,15 +507,16 @@ def synthesize_histogram(
     phi_nl: float,
     ell_nl: float,
     shots: int,
-    seed: int,
+    seed: int | np.random.SeedSequence,
     theta_perp: float = 0.0,
     config: TBIConfig | None = None,
 ) -> PeakHistogram:
     """Draw a raw coincidence histogram of ``shots`` recorded events.
 
     Each shot is one recorded coincidence, distributed over the cells
-    by their conditional probabilities; the stream is a single seeded
-    64-bit generator, so fixed arguments give identical histograms.
+    by their conditional probabilities; the stream is a single 64-bit
+    generator seeded by ``seed`` (an integer or a ``SeedSequence``), so
+    fixed arguments give identical histograms.
     """
     if shots <= 0:
         raise ValueError(f"shots must be positive, got {shots!r}")
@@ -572,3 +528,44 @@ def synthesize_histogram(
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, flat / total).reshape(weights.shape)
     return PeakHistogram(counts.astype(np.int64))
+
+
+def sample_statistics(
+    phis: np.ndarray,
+    phi_nl: float,
+    ell_nl: float,
+    shots: int,
+    seed: int,
+    theta_perp: float = 0.0,
+    config: TBIConfig | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shot-sampled, normalized (p20, p11, p02) rows and their errors over a sweep.
+
+    Phase k draws a histogram of ``shots`` coincidences from the k-th
+    child of ``np.random.SeedSequence(seed)`` and normalizes it with
+    ``normalize_counts``.  Child streams never overlap, across phases or
+    seeds, and row k depends only on ``seed``, k and its own phase, not
+    on the length of the sweep.  Returns the (len(phis), 3) triples and
+    their standard errors.
+
+    Valid domain: finite phases, ``shots >= 1`` and ``seed >= 0``, plus
+    the model parameters' domain (finite ``phi_nl`` and ``theta_perp``,
+    ``ell_nl`` in [0, 1]); anything else raises ``ValueError`` naming
+    the parameter.  A histogram too sparse to normalize raises
+    ``NormalizationError`` naming its phase.
+    """
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
+    triples = np.empty((phis.size, 3))
+    errors = np.empty((phis.size, 3))
+    streams = np.random.SeedSequence(seed).spawn(phis.size)
+    for k, (phi, stream) in enumerate(zip(phis, streams)):
+        hist = synthesize_histogram(float(phi), phi_nl, ell_nl, shots, stream, theta_perp, config)
+        try:
+            stats = normalize_counts(hist)
+        except NormalizationError as exc:
+            raise NormalizationError(f"histogram at phi={phi:.6g}: {exc}") from exc
+        triples[k] = stats.as_tuple()
+        errors[k] = stats.uncertainties
+    return triples, errors

@@ -226,24 +226,17 @@ def cmd_fringe(args: argparse.Namespace) -> None:
     columns = ["phi", "p20", "p11", "p02"]
     if shots > 0:
         columns += ["sigma_p20", "sigma_p11", "sigma_p02"]
-        rows = []
-        for k, phi in enumerate(phis):
-            hist = circuit.synthesize_histogram(
-                float(phi), params.phi_nl, params.ell_nl, shots, seed * 1000 + k
+        try:
+            triples, errors = circuit.sample_statistics(
+                phis, params.phi_nl, params.ell_nl, shots, seed
             )
-            try:
-                stats = circuit.normalize_counts(hist)
-            except circuit.NormalizationError as exc:
-                raise FlagError(
-                    "--shots",
-                    f"{shots} shots leave the histogram at phi={phi:.6g} degenerate: {exc}",
-                ) from exc
-            rows.append((float(phi),) + stats.as_tuple() + stats.uncertainties)
-        triples = np.array([row[1:4] for row in rows])
+        except circuit.NormalizationError as exc:
+            raise FlagError("--shots", f"{shots} shots are too few to normalize: {exc}") from exc
+        rows = np.column_stack([phis, triples, errors])
     else:
         raw = scatter.full_statistics(phis, pulse)
         triples = raw / raw.sum(axis=1, keepdims=True)
-        rows = [(float(p),) + tuple(map(float, triple)) for p, triple in zip(phis, triples)]
+        rows = np.column_stack([phis, triples])
 
     meta = f"fringe delta={delta!r} sigma={sigma!r} grid={grid} shots={shots} seed={seed}"
     _write_csv(out / "fringe.csv", meta, columns, rows)

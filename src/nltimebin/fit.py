@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import optimize
+from scipy.special import wofz
 
 from . import circuit
 
@@ -237,77 +238,28 @@ class QDCharacterization:
         return (self.gamma + self.gamma_d) * math.sqrt(1.0 + self.saturation)
 
 
-def _simpson_weights(xs: np.ndarray) -> np.ndarray:
-    m = xs.size - 1
-    weights = np.ones(m + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return weights * (xs[1] - xs[0]) / 3.0
-
-
 def rt_spectrum(omega: np.ndarray | float, qd: QDCharacterization) -> np.ndarray | float:
     """Resonant-transmission spectrum of the emitter.
 
-    A Lorentzian dip of fractional depth ``qd.depth`` convolved with
-    the spectral-wandering Gaussian and renormalized to unit peak
-    response, so the on-resonance value stays ``1 - depth`` for any
-    wandering width.  Without wandering the Lorentzian is evaluated
-    exactly.
+    A Lorentzian dip of fractional depth ``qd.depth`` and half width
+    ``gamma_fwhm / 2`` convolved with the spectral-wandering Gaussian of
+    RMS ``sigma_sd``: the Voigt profile ``Re w((omega + i half) /
+    (sqrt(2) sigma_sd))`` of the Faddeeva function w, divided by its
+    value at omega = 0 so the on-resonance value stays ``1 - depth``
+    for any wandering width.  Without wandering the Lorentzian is
+    evaluated exactly.
     """
     qd.validate()
     omega = np.asarray(omega, dtype=float)
     scalar = omega.ndim == 0
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    w = np.atleast_1d(omega)
     half = qd.gamma_fwhm / 2.0
-    sigma = qd.sigma_sd
-
-    def lorentz(freq):
-        return half * half / (freq * freq + half * half)
-
-    if sigma == 0.0:
-        profile = lorentz(w)
-        peak = 1.0
-    elif half >= sigma / 256.0:
-        # Comparable widths: direct Simpson convolution over the
-        # Gaussian support, oversampling the narrower width eightfold.
-        step = min(sigma, half) / 8.0
-        extent = 8.0 * sigma
-        m = int(math.ceil(2.0 * extent / step))
-        if m % 2 == 1:
-            m += 1
-        xs = np.linspace(-extent, extent, m + 1)
-        gauss = np.exp(-(xs**2) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
-        kernel = gauss * _simpson_weights(xs)
-        profile = lorentz(w[:, None] - xs[None, :]) @ kernel
-        peak = float(lorentz(-xs) @ kernel)
+    if qd.sigma_sd == 0.0:
+        profile = half * half / (w * w + half * half)
     else:
-        # Narrow Lorentzian: expand the convolution in powers of the
-        # Lorentzian half width.  The even-order terms are analytic
-        # Gaussian derivatives; the second-order coefficient is a
-        # smooth integral the same Simpson grid resolves, with the
-        # 1/y^2 window tail added in closed form.
-        extent = float(np.max(np.abs(w))) + 8.0 * sigma
-        m = int(math.ceil(2.0 * extent / (sigma / 8.0)))
-        if m % 2 == 1:
-            m += 1
-        ys = np.linspace(-extent, extent, m + 1)
-        ys[m // 2] = 0.0
-        weights = _simpson_weights(ys)
-
-        def gauss_at(freq):
-            return np.exp(-(freq**2) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
-
-        grid = np.concatenate([w, [0.0]])
-        g = gauss_at(grid)
-        g2 = g * (grid**2 - sigma**2) / sigma**4
-        delta = gauss_at(grid[:, None] - ys[None, :]) - g[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            integrand = delta / ys[None, :] ** 2
-        integrand[:, m // 2] = g2 / 2.0
-        coeff2 = integrand @ weights - 2.0 * g / extent
-        values = math.pi * half * g + half**2 * coeff2 - 0.5 * math.pi * half**3 * g2
-        profile, peak = values[:-1], float(values[-1])
-    result = 1.0 - qd.depth * profile / peak
+        scale = math.sqrt(2.0) * qd.sigma_sd
+        profile = wofz((w + 1j * half) / scale).real / wofz(1j * half / scale).real
+    result = 1.0 - qd.depth * profile
     return float(result[0]) if scalar else result
 
 
@@ -460,6 +412,31 @@ def fit_fringe(
 # Nonlinear-phase statistics
 
 
+def _row_covariance(phi: np.ndarray, errors: np.ndarray) -> np.ndarray:
+    """Per-phase 3x3 covariance of a renormalized triple from its marginal errors.
+
+    The three entries of a row sum to one, so the row's covariance is
+    fixed by its three standard errors: ``C_ii = s_i^2`` and ``C_ij =
+    (s_k^2 - s_i^2 - s_j^2) / 2`` for the remaining class k.  With
+    binomial marginals this is the multinomial covariance ``-p_i p_j /
+    N``.  Such a covariance exists only when the errors obey the
+    triangle inequality; a row that breaks it by more than rounding
+    raises ``ValueError`` naming its phase.
+    """
+    total = errors.sum(axis=1)
+    # The slack is far above rounding and far below a real inconsistency.
+    broken = 2.0 * errors.max(axis=1) - total > 1e-9 * total
+    if np.any(broken):
+        k = int(np.argmax(broken))
+        raise ValueError(f"errors {errors[k].tolist()} at phi={phi[k]:.6g} break the triangle "
+                         "inequality of a normalized row")
+    var = errors**2
+    cov = var.sum(axis=1)[:, None, None] / 2.0 - var[:, :, None] - var[:, None, :]
+    diagonal = np.arange(3)
+    cov[:, diagonal, diagonal] = var
+    return cov
+
+
 def fit_nl(
     phi: np.ndarray,
     triples: np.ndarray,
@@ -470,9 +447,15 @@ def fit_nl(
 
     ``triples`` holds one renormalized (p20, p11, p02) row per phase;
     ``errors`` optionally supplies matching standard errors for a
-    variance-weighted objective.  ``fit_distinguishability`` frees the
-    overlap rotation angle and also reports the derived distinguishable
-    population fraction.
+    covariance-weighted objective.  A renormalized row sums to one, so
+    its three residuals are fully correlated and carry two independent
+    components: each phase's covariance C is rebuilt from the three
+    marginal errors and the objective is the chi-square ``r^T C^+ r``.
+    Directions C does not span, such as a class with zero error, carry
+    no weight.  Without errors the objective is the plain sum of
+    squares with two degrees of freedom per phase.
+    ``fit_distinguishability`` frees the overlap rotation angle and also
+    reports the derived distinguishable population fraction.
     """
     phi = np.asarray(phi, dtype=float)
     triples = np.asarray(triples, dtype=float)
@@ -480,12 +463,14 @@ def fit_nl(
         raise ValueError("triples must have shape (len(phi), 3)")
     if phi.size < 8:
         raise ValueError("need at least 8 phase points")
-    weights = None
+    precision = None
     if errors is not None:
         errors = np.asarray(errors, dtype=float)
         if errors.shape != triples.shape:
             raise ValueError("errors must match the shape of triples")
-        weights = 1.0 / np.clip(errors, 1e-12, None) ** 2
+        if not np.all(np.isfinite(errors) & (errors >= 0.0)):
+            raise ValueError("errors must be finite and non-negative")
+        precision = np.linalg.pinv(_row_covariance(phi, errors), hermitian=True)
 
     names: tuple[str, ...] = ("phi_nl", "ell_nl")
     bounds = [(0.0, math.pi), (0.0, 1.0)]
@@ -500,9 +485,9 @@ def fit_nl(
         ell = min(max(float(x[1]), 0.0), 1.0)
         model = circuit.model_triple(phi, float(x[0]), ell, theta)
         resid = model - triples
-        if weights is None:
+        if precision is None:
             return float(np.sum(resid**2))
-        return float(np.sum(weights * resid**2))
+        return float(np.einsum("ki,kij,kj->", resid, precision, resid))
 
     # Coarse deterministic probe to seed the simplex.
     probe_phi = np.linspace(0.0, math.pi, 13)
@@ -516,7 +501,7 @@ def fit_nl(
     x0 = [best[1], best[2]] + ([0.1] if fit_distinguishability else [])
 
     outcome = _search(objective, np.asarray(x0), bounds=bounds)
-    result = _finish_fit(objective, outcome, names, triples.size, weights is not None)
+    result = _finish_fit(objective, outcome, names, 2 * phi.size, precision is not None)
     if fit_distinguishability:
         params = dict(result.parameters)
         std = dict(result.std_errors)

@@ -31,6 +31,7 @@ MODE_EARLY_ANCILLA = 2
 MODE_LATE_ANCILLA = 3
 
 MODE_NAMES = ("early", "late", "early_ancilla", "late_ancilla")
+N_MODES = len(MODE_NAMES)
 
 # Canonical ordering of the ten two-photon occupation configurations
 # over (early, late, early_ancilla, late_ancilla): the three
@@ -205,6 +206,22 @@ def _two_boson_transfer(single: np.ndarray) -> np.ndarray:
     k, l = _FIRST[:, None], _SECOND[:, None]
     i, j = _FIRST[None, :], _SECOND[None, :]
     return (single[k, i] * single[l, j] + single[l, i] * single[k, j]) / _LIFT_NORM
+
+
+def pair_tensor(amplitudes: np.ndarray) -> np.ndarray:
+    """Symmetric 4x4 mode tensor of ten configuration amplitudes.
+
+    Entries (i, j) and (j, i) hold the amplitude of configuration (i, j)
+    times its pair norm.  For a single-photon map ``m`` from the modes
+    onto any set of output slots, ``(m @ psi @ m.T)[s, t]`` with s != t
+    is then the amplitude of one photon in slot s and one in slot t:
+    the same lift as ``_two_boson_transfer``, as one matrix product.
+    """
+    scaled = np.asarray(amplitudes) * _PAIR_NORM
+    psi = np.zeros((N_MODES, N_MODES), dtype=complex)
+    psi[_FIRST, _SECOND] = scaled
+    psi[_SECOND, _FIRST] = scaled
+    return psi
 
 
 def _beam_splitter_single() -> np.ndarray:

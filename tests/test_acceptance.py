@@ -162,19 +162,9 @@ def test_07_fit_recovers_synthetic_truth():
         for seed in range(20):
             trials += 1
             rng_seed = 37 + pi * 100 + seed
-            triples = np.empty((phis.size, 3))
-            errors = np.empty((phis.size, 3))
-            for k in range(phis.size):
-                hist = circuit.synthesize_histogram(
-                    phi=float(phis[k]),
-                    phi_nl=phi_nl,
-                    ell_nl=ell_nl,
-                    shots=100_000,
-                    seed=rng_seed * 1000 + k,
-                )
-                stats = circuit.normalize_counts(hist)
-                triples[k] = (stats.p20, stats.p11, stats.p02)
-                errors[k] = stats.uncertainties
+            triples, errors = circuit.sample_statistics(
+                phis, phi_nl, ell_nl, shots=100_000, seed=rng_seed
+            )
             result = fit.fit_nl(phis, triples, errors)
             dev_phi = abs(result.parameters["phi_nl"] - phi_nl)
             dev_ell = abs(result.parameters["ell_nl"] - ell_nl)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from nltimebin import circuit, states
 
-from _oracles import pair_tensor_triples
+from _oracles import pair_tensor_triples, peak_cells_slot_dict
 
 
 def uniform_histogram(value: int = 100) -> circuit.PeakHistogram:
@@ -306,3 +306,74 @@ def test_config_validation_rejects_bad_values():
         circuit.TBIConfig(phi=math.nan).validate()
     with pytest.raises(ValueError):
         circuit.model_statistics(0.0, 0.0, 1.5)
+
+
+def _random_config(rng: np.random.Generator) -> circuit.TBIConfig:
+    angles = rng.uniform(0.0, 2.0 * math.pi, 4)
+    efficiencies = rng.uniform(0.0, 1.0, 6)
+    return circuit.TBIConfig(
+        theta=angles[0], theta_prime=angles[1], theta1=angles[2], theta2=angles[3],
+        eta_sa1=efficiencies[0], eta_sb1=efficiencies[1], eta_la1=efficiencies[2],
+        eta_lb1=efficiencies[3], eta_ratio_a2=efficiencies[4], eta_ratio_b2=efficiencies[5],
+    )
+
+
+@pytest.mark.parametrize("with_overlap", [False, True])
+def test_slot_lift_matches_dict_oracle(with_overlap):
+    rng = np.random.default_rng(2024 + with_overlap)
+    for _ in range(25):
+        config = _random_config(rng)
+        phi, phi_nl = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, math.pi)
+        ell_nl = rng.uniform()
+        theta_perp = rng.uniform(0.0, 0.5 * math.pi) if with_overlap else 0.0
+        layers = [
+            states.beam_splitter_first(),
+            states.linear_phase(phi + config.theta2 + config.theta_prime - config.theta),
+            states.nonlinear(phi_nl, ell_nl, 1.0),
+        ] + ([states.distinguishability(theta_perp)] if with_overlap else [])
+        pre = states.apply_circuit(states.new_input(), layers)
+        cells = circuit.peak_cell_probabilities(phi, phi_nl, ell_nl, theta_perp, config)
+        assert np.max(np.abs(cells - peak_cells_slot_dict(pre.amplitudes, config))) < 1e-15
+
+
+def test_sampled_rows_do_not_depend_on_the_sweep_length():
+    phis = np.linspace(0.0, 2.0 * math.pi, 17)
+    triples, errors = circuit.sample_statistics(phis, 0.9, 0.2, shots=2000, seed=11)
+    head_triples, head_errors = circuit.sample_statistics(phis[:5], 0.9, 0.2, shots=2000, seed=11)
+    assert np.array_equal(head_triples, triples[:5])
+    assert np.array_equal(head_errors, errors[:5])
+    assert np.allclose(triples.sum(axis=1), 1.0, atol=1e-12)
+    again, _ = circuit.sample_statistics(phis, 0.9, 0.2, shots=2000, seed=11)
+    assert np.array_equal(again, triples)
+    other, _ = circuit.sample_statistics(phis, 0.9, 0.2, shots=2000, seed=12)
+    assert not np.array_equal(other, triples)
+
+
+def test_sampled_statistics_follow_the_histogram_streams():
+    phis = np.array([0.4, 1.3])
+    triples, errors = circuit.sample_statistics(phis, 0.7, 0.1, shots=3000, seed=5, theta_perp=0.2)
+    for k, stream in enumerate(np.random.SeedSequence(5).spawn(2)):
+        hist = circuit.synthesize_histogram(phis[k], 0.7, 0.1, 3000, stream, theta_perp=0.2)
+        stats = circuit.normalize_counts(hist)
+        assert triples[k].tolist() == list(stats.as_tuple())
+        assert errors[k].tolist() == list(stats.uncertainties)
+
+
+def test_degenerate_sampled_histogram_names_its_phase():
+    phis = np.linspace(0.0, math.pi, 5)
+    with pytest.raises(circuit.NormalizationError, match=r"^histogram at phi=0: "):
+        circuit.sample_statistics(phis, 0.9, 0.2, shots=5, seed=0)
+
+
+@pytest.mark.parametrize(
+    "phis, shots, seed, match",
+    [
+        ([0.1, math.nan], 100, 0, "phi must be finite"),
+        ([0.1, math.inf], 100, 0, "phi must be finite"),
+        ([0.1], 0, 0, "^shots must be positive"),
+        ([0.1], 100, -1, "^seed must be non-negative"),
+    ],
+)
+def test_sampled_statistics_domain(phis, shots, seed, match):
+    with pytest.raises(ValueError, match=match):
+        circuit.sample_statistics(phis, 0.9, 0.2, shots=shots, seed=seed)

@@ -83,6 +83,25 @@ def test_fringe_seeding_controls_the_artifact(tmp_path):
     assert read("a", "fringe.csv") != read("c", "fringe.csv")
 
 
+def test_fringe_seeds_never_share_a_stream(tmp_path):
+    # Phase 1000 of one seed and phase 0 of the next see the same cell
+    # probabilities (phi = 2 pi and 0); their samples must still differ.
+    base = ["fringe", "--grid", 1001, "--shots", 1000]
+    assert run(base + ["--seed", 0, "--out", tmp_path / "s0"]) == 0
+    assert run(base + ["--seed", 1, "--out", tmp_path / "s1"]) == 0
+    last = read_rows(tmp_path / "s0" / "fringe.csv")[-1]
+    first = read_rows(tmp_path / "s1" / "fringe.csv")[0]
+    sampled = ("p20", "p11", "p02", "sigma_p20", "sigma_p11", "sigma_p02")
+    assert [last[c] for c in sampled] != [first[c] for c in sampled]
+
+
+def test_degenerate_histogram_maps_to_the_shots_flag(tmp_path, capsys):
+    assert run(["fringe", "--grid", 5, "--shots", 5, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --shots: 5 shots")
+    assert "histogram at phi=0:" in err
+
+
 def test_characterization_sweep_trends(tmp_path):
     out = tmp_path / "c"
     assert run(["characterize", "--sigma", "1.0", "--delta-max", 4, "--grid", 5, "--out", out]) == 0

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from nltimebin import circuit, fit, scatter
 
-from _oracles import voigt_transmission
+from _oracles import voigt_transmission_quadrature
 
 SIGMA_SD = 2.0 * math.pi * 0.134e9 * 155.5e-12
 
@@ -84,7 +84,7 @@ def test_unbroadened_dip_is_a_lorentzian():
 def test_broadened_dip_matches_faddeeva_voigt(qd):
     omega = np.linspace(-4.0, 4.0, 33)
     mine = fit.rt_spectrum(omega, qd)
-    ref = voigt_transmission(omega, qd.depth, qd.gamma_fwhm, qd.sigma_sd)
+    ref = voigt_transmission_quadrature(omega, qd.depth, qd.gamma_fwhm, qd.sigma_sd)
     assert np.max(np.abs(mine - ref)) < 1e-6
 
 
@@ -241,6 +241,44 @@ def test_nl_fit_poisson_coverage():
         )
         hits += bool(result.converged and ok)
     assert hits >= 95
+
+
+def test_nl_fit_pulls_have_unit_spread():
+    # Each renormalized triple sums to one; errors that ignore the
+    # correlation of its residuals understate the spread of the fit.
+    phi = np.linspace(0.15, 2.95, 9)
+    truth = {"phi_nl": 1.021104, "ell_nl": 0.275712}
+    pulls = []
+    for seed in range(200):
+        triples, errors = circuit.sample_statistics(
+            phi, truth["phi_nl"], truth["ell_nl"], shots=100_000, seed=seed
+        )
+        result = fit.fit_nl(phi, triples, errors)
+        assert result.converged
+        pulls.append([(result.parameters[k] - v) / result.std_errors[k] for k, v in truth.items()])
+    spread = np.std(pulls, axis=0)
+    assert np.all((spread >= 0.85) & (spread <= 1.15)), spread
+
+
+def test_multinomial_errors_give_the_multinomial_covariance():
+    phi = np.linspace(0.2, 2.8, 4)
+    probs = circuit.model_triple(phi, 0.9, 0.2)
+    shots = 1000
+    errors = np.sqrt(probs * (1.0 - probs) / shots)
+    expected = (np.eye(3) * probs[:, None, :] - probs[:, :, None] * probs[:, None, :]) / shots
+    assert np.max(np.abs(fit._row_covariance(phi, errors) - expected)) < 1e-17
+
+
+def test_nl_fit_rejects_errors_that_break_the_triangle_inequality():
+    phi = np.linspace(0.15, 2.95, 9)
+    triples = circuit.model_triple(phi, 0.9, 0.2)
+    errors = np.full(triples.shape, 0.01)
+    errors[4] = (0.01, 0.001, 0.02)
+    with pytest.raises(ValueError, match=f"phi={phi[4]:.6g}"):
+        fit.fit_nl(phi, triples, errors)
+    errors[4] = (0.01, -0.01, 0.01)
+    with pytest.raises(ValueError, match="non-negative"):
+        fit.fit_nl(phi, triples, errors)
 
 
 def test_fits_demand_enough_points():
