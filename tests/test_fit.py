@@ -146,6 +146,24 @@ def test_transmission_fit_coverage():
     assert hits >= 95
 
 
+def test_transmission_fit_pulls_have_unit_spread():
+    # sigma_sd = 0.5 sits well inside its (0, 50 gamma) bounds, so the
+    # curvature errors are not cut by a boundary.
+    omega = np.linspace(-6.0, 6.0, 50)
+    truth = {"beta": 0.88, "sigma_sd": 0.5}
+    clean = fit.rt_spectrum(omega, fit.QDCharacterization(**truth))
+    template = fit.QDCharacterization(beta=0.5)
+    pulls = []
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        noisy = clean + rng.normal(0.0, 0.01, omega.size)
+        result = fit.fit_rt(omega, noisy, qd_template=template, errors=np.full(omega.size, 0.01))
+        assert result.converged
+        pulls.append([(result.parameters[k] - v) / result.std_errors[k] for k, v in truth.items()])
+    spread = np.std(pulls, axis=0)
+    assert np.all((spread >= 0.85) & (spread <= 1.15)), spread
+
+
 def test_fringe_fit_recovers_phase_and_visibility():
     phi = np.linspace(0.0, 2.0 * math.pi, 61)
     ideal = 0.25 * (1.0 + np.cos(2.0 * phi - 0.8))

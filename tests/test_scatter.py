@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import wofz
 
 from nltimebin import scatter
 
@@ -113,6 +114,42 @@ def test_bound_channel_integral_against_faddeeva(delta, sigma):
     mine = scatter.bound_channel_integral(s, pulse)
     ref = bound_integral_quadrature(s, delta, sigma, nodes=512)
     assert np.max(np.abs(mine - ref)) / np.max(np.abs(ref)) < 1e-8
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    log_x=st.one_of(st.none(), st.floats(-110.0, 8.0)),
+    negative=st.booleans(),
+    log_y=st.floats(-4.0, 4.0),
+)
+def test_faddeeva_matches_scipy(log_x, negative, log_y):
+    # |Re z| log-uniform from 1e-110 (the difference kernel's 1e-100 stand-in
+    # for a = 0, scaled by 1 / (sqrt(2) sigma)) to 1e8, or exactly 0.
+    x = 0.0 if log_x is None else (-1.0 if negative else 1.0) * 10.0**log_x
+    z = complex(x, 10.0**log_y)
+    ref = wofz(z)
+    for mine in (scatter.faddeeva(z), scatter.faddeeva(np.array([z]))[0]):
+        assert abs(mine - ref) <= 1e-13 * abs(ref)
+        assert abs(mine.real - ref.real) <= 1e-10 * abs(ref.real)
+        if abs(x) <= 1e-3:
+            # The difference kernel divides Im w by Re z near the line.
+            assert abs(mine.imag - ref.imag) <= 1e-12 * abs(ref.imag)
+
+
+def test_faddeeva_keeps_the_shape_of_its_input():
+    for z in (0.3 + 2j, np.complex128(0.3 + 2j), np.array(0.3 + 2j)):
+        out = scatter.faddeeva(z)
+        assert isinstance(out, np.complex128) and out.ndim == 0
+    grid = np.array([[0.3 + 2j, -1.0 + 0.5j, 1e-3j]])
+    out = scatter.faddeeva(grid)
+    assert out.shape == grid.shape
+    assert np.max(np.abs(out - wofz(grid)) / np.abs(wofz(grid))) <= 1e-13
+
+
+@pytest.mark.parametrize("z", [0.5, 0.5 - 1e-3j, complex(math.inf, 1.0), complex(math.nan, 1.0)])
+def test_faddeeva_rejects_arguments_off_the_upper_half_plane(z):
+    with pytest.raises(ValueError, match="positive imaginary part"):
+        scatter.faddeeva(np.array([1j, z]))
 
 
 def test_reference_parameters(swept_params):
