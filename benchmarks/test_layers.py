@@ -35,6 +35,13 @@ def test_model_triple(benchmark, phases, theta_perp):
     assert out.shape == (phases, 3)
 
 
+def test_fit_nl(benchmark):
+    phis = np.linspace(0.15, 2.95, 9)
+    triples, errors = circuit.sample_statistics(phis, 1.021104, 0.275712, 100_000, 5)
+    result = benchmark(fit.fit_nl, phis, triples, errors)
+    assert result.converged
+
+
 def test_fit_nl_distinguishability(benchmark):
     phis = np.linspace(0.0, 2.0 * math.pi, 25)
     rng = np.random.default_rng(7)

@@ -9,16 +9,7 @@ interferometer measurement model (``circuit``), estimation routines
 
 from __future__ import annotations
 
-import importlib
-
-from . import circuit, scatter, states, vibsim
+from . import circuit, fit, scatter, states, vibsim
 
 __all__ = ["circuit", "fit", "scatter", "states", "vibsim"]
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    # ``fit`` pulls in scipy.optimize, so it loads on first access only.
-    if name == "fit":
-        return importlib.import_module(f"{__name__}.fit")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,8 +6,8 @@ Covers four layers of the experiment pipeline:
   through the interferometer (per-pulse amplitudes, fringe contrast,
   phase calibration);
 * closed-form two-photon output statistics of the balanced circuit,
-  with the brute-force state evolution as fallback when partial
-  distinguishability is switched on;
+  affine in three coefficients for every degree of partial
+  distinguishability (``triple_basis``);
 * normalization of raw coincidence histograms into output-pattern
   probabilities, with first-order Poisson error propagation;
 * Monte Carlo synthesis of raw 3x3 peak histograms per detector pair,
@@ -220,54 +220,29 @@ def calibrate_phase_offset(config: TBIConfig, scan_points: int = 720) -> float:
 # Closed-form output statistics
 
 
-def _raw_statistics(
-    phis: np.ndarray,
-    phi_nl: float,
-    ell_nl: float,
-    theta_perp: float,
-) -> np.ndarray:
-    """Raw (p20, p11, p02) rows of the balanced circuit, one per phase."""
+def triple_coefficients(cos_nl, t, cos_perp) -> np.ndarray:
+    """Weights (1, s, q, r) of ``triple_basis`` at cos phi_nl, t = 1 - ell_nl, cos theta_perp.
+
+    s = cos^2 theta_perp, q = s u, r = t cos phi_nl cos theta_perp u, u = 1 / (1 + t^2).
+    """
+    u = 1.0 / (1.0 + t * t)
+    return np.array([1.0, cos_perp**2, cos_perp**2 * u, t * cos_nl * cos_perp * u])
+
+
+def triple_basis(phi: np.ndarray) -> np.ndarray:
+    """Per-phase 3x4 basis: renormalized (p20, p11, p02) = basis @ weights.
+
+    For every overlap angle p20, p02 = a +- r cos phi + (q / 4) cos 2 phi
+    and p11 = 1 - 2 a - (q / 2) cos 2 phi, a = (1 + s - q) / 4.
+    """
+    phis = np.atleast_1d(np.asarray(phi, dtype=float))
     finite = np.isfinite(phis)
     if not finite.all():
         raise ValueError(f"phi must be finite, got {float(phis[~finite][0])!r}")
-    for name, value in (("phi_nl", phi_nl), ("theta_perp", theta_perp)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if not 0.0 <= ell_nl <= 1.0:
-        raise ValueError(f"ell_nl must be in [0, 1], got {ell_nl!r}")
-    if theta_perp != 0.0:
-        # Only the diagonal linear-phase layer depends on the phase: the
-        # state after the first splitter and the transfer of the layers
-        # after the phase are built once, and every phase is one row of
-        # the same array product.
-        first, _, *tail = states.standard_circuit(0.0, phi_nl, ell_nl, theta_perp=theta_perp)
-        head = states.apply_layer(states.new_input(), first).amplitudes
-        amps = (states.linear_phase_factors(phis) * head) @ states.circuit_transfer(tail).T
-        return states.click_weights(amps)
-    t = 1.0 - ell_nl
-    cos_2phi = np.cos(2.0 * phis)
-    cross = 8.0 * t * np.cos(phis) * math.cos(phi_nl)
-    base = 2.0 * (1.0 + cos_2phi) + 4.0 * t * t
-    return np.stack([(base + cross) / 16.0, (1.0 - cos_2phi) / 4.0, (base - cross) / 16.0], axis=1)
-
-
-def model_statistics(
-    phi: float,
-    phi_nl: float,
-    ell_nl: float,
-    theta_perp: float = 0.0,
-) -> DetectionProbabilities:
-    """Two-photon output statistics of the balanced circuit at one phase.
-
-    The overall transmission factors out of the renormalized result and
-    is set to one here.  Without distinguishability the three closed
-    forms are evaluated directly; with it the extended-basis state
-    evolution supplies the result.  Valid domain: finite ``phi``,
-    ``phi_nl`` and ``theta_perp``, and ``ell_nl`` in [0, 1]; anything
-    else raises ``ValueError`` naming the parameter.
-    """
-    raw = _raw_statistics(np.array([phi], dtype=float), phi_nl, ell_nl, theta_perp)[0]
-    return DetectionProbabilities.from_raw(raw)
+    one = np.ones_like(phis)
+    columns = np.stack([one, one, np.cos(2.0 * phis) - 1.0, np.cos(phis)], axis=1)
+    shapes = np.array([[0.25, 0.25, 0.25, 1.0], [0.5, -0.5, -0.5, 0.0], [0.25, 0.25, 0.25, -1.0]])
+    return columns[:, None, :] * shapes
 
 
 def model_triple(
@@ -280,15 +255,38 @@ def model_triple(
 
     Evaluates every phase at once, on the same domain as
     ``model_statistics``: finite phases, finite ``phi_nl`` and
-    ``theta_perp``, and ``ell_nl`` in [0, 1].  Raises
-    ``DegenerateStateError`` if any phase loses all two-photon weight.
+    ``theta_perp``, and ``ell_nl`` in [0, 1].
     """
-    phis = np.atleast_1d(np.asarray(phi, dtype=float))
-    raw = _raw_statistics(phis, phi_nl, ell_nl, theta_perp)
-    total = raw.sum(axis=1, keepdims=True)
-    if np.any(total < states.DEGENERATE_TOTAL):
-        raise states.DegenerateStateError("all outcomes suppressed; cannot renormalize")
-    return raw / total
+    for name, value in (("phi_nl", phi_nl), ("theta_perp", theta_perp)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not 0.0 <= ell_nl <= 1.0:
+        raise ValueError(f"ell_nl must be in [0, 1], got {ell_nl!r}")
+    weights = triple_coefficients(math.cos(phi_nl), 1.0 - ell_nl, math.cos(theta_perp))
+    return triple_basis(phi) @ weights
+
+
+def _raw_statistics(phis, phi_nl: float, ell_nl: float, theta_perp: float) -> np.ndarray:
+    """Raw (p20, p11, p02) rows: for every overlap angle, (1 + t^2) / 2 times the triple."""
+    triples = model_triple(phis, phi_nl, ell_nl, theta_perp)
+    return 0.5 * (1.0 + (1.0 - ell_nl) ** 2) * triples
+
+
+def model_statistics(
+    phi: float,
+    phi_nl: float,
+    ell_nl: float,
+    theta_perp: float = 0.0,
+) -> DetectionProbabilities:
+    """Two-photon output statistics of the balanced circuit at one phase.
+
+    The overall transmission factors out of the renormalized result and
+    is set to one here; one closed form covers every overlap angle.
+    Valid domain: finite ``phi``, ``phi_nl`` and ``theta_perp``, and
+    ``ell_nl`` in [0, 1]; anything else raises ``ValueError`` naming
+    the parameter.
+    """
+    return DetectionProbabilities.from_raw(_raw_statistics(phi, phi_nl, ell_nl, theta_perp)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import circuit, scatter, vibsim
+from . import circuit, fit, scatter, vibsim
 
 # Laboratory-to-dimensionless conversions are anchored to the emitter
 # lifetime once, here; the physics modules never see lab units.
@@ -353,9 +353,6 @@ def _read_statistics_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray 
 
 
 def cmd_fit(args: argparse.Namespace) -> None:
-    # Imported here so only this subcommand pays for scipy.optimize.
-    from . import fit
-
     config = _load_config(args.config)
     data = _setting(args, config, "data", None)
     if data is None:

@@ -1,13 +1,11 @@
 """Model fitting for transmission spectra, fringes, and pair statistics.
 
-A thin deterministic wrapper around simplex minimization plus the three
-experiment-facing fits: the resonant-transmission dip of the emitter,
-interference fringes of the double-pass interferometer, and the
-nonlinear-phase parameters from normalized coincidence statistics.
-Uncertainties come from a finite-difference quadratic expansion of the
-objective at the optimum.  The simplex search is ``scipy.optimize``, the
-only scipy module the package imports; the Voigt lineshape of the dip
-uses the package's numpy Faddeeva function.
+The experiment-facing fits of the transmission dip, the interference
+fringes and the nonlinear-phase parameters.  Fringes and pair
+statistics are linear in a few coefficients and fitted by direct
+solves; the dip and ``minimize`` use a deterministic simplex search
+from ``scipy.optimize``, loaded on their first call.  Uncertainties come
+from the curvature of the objective at the optimum.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize
 
 from . import circuit
 from .scatter import faddeeva
@@ -24,12 +21,13 @@ from .scatter import faddeeva
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Outcome of the deterministic multi-start simplex search."""
+    """An optimum, its objective value, the work done, and (if converged) its Hessian."""
 
     x: np.ndarray
     fun: float
     evaluations: int
     converged: bool
+    curvature: np.ndarray | None = None
 
 
 def _search(
@@ -41,11 +39,13 @@ def _search(
 ) -> MinimizeResult:
     """Simplex minimization with jittered restarts, best residual wins.
 
-    The first start is ``x0`` itself; subsequent starts jitter the best
-    point found so far with a seeded generator, so results are
-    reproducible.  Raises ``ValueError`` when the objective is not
-    finite at ``x0``.
+    The first start is ``x0`` itself; later starts jitter the best point
+    so far with a seeded generator, so results are reproducible.  A
+    converged result carries the finite-difference Hessian there.
+    Raises ``ValueError`` when the objective is not finite at ``x0``.
     """
+    from scipy import optimize
+
     x0 = np.asarray(x0, dtype=float)
     f0 = float(objective(x0))
     if not math.isfinite(f0):
@@ -73,7 +73,8 @@ def _search(
             lo = np.array([b[0] for b in bounds])
             hi = np.array([b[1] for b in bounds])
             start = np.clip(start, lo, hi)
-    return MinimizeResult(x=best_x, fun=best_f, evaluations=evaluations, converged=converged)
+    curvature = _hessian(objective, best_x) if converged else None
+    return MinimizeResult(best_x, best_f, evaluations, converged, curvature)
 
 
 def _hessian(objective, x: np.ndarray, rel_step: float = 1e-4) -> np.ndarray:
@@ -100,24 +101,22 @@ def _hessian(objective, x: np.ndarray, rel_step: float = 1e-4) -> np.ndarray:
 
 
 def _covariance(
-    objective,
-    x: np.ndarray,
+    curvature: np.ndarray,
     names: tuple[str, ...],
     scale: float,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Parameter covariance ``2 * scale * H^-1`` with flat directions flagged.
+    """Covariance ``2 * scale * H^-1`` from the Hessian H, flat directions flagged.
 
     ``scale`` is one for a variance-weighted objective and the residual
     variance estimate for a plain sum of squares.
     """
-    hess = _hessian(objective, x)
-    eigvals, eigvecs = np.linalg.eigh(hess)
+    eigvals, eigvecs = np.linalg.eigh(curvature)
     floor = 1e-10 * max(1.0, float(np.max(np.abs(eigvals))))
     flat = eigvals <= floor
     unidentifiable: list[str] = []
     for k in np.nonzero(flat)[0]:
         unidentifiable.append(names[int(np.argmax(np.abs(eigvecs[:, k])))])
-    inv = np.zeros_like(hess)
+    inv = np.zeros_like(curvature)
     keep = ~flat
     if np.any(keep):
         inv = eigvecs[:, keep] @ np.diag(1.0 / eigvals[keep]) @ eigvecs[:, keep].T
@@ -148,7 +147,6 @@ class FitResult:
 
 
 def _finish_fit(
-    objective,
     outcome: MinimizeResult,
     names: tuple[str, ...],
     n_points: int,
@@ -160,7 +158,7 @@ def _finish_fit(
     if outcome.converged:
         dof = max(n_points - n_params, 1)
         scale = 1.0 if weighted else outcome.fun / dof
-        cov, unidentifiable = _covariance(objective, outcome.x, names, scale)
+        cov, unidentifiable = _covariance(outcome.curvature, names, scale)
         errors = np.sqrt(np.clip(np.diag(cov), 0.0, None))
         for k, name in enumerate(names):
             std[name] = math.inf if name in unidentifiable else float(errors[k])
@@ -192,7 +190,7 @@ def minimize(
     outcome = _search(objective, x0, bounds=bounds, restarts=restarts, seed=seed)
     if names is None:
         names = tuple(f"x{k}" for k in range(x0.size))
-    return _finish_fit(objective, outcome, names, x0.size, True)
+    return _finish_fit(outcome, names, x0.size, True)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +322,7 @@ def fit_rt(
     x0 = [beta0, sigma0] + ([qd_template.gamma_d or 0.1 * scale] if fit_linewidth else [])
 
     outcome = _search(objective, np.asarray(x0), bounds=bounds)
-    result = _finish_fit(objective, outcome, names, omega.size, weights is not None)
+    result = _finish_fit(outcome, names, omega.size, weights is not None)
     fitted = build(outcome.x)
     params = dict(result.parameters)
     std = dict(result.std_errors)
@@ -348,9 +346,10 @@ def fit_fringe(
 ) -> FitResult:
     """Fit ``offset + amplitude * cos(2 phi - 2 phi0)`` to fringe data.
 
-    Reports the derived visibility ``amplitude / offset``.  For flat
-    data the fringe phase carries no information and is flagged
-    unidentifiable with an infinite standard error.
+    One weighted linear least-squares solve in (offset, amplitude cos 2
+    phi0, amplitude sin 2 phi0).  Reports the derived visibility
+    ``amplitude / offset``.  For flat data the fringe phase carries no
+    information and is flagged unidentifiable with an infinite error.
     """
     phi = np.asarray(phi, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -358,55 +357,40 @@ def fit_fringe(
         raise ValueError("phi and values must have matching shapes")
     if phi.size and float(phi.max() - phi.min()) < math.pi - 1e-9:
         raise ValueError("phase sweep must cover at least one full fringe period")
-    weights = None if errors is None else 1.0 / np.asarray(errors, dtype=float) ** 2
+    root_weights = np.ones_like(phi) if errors is None else 1.0 / np.asarray(errors, dtype=float)
 
-    # Linear seed: values ~ offset + a cos(2 phi) + b sin(2 phi).
     design = np.column_stack([np.ones_like(phi), np.cos(2.0 * phi), np.sin(2.0 * phi)])
-    coeff, *_ = np.linalg.lstsq(design, values, rcond=None)
-    offset0, a0, b0 = (float(c) for c in coeff)
-    amp0 = math.hypot(a0, b0)
-    phi00 = 0.5 * math.atan2(b0, a0)
+    scaled = design * root_weights[:, None]
+    coeff, *_ = np.linalg.lstsq(scaled, values * root_weights, rcond=None)
+    offset, a, b = (float(c) for c in coeff)
+    amplitude = math.hypot(a, b)
+    phi0 = 0.5 * math.atan2(b, a)
+    residual = float(np.sum((scaled @ coeff - values * root_weights) ** 2))
 
     names = ("amplitude", "phi0", "offset")
-
-    def objective(x):
-        model = x[2] + x[0] * np.cos(2.0 * phi - 2.0 * x[1])
-        resid = model - values
-        if weights is None:
-            return float(np.sum(resid**2))
-        return float(np.sum(weights * resid**2))
-
-    outcome = _search(objective, np.array([amp0, phi00, offset0]))
-    x = outcome.x.copy()
-    # Normalize: non-negative amplitude, phase folded into (-pi/2, pi/2].
-    if x[0] < 0.0:
-        x[0] = -x[0]
-        x[1] += 0.5 * math.pi
-    x[1] = math.remainder(x[1], math.pi)
-    outcome = MinimizeResult(x=x, fun=outcome.fun, evaluations=outcome.evaluations,
-                             converged=outcome.converged)
-    result = _finish_fit(objective, outcome, names, phi.size, weights is not None)
+    # d(offset, a, b) / d(amplitude, phi0, offset) through the Fisher matrix.
+    cos2, sin2 = math.cos(2.0 * phi0), math.sin(2.0 * phi0)
+    jac = np.array([[0.0, 0.0, 1.0], [cos2, -2.0 * amplitude * sin2, 0.0],
+                    [sin2, 2.0 * amplitude * cos2, 0.0]])
+    curvature = jac.T @ (2.0 * scaled.T @ scaled) @ jac
+    outcome = MinimizeResult(np.array([amplitude, phi0, offset]), residual, 1, True, curvature)
+    weighted = errors is not None
+    result = _finish_fit(outcome, names, phi.size, weighted)
 
     params = dict(result.parameters)
     std = dict(result.std_errors)
-    amplitude, offset = params["amplitude"], params["offset"]
-    visibility = math.inf if offset == 0.0 else amplitude / offset
-    params["visibility"] = visibility
+    params["visibility"] = math.inf if offset == 0.0 else amplitude / offset
     unident = result.unidentifiable
-    if std:
-        if offset == 0.0:
-            vis_err = math.inf
-        else:
-            cov, _ = _covariance(
-                objective, outcome.x, names,
-                1.0 if weights is not None else outcome.fun / max(phi.size - 3, 1),
-            )
-            grad = np.array([1.0 / offset, 0.0, -amplitude / offset**2])
-            vis_err = float(math.sqrt(max(0.0, grad @ cov @ grad)))
-        std["visibility"] = vis_err
-        if amplitude <= 1e-12 * max(1.0, abs(offset)) and "phi0" not in unident:
-            unident = unident + ("phi0",)
-            std["phi0"] = math.inf
+    if offset == 0.0:
+        std["visibility"] = math.inf
+    else:
+        scale = 1.0 if weighted else residual / max(phi.size - 3, 1)
+        cov, _ = _covariance(curvature, names, scale)
+        grad = np.array([1.0 / offset, 0.0, -amplitude / offset**2])
+        std["visibility"] = float(math.sqrt(max(0.0, grad @ cov @ grad)))
+    if amplitude <= 1e-12 * max(1.0, abs(offset)) and "phi0" not in unident:
+        unident = unident + ("phi0",)
+        std["phi0"] = math.inf
     return replace(result, parameters=params, std_errors=std, unidentifiable=unident)
 
 
@@ -439,6 +423,37 @@ def _row_covariance(phi: np.ndarray, errors: np.ndarray) -> np.ndarray:
     return cov
 
 
+def _slice_minimum(fisher, best, shift, s: float) -> tuple[float, float, float]:
+    """(cos phi_nl, t, chi-square above its unconstrained minimum) at fixed s.
+
+    The physical (q, r) fill the half-disk (q - s/2)^2 + s r^2 <= s^2/4,
+    q >= s/2.  Its minimum is the unconstrained point if inside, else the
+    best of the edge t = 1 and the stationary points on the arc (s, sqrt(s)
+    tau) / (1 + tau^2), where t = |tau| and cos phi_nl = sign(tau).
+    """
+    c, half = math.sqrt(s), 0.5 * s
+    q, r = best[1:] - shift * (s - best[0])
+    if q >= half and (q - half) ** 2 + s * r * r < half * half:
+        t = math.sqrt((s - q) / q)
+        cos_nl, ts = [min(max(r * c / (t * q), -1.0), 1.0)], [t]
+    else:
+        m = fisher[1:, 1:]
+        edge_r = r - m[0, 1] * (half - q) / m[1, 1] if m[1, 1] > 0.0 else 0.0
+        cos_nl, ts = [min(max(2.0 * edge_r / c, -1.0), 1.0)], [1.0]
+        hq, hr = m @ np.array([half - q, -r])
+        b = 0.5 * c
+        diag, off = m[1, 1] * b * b - m[0, 0] * half * half, m[0, 1] * half * b
+        roots = np.roots([off - b * hr, -2.0 * (half * hq + diag), -6.0 * off,
+                          2.0 * (diag - half * hq), b * hr + off])
+        for tau in np.clip(roots.real, -1.0, 1.0):
+            cos_nl.append(-1.0 if tau < 0.0 else 1.0)
+            ts.append(abs(float(tau)))
+    d = np.array([circuit.triple_coefficients(cn, t, c)[1:] for cn, t in zip(cos_nl, ts)]) - best
+    excess = np.einsum("ka,ab,kb->k", d, fisher, d)
+    k = int(np.argmin(excess))
+    return cos_nl[k], ts[k], float(excess[k])
+
+
 def fit_nl(
     phi: np.ndarray,
     triples: np.ndarray,
@@ -447,17 +462,24 @@ def fit_nl(
 ) -> FitResult:
     """Fit the nonlinear phase and pair loss to normalized statistics.
 
-    ``triples`` holds one renormalized (p20, p11, p02) row per phase;
-    ``errors`` optionally supplies matching standard errors for a
-    covariance-weighted objective.  A renormalized row sums to one, so
-    its three residuals are fully correlated and carry two independent
-    components: each phase's covariance C is rebuilt from the three
-    marginal errors and the objective is the chi-square ``r^T C^+ r``.
-    Directions C does not span, such as a class with zero error, carry
-    no weight.  Without errors the objective is the plain sum of
-    squares with two degrees of freedom per phase.
-    ``fit_distinguishability`` frees the overlap rotation angle and also
-    reports the derived distinguishable population fraction.
+    ``triples`` holds one renormalized (p20, p11, p02) row per phase and
+    ``errors`` optional matching standard errors.  A renormalized row
+    sums to one, so each phase's covariance C is rebuilt from its three
+    marginal errors and the objective is the chi-square ``r^T C^+ r``;
+    directions C does not span, such as a class with zero error, carry
+    no weight.  Without errors it is the plain sum of squares with two
+    degrees of freedom per phase.  ``fit_distinguishability`` frees the
+    overlap rotation angle and reports the distinguishable fraction.
+
+    The model is affine in the weights (s, q, r) of ``circuit.triple_basis``,
+    whose physical values form a convex set: one generalized-least-squares
+    solve, then the exact minimum at s = cos^2 theta_perp = 1, or over s
+    by golden section (s = 1 included).  ``evaluations`` counts those
+    slice solves; ``converged`` is always true.  Errors are the delta
+    method on the inverse Fisher matrix; a parameter pinned where the
+    inverse map is infinitely steep (phi_nl at 0 or pi, theta_perp at 0,
+    ell_nl at 1) gets an infinite one.  ``unidentifiable`` names
+    parameters the data leave flat, such as phi_nl as ell_nl nears 1.
     """
     phi = np.asarray(phi, dtype=float)
     triples = np.asarray(triples, dtype=float)
@@ -465,7 +487,9 @@ def fit_nl(
         raise ValueError("triples must have shape (len(phi), 3)")
     if phi.size < 8:
         raise ValueError("need at least 8 phase points")
-    precision = None
+    if not np.all(np.isfinite(triples)):
+        raise ValueError("triples must be finite")
+    precision = np.broadcast_to(np.eye(3), (phi.size, 3, 3))
     if errors is not None:
         errors = np.asarray(errors, dtype=float)
         if errors.shape != triples.shape:
@@ -474,45 +498,48 @@ def fit_nl(
             raise ValueError("errors must be finite and non-negative")
         precision = np.linalg.pinv(_row_covariance(phi, errors), hermitian=True)
 
-    names: tuple[str, ...] = ("phi_nl", "ell_nl")
-    bounds = [(0.0, math.pi), (0.0, 1.0)]
+    basis = circuit.triple_basis(phi)
+    design = basis[:, :, 1:]
+    fisher = np.einsum("kia,kij,kjb->ab", design, precision, design)
+    target = np.einsum("kia,kij,kj->a", design, precision, triples - basis[:, :, 0])
+    best = np.linalg.lstsq(fisher, target, rcond=None)[0]
+    # How the unconstrained (q, r) at fixed s move with s.
+    shift = np.linalg.pinv(fisher[1:, 1:], hermitian=True) @ fisher[1:, 0]
+
+    names = ("phi_nl", "ell_nl", "theta_perp")[: 3 if fit_distinguishability else 2]
+    s, optimum, evaluations = 1.0, _slice_minimum(fisher, best, shift, 1.0), 1
     if fit_distinguishability:
-        names = names + ("theta_perp",)
-        bounds.append((0.0, 0.5 * math.pi))
+        lo, hi, ratio = 0.0, 1.0, 0.5 * (math.sqrt(5.0) - 1.0)
+        for _ in range(60):  # the bracket ends 0.618^60 < 1e-12 wide
+            left, right = [(x, _slice_minimum(fisher, best, shift, x))
+                           for x in (hi - ratio * (hi - lo), lo + ratio * (hi - lo))]
+            lo, hi = (lo, right[0]) if left[1][2] <= right[1][2] else (left[0], hi)
+        evaluations += 120
+        # Ties go to the endpoint theta_perp = 0.
+        s, optimum = min([(s, optimum), left, right], key=lambda p: p[1][2])
+    (cos_nl, t, _), cos_perp = optimum, math.sqrt(s)
 
-    def objective(x):
-        theta = float(x[2]) if fit_distinguishability else 0.0
-        # Finite-difference probes around a boundary optimum may step
-        # outside the box; evaluate at the clipped point.
-        ell = min(max(float(x[1]), 0.0), 1.0)
-        model = circuit.model_triple(phi, float(x[0]), ell, theta)
-        resid = model - triples
-        if precision is None:
-            return float(np.sum(resid**2))
-        return float(np.einsum("ki,kij,kj->", resid, precision, resid))
-
-    # Coarse deterministic probe to seed the simplex.
-    probe_phi = np.linspace(0.0, math.pi, 13)
-    probe_ell = np.linspace(0.0, 0.9, 7)
-    best = (math.inf, 0.5, 0.1)
-    for p in probe_phi:
-        for e in probe_ell:
-            val = objective([p, e] + ([0.0] if fit_distinguishability else []))
-            if val < best[0]:
-                best = (val, float(p), float(e))
-    x0 = [best[1], best[2]] + ([0.1] if fit_distinguishability else [])
-
-    outcome = _search(objective, np.asarray(x0), bounds=bounds)
-    result = _finish_fit(objective, outcome, names, 2 * phi.size, precision is not None)
+    resid = basis @ circuit.triple_coefficients(cos_nl, t, cos_perp) - triples
+    residual = float(np.einsum("ki,kij,kj->", resid, precision, resid))
+    # Errors in (cos phi_nl, t, cos theta_perp), carried to the angles by
+    # acos; d(s, q, r) / d(those) by complex steps, exact to rounding.
+    point = np.array([cos_nl, t, cos_perp])
+    steps = [circuit.triple_coefficients(*(point + 1e-30j * e))[1:] for e in np.eye(3)]
+    jac = np.array(steps).imag.T / 1e-30
+    if not fit_distinguishability:
+        jac, fisher = jac[1:, :2], fisher[1:, 1:]
+    x = np.array([math.acos(cos_nl), 1.0 - t, math.acos(cos_perp)])[: len(names)]
+    outcome = MinimizeResult(x, residual, evaluations, True, jac.T @ (2.0 * fisher) @ jac)
+    result = _finish_fit(outcome, names, 2 * phi.size, errors is not None)
+    # |d angle / d cosine|; ell_nl = 1 - t has slope 1, taken as infinite at t = 0.
+    with np.errstate(divide="ignore"):
+        slopes = 1.0 / np.sqrt(1.0 - np.array([cos_nl, float(t == 0.0), cos_perp]) ** 2)
+    std = {name: math.inf if math.isinf(slope) else result.std_errors[name] * float(slope)
+           for name, slope in zip(names, slopes)}
+    params = dict(result.parameters)
     if fit_distinguishability:
-        params = dict(result.parameters)
-        std = dict(result.std_errors)
-        theta = params["theta_perp"]
+        theta, err = params["theta_perp"], std["theta_perp"]
         params["distinguishable_fraction"] = math.sin(theta) ** 2
-        if std:
-            err = std["theta_perp"]
-            std["distinguishable_fraction"] = (
-                math.inf if math.isinf(err) else abs(math.sin(2.0 * theta)) * err
-            )
-        result = replace(result, parameters=params, std_errors=std)
-    return result
+        std["distinguishable_fraction"] = (
+            abs(math.sin(2.0 * theta)) * err if err < math.inf else err)
+    return replace(result, parameters=params, std_errors=std)

@@ -284,7 +284,7 @@ class NonlinearParams:
     phi_nl: float
 
 
-def _difference_kernel(a: np.ndarray, sigma: float) -> np.ndarray:
+def _difference_kernel(a: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """K(a) = int (a^2 - u^2) exp(-u^2 / (2 sigma^2)) / (((a+u)^2 + 1)((a-u)^2 + 1)) du.
 
     The two photons' transmissions and emitter poles at x = a + u,
@@ -298,12 +298,12 @@ def _difference_kernel(a: np.ndarray, sigma: float) -> np.ndarray:
     rational approximation keeps Im w within 7e-13 relative for
     |Re z| <= 1e-3, which the tests check against an independent
     implementation.  (The closed-form slope 2/sqrt(pi) - 2 y erfcx(y) of
-    Im w would cancel up to nine digits.)
+    Im w would cancel up to nine digits.)  Returns K and the w(z) used.
     """
     a = np.asarray(a, dtype=float)
     a = np.where(np.abs(a) < 1e-100, 1e-100, a)
     w = faddeeva((a + 1j) / (math.sqrt(2.0) * sigma))
-    return 0.5 * math.pi / (a**2 + 1.0) * ((1.0 + 2.0 * a**2) * w.imag / a - w.real)
+    return 0.5 * math.pi / (a**2 + 1.0) * ((1.0 + 2.0 * a**2) * w.imag / a - w.real), w
 
 
 def _total_frequency_grid(
@@ -340,12 +340,16 @@ class _Profile:
         # what is left is one integral over the total frequency s, whose
         # panels split at s = 0 so the width-2 emitter feature resolves.
         s, w_s = _total_frequency_grid(pulse, quad)
-        bound = bound_channel_integral(s, pulse)
+        # The kernel's Faddeeva values serve ``bound_channel_integral`` too:
+        # their arguments differ only for |s| < 2e-100, which no node hits.
+        kernel, w = _difference_kernel(0.5 * s, pulse.sigma)
+        envelope = _pair_envelope(s, pulse)
+        bound = -TWO_PI * 1j * envelope * w
         # Bound term against itself: the emitter poles of the two photons
         # convolve to 2 pi / (s^2 + 4).
         bound_norm = float((np.abs(bound) ** 2 / (s**2 + 4.0)) @ w_s) / TWO_PI
         # Bound term against the independent product.
-        product = _pair_envelope(s, pulse) * _difference_kernel(0.5 * s, pulse.sigma)
+        product = envelope * kernel
         cross = 1j / TWO_PI * complex((bound * product) @ w_s)
         ff_norm = self.p_single**2
         self.eta2 = ff_norm + 2.0 * cross.real + bound_norm

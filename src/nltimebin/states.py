@@ -282,24 +282,12 @@ def _layer_transfer(layer: LayerSpec) -> np.ndarray:
     return _nonlinear_factors(layer.phi_nl, layer.ell_nl, layer.eta)
 
 
-def _apply(transfer: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
-    # Diagonal factors scale the rows of a vector or of a 10 x n block.
-    if transfer.ndim == 1:
-        return (transfer * amplitudes.T).T
-    return transfer @ amplitudes
-
-
 def apply_layer(state: TwoPhotonState, layer: LayerSpec) -> TwoPhotonState:
     """Apply one layer, returning a new state."""
-    return TwoPhotonState(_apply(_layer_transfer(layer), state.amplitudes))
-
-
-def circuit_transfer(layers: list[LayerSpec]) -> np.ndarray:
-    """The 10x10 matrix of a layer sequence, first layer applied first."""
-    transfer = np.eye(N_CONFIGURATIONS, dtype=complex)
-    for layer in layers:
-        transfer = _apply(_layer_transfer(layer), transfer)
-    return transfer
+    transfer = _layer_transfer(layer)
+    if transfer.ndim == 1:
+        return TwoPhotonState(transfer * state.amplitudes)
+    return TwoPhotonState(transfer @ state.amplitudes)
 
 
 def apply_circuit(state: TwoPhotonState, layers: list[LayerSpec]) -> TwoPhotonState:
@@ -332,15 +320,10 @@ def standard_circuit(
     return layers
 
 
-def click_weights(amplitudes: np.ndarray) -> np.ndarray:
-    """Raw (p20, p11, p02) weights of amplitudes over the last axis.
+def detection_probabilities(state: TwoPhotonState) -> DetectionProbabilities:
+    """Click-pattern probabilities, summed over ancilla labels.
 
     Detectors do not resolve the ancilla identity: a photon in the
     early ancilla mode counts as an early-bin photon.
     """
-    return np.abs(amplitudes) ** 2 @ _CLICK_BINNING
-
-
-def detection_probabilities(state: TwoPhotonState) -> DetectionProbabilities:
-    """Click-pattern probabilities, summed over ancilla labels."""
-    return DetectionProbabilities.from_raw(click_weights(state.amplitudes))
+    return DetectionProbabilities.from_raw(np.abs(state.amplitudes) ** 2 @ _CLICK_BINNING)

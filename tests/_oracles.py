@@ -10,9 +10,11 @@ fringe into three pulse integrals; a dense two-boson transfer matrix
 instead of layered evolution; a first-quantized pair tensor, evolved
 phase by phase, instead of the batched ten-configuration evolution;
 Simpson convolution of the transmission dip, where the package uses
-the Faddeeva Voigt profile; and dict tables of detection slots summed
+the Faddeeva Voigt profile; dict tables of detection slots summed
 pair by pair in Python, where the package lifts the state to the slots
-with one matrix product.
+with one matrix product; and a grid search with a simplex polish of the
+pair-statistics chi-square, where the package solves the constrained
+least-squares problem directly.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.special import wofz
 
 TWO_PI = 2.0 * math.pi
@@ -263,6 +265,36 @@ def pair_tensor_triples(phis, phi_nl: float, ell_nl: float, theta_perp: float) -
         raw = np.array([weights[late == b].sum() for b in range(3)])
         out[k] = raw / raw.sum()
     return out
+
+
+def reference_nl_fit(phis, data, precision, fit_distinguishability: bool = False):
+    """Chi-square minimum of pair statistics by brute force: (parameters, chi2).
+
+    The model is ``pair_tensor_triples`` and the chi-square sums r^T P r
+    over the phases with the per-phase ``precision`` P.  The best point
+    of a grid over (phi_nl, ell_nl[, theta_perp]) seeds a Nelder-Mead
+    polish in coordinates u with parameter = upper bound * sin(u)^2, so
+    every probe is physical and a bound is a smooth interior point (a
+    polish in the parameters themselves stalls at the corner phi_nl =
+    ell_nl = 0).
+    """
+    upper = np.array([math.pi, 1.0, 0.5 * math.pi])[: 3 if fit_distinguishability else 2]
+
+    def chi2(x):
+        theta = x[2] if fit_distinguishability else 0.0
+        resid = pair_tensor_triples(phis, x[0], x[1], theta) - data
+        return float(np.einsum("ki,kij,kj->", resid, precision, resid))
+
+    def params(u):
+        return upper * np.sin(u) ** 2
+
+    # Cell midpoints: u = 0 is a stationary point of sin(u)^2, a poor start.
+    grids = [(np.arange(n) + 0.5) / n for n in (12, 10, 6)[: upper.size]]
+    start = min(itertools.product(*grids), key=lambda f: chi2(upper * np.array(f)))
+    res = optimize.minimize(lambda u: chi2(params(u)), np.arcsin(np.sqrt(start)),
+                            method="Nelder-Mead",
+                            options={"xatol": 1e-10, "fatol": 1e-11, "maxfev": 20_000})
+    return params(res.x), float(res.fun)
 
 
 def _simpson_weights(xs: np.ndarray) -> np.ndarray:

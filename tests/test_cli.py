@@ -241,16 +241,19 @@ def test_module_execution_entry_point(tmp_path):
     assert proc.stdout.strip().endswith("water.csv")
 
 
-def test_subcommands_other_than_fit_load_no_scipy(tmp_path):
-    # Only ``fit`` needs scipy (its simplex search); every Faddeeva
-    # evaluation behind the other subcommands is numpy.
+def test_subcommands_load_no_scipy(tmp_path):
+    # Every Faddeeva evaluation is numpy, and both statistics fits are
+    # direct linear solves; scipy is left to the transmission fit.
+    sampled = str(tmp_path / "2" / "fringe.csv")
     runs = [
         ["characterize", "--sigma", "0.5,1", "--grid", "3"],
         ["fringe", "--delta", "0.3", "--grid", "9"],
-        ["fringe", "--delta", "0.3", "--grid", "5", "--shots", "1000", "--seed", "1"],
+        ["fringe", "--delta", "0.3", "--grid", "9", "--shots", "20000", "--seed", "1"],
         ["jti", "--delta", "0.3", "--grid", "16"],
         ["jti", "--delta", "0.3", "--grid", "16", "--phi", "0.4"],
         ["water", "--steps", "5"],
+        ["fit", "--data", sampled],
+        ["fit", "--data", sampled, "--distinguishability"],
     ]
     code = (
         "import json, sys\n"
@@ -264,13 +267,23 @@ def test_subcommands_other_than_fit_load_no_scipy(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
-def test_only_the_fit_subcommand_loads_the_optimizer():
+def test_only_the_simplex_fits_load_the_optimizer():
     code = (
-        "import sys, nltimebin.cli, nltimebin; "
-        "before = 'scipy.optimize' in sys.modules; "
-        "nltimebin.fit.fit_nl; "
-        "print(before, 'scipy.optimize' in sys.modules)"
+        "import sys\n"
+        "import numpy as np\n"
+        "from nltimebin import circuit, fit\n"
+        "loaded = lambda: 'scipy.optimize' in sys.modules\n"
+        "states = [loaded()]\n"
+        "phi = np.linspace(0.15, 2.95, 9)\n"
+        "fit.fit_nl(phi, circuit.model_triple(phi, 0.8, 0.2))\n"
+        "fit.fit_nl(phi, circuit.model_triple(phi, 0.8, 0.2, 0.1), fit_distinguishability=True)\n"
+        "fit.fit_fringe(2.0 * phi, np.cos(4.0 * phi))\n"
+        "states.append(loaded())\n"
+        "omega = np.linspace(-6.0, 6.0, 20)\n"
+        "fit.fit_rt(omega, fit.rt_spectrum(omega, fit.QDCharacterization(beta=0.7)))\n"
+        "states.append(loaded())\n"
+        "print(*states)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False", "False", "True"]

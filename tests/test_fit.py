@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from nltimebin import circuit, fit, scatter
 
-from _oracles import voigt_transmission_quadrature
+from _oracles import reference_nl_fit, voigt_transmission_quadrature
 
 SIGMA_SD = 2.0 * math.pi * 0.134e9 * 155.5e-12
 
@@ -194,6 +194,20 @@ def test_flat_fringe_is_flagged_unidentifiable():
     assert math.isinf(result.std_errors["phi0"])
 
 
+def test_fringe_fit_pulls_have_unit_spread():
+    phi = np.linspace(0.0, 2.0 * math.pi, 61)
+    truth = {"amplitude": 0.25 * 0.971, "phi0": 0.4, "offset": 0.25, "visibility": 0.971}
+    clean = truth["offset"] + truth["amplitude"] * np.cos(2.0 * phi - 2.0 * truth["phi0"])
+    pulls = []
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        noisy = clean + rng.normal(0.0, 0.001, phi.size)
+        result = fit.fit_fringe(phi, noisy, errors=np.full(phi.size, 0.001))
+        pulls.append([(result.parameters[k] - v) / result.std_errors[k] for k, v in truth.items()])
+    spread = np.std(pulls, axis=0)
+    assert np.all((spread >= 0.85) & (spread <= 1.15)), spread
+
+
 def test_fringe_fit_needs_a_full_period():
     phi = np.linspace(0.0, 1.0, 20)
     with pytest.raises(ValueError, match="period"):
@@ -217,19 +231,66 @@ def test_nl_fit_recovers_distinguishable_fraction():
     assert abs(result.parameters["distinguishable_fraction"] - 0.10) <= 0.02
 
 
+def _null_case(seed, phi):
+    # Shot-sampled statistics of the linear circuit, phi_nl = ell_nl = 0.
+    rng = np.random.default_rng(seed)
+    counts = np.array([rng.multinomial(100_000, row) for row in circuit.model_triple(phi, 0.0, 0.0)])
+    data = counts / 100_000.0
+    sigma = np.sqrt(np.clip(data * (1.0 - data), 1e-12, None) / 100_000.0)
+    return data, np.clip(sigma, 1e-9, None)
+
+
 def test_nl_fit_null_case_stays_small():
     phi = np.linspace(0.15, 2.95, 9)
-    triples = circuit.model_triple(phi, 0.0, 0.0)
-    recovered = []
-    for seed in range(12):
-        rng = np.random.default_rng(seed)
-        counts = np.array([rng.multinomial(100_000, row) for row in triples])
-        data = counts / 100_000.0
-        sigma = np.sqrt(np.clip(data * (1.0 - data), 1e-12, None) / 100_000.0)
-        result = fit.fit_nl(phi, data, errors=np.clip(sigma, 1e-9, None))
-        recovered.append(result.parameters["phi_nl"])
+    recovered = [fit.fit_nl(phi, *_null_case(seed, phi)).parameters["phi_nl"] for seed in range(12)]
     assert recovered[0] < 0.02
     assert float(np.median(recovered)) < 0.015
+
+
+def _assert_reaches_reference_minimum(phi, data, errors, fit_distinguishability):
+    result = fit.fit_nl(phi, data, errors, fit_distinguishability=fit_distinguishability)
+    precision = np.linalg.pinv(fit._row_covariance(phi, errors), hermitian=True)
+    _, chi2 = reference_nl_fit(phi, data, precision, fit_distinguishability)
+    assert result.residual <= chi2 + 1e-9 * (1.0 + chi2)
+    return result
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_nl_fit_reaches_the_reference_minimum_on_null_data(seed):
+    phi = np.linspace(0.15, 2.95, 9)
+    result = _assert_reaches_reference_minimum(phi, *_null_case(seed, phi), False)
+    if seed in (1, 8):
+        # Optima inside the physical region, off the phi_nl = ell_nl = 0 corner.
+        assert result.parameters["ell_nl"] > 0.0
+
+
+@pytest.mark.parametrize("k, truth", enumerate([(0.9, 0.2, 0.2), (1.2, 0.35, 0.12),
+                                                (0.7, 0.15, 0.28)]))
+def test_distinguishability_fit_reaches_the_reference_minimum(k, truth):
+    phi = np.linspace(0.0, 2.0 * math.pi, 13)
+    rng = np.random.default_rng(70 + k)
+    counts = np.array([rng.multinomial(100_000, row) for row in circuit.model_triple(phi, *truth)])
+    data = counts / 100_000.0
+    _assert_reaches_reference_minimum(phi, data, np.sqrt(data * (1.0 - data) / 100_000.0), True)
+
+
+def test_lost_pairs_leave_the_nonlinear_phase_unidentifiable():
+    phi = np.linspace(0.15, 2.95, 9)
+    result = fit.fit_nl(phi, circuit.model_triple(phi, 0.7, 1.0))
+    assert "phi_nl" in result.unidentifiable
+    assert math.isinf(result.std_errors["phi_nl"])
+
+
+def test_parameters_pinned_at_a_steep_bound_report_infinite_errors():
+    phi = np.linspace(0.15, 2.95, 9)
+    result = fit.fit_nl(phi, *_null_case(1, phi))
+    assert result.parameters["phi_nl"] == 0.0 and math.isinf(result.std_errors["phi_nl"])
+    assert math.isfinite(result.std_errors["ell_nl"]) and result.unidentifiable == ()
+
+    phi = np.linspace(0.0, 2.0 * math.pi, 13)
+    result = fit.fit_nl(phi, circuit.model_triple(phi, 0.7, 0.3), fit_distinguishability=True)
+    assert result.parameters["theta_perp"] == 0.0 and math.isinf(result.std_errors["theta_perp"])
+    assert "theta_perp" not in result.unidentifiable
 
 
 def test_nl_fit_is_blind_to_the_detuning_sign():

@@ -240,7 +240,7 @@ def test_difference_integrals_match_adaptive_quadrature(log_sigma, delta, positi
     # Total frequencies across the default window of the pulse.
     sigma = math.exp(log_sigma)
     s = 2.0 * delta + 16.0 * sigma * position
-    kernel = float(scatter._difference_kernel(0.5 * s, sigma))
+    kernel = float(scatter._difference_kernel(0.5 * s, sigma)[0])
     scale = difference_kernel_quad(0.5 * s, sigma, magnitude=True)
     assert abs(kernel - difference_kernel_quad(0.5 * s, sigma)) <= 1e-9 * scale
     convolution = lorentzian_convolution_quad(s)
@@ -249,10 +249,11 @@ def test_difference_integrals_match_adaptive_quadrature(log_sigma, delta, positi
 
 @pytest.mark.parametrize("sigma", [0.02, 1.0, 1000.0])
 def test_difference_kernel_is_finite_and_continuous_at_the_line(sigma):
-    at_line = float(scatter._difference_kernel(0.0, sigma))
+    at_line = float(scatter._difference_kernel(0.0, sigma)[0])
     assert math.isfinite(at_line)
     for near in (1e-12, -1e-12):
-        assert abs(float(scatter._difference_kernel(near, sigma)) - at_line) <= 1e-12 * abs(at_line)
+        near_line = float(scatter._difference_kernel(near, sigma)[0])
+        assert abs(near_line - at_line) <= 1e-12 * abs(at_line)
     assert abs(at_line - difference_kernel_quad(0.0, sigma)) <= 1e-9 * abs(at_line)
 
 
@@ -288,6 +289,16 @@ def test_default_quadrature_builds_no_doubled_legendre_rule(monkeypatch):
     scatter.full_statistics([0.0, 1.0], pulse)
     scatter.jti(pulse, times=np.linspace(-8.0, 8.0, 16))
     assert sorted(orders) == [256, 512]
+
+
+def test_profile_evaluates_the_faddeeva_function_once_on_its_grid(monkeypatch):
+    # One scalar call for the single-photon Voigt norm and one on the
+    # total-frequency grid, shared by the bound channel and the kernel.
+    sizes = []
+    evaluate = scatter.faddeeva
+    monkeypatch.setattr(scatter, "faddeeva", lambda z: sizes.append(np.size(z)) or evaluate(z))
+    scatter._Profile(scatter.PulseSpec(0.3, 1.0), scatter.QuadratureConfig())
+    assert sorted(sizes) == [1, scatter.QuadratureConfig().nodes]
 
 
 def test_parameter_sweep_matches_single_calls(swept_params):
