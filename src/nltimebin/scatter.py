@@ -270,8 +270,9 @@ class NonlinearParams:
     transmitted norm, ``ell_nl`` the extra pair loss relative to two
     independent photons, and ``r_int * exp(i * theta_int)`` the
     normalized overlap between the pair output and the independent
-    product; ``phi_nl`` folds magnitude and phase of the overlap into
-    the single interference phase that drives the circuit fringe.
+    product, with ``theta_int`` in (-pi, pi]; ``phi_nl`` folds magnitude
+    and phase of the overlap into the single interference phase that
+    drives the circuit fringe.
     """
 
     delta: float
@@ -369,6 +370,10 @@ def _params_from_profile(pulse: PulseSpec, prof: _Profile) -> NonlinearParams:
     ell = 1.0 - p1 / eta
     r = abs(prof.overlap) / (eta * p1)
     theta = math.atan2(prof.overlap.imag, prof.overlap.real)
+    if theta == -math.pi:
+        # (-pi, pi], as vibsim.wrap_phase: at delta = 0 Im(overlap)
+        # vanishes exactly and only its rounding sign picks -pi.
+        theta = math.pi
     phi_nl = math.acos(min(1.0, max(-1.0, r * math.cos(theta))))
     return NonlinearParams(
         delta=pulse.delta,

@@ -76,7 +76,6 @@ _N_EARLY = 2 - _LATE
 _SAME_BIN = _LATE != 1
 _CLICK_BINNING = np.eye(3)[_LATE]
 
-NORM_EPSILON = 1e-12
 DEGENERATE_TOTAL = 1e-15
 
 LAYER_KINDS = (
@@ -86,10 +85,6 @@ LAYER_KINDS = (
     "nonlinear",
     "distinguishability",
 )
-
-
-class DegenerateStateError(ValueError):
-    """Raised when a state has lost essentially all two-photon weight."""
 
 
 @dataclass(frozen=True)
@@ -194,7 +189,7 @@ def new_input() -> TwoPhotonState:
     return TwoPhotonState(amps)
 
 
-def _two_boson_transfer(single: np.ndarray) -> np.ndarray:
+def two_boson_transfer(single: np.ndarray) -> np.ndarray:
     """Lift a 4x4 single-particle mode map to the 10-dim pair space.
 
     ``single[k, i]`` is the coefficient of mode k in the image of mode
@@ -215,7 +210,7 @@ def pair_tensor(amplitudes: np.ndarray) -> np.ndarray:
     times its pair norm.  For a single-photon map ``m`` from the modes
     onto any set of output slots, ``(m @ psi @ m.T)[s, t]`` with s != t
     is then the amplitude of one photon in slot s and one in slot t:
-    the same lift as ``_two_boson_transfer``, as one matrix product.
+    the same lift as ``two_boson_transfer``, as one matrix product.
     """
     scaled = np.asarray(amplitudes) * _PAIR_NORM
     psi = np.zeros((N_MODES, N_MODES), dtype=complex)
@@ -234,7 +229,7 @@ def _beam_splitter_single() -> np.ndarray:
     return single
 
 
-_BS_TRANSFER = _two_boson_transfer(_beam_splitter_single())
+_BS_TRANSFER = two_boson_transfer(_beam_splitter_single())
 
 
 def linear_phase_factors(phi: np.ndarray | float) -> np.ndarray:
@@ -256,7 +251,7 @@ def _distinguishability_transfer(theta_perp: float) -> np.ndarray:
     single[MODE_EARLY_ANCILLA, MODE_EARLY] = s
     single[MODE_EARLY, MODE_EARLY_ANCILLA] = -s
     single[MODE_EARLY_ANCILLA, MODE_EARLY_ANCILLA] = c
-    return _two_boson_transfer(single)
+    return two_boson_transfer(single)
 
 
 def _nonlinear_factors(phi_nl: float, ell_nl: float, eta: float) -> np.ndarray:

@@ -2,11 +2,11 @@
 
 A pair of coupled stretch oscillators, truncated to two excitation
 quanta, evolves freely in its eigenbasis.  Expressed in the localized
-basis this is exactly the interferometer sandwich the states module
-implements: a basis-change unitary, per-configuration phases (the
-anharmonic defects act as a nonlinear phase), and the inverse basis
-change.  Time enters only through phase accumulation, so every step is
-a lossless ten-amplitude evolution.
+basis this is the states module's two-boson lift of the basis-change
+unitary, a diagonal of per-configuration phases (the anharmonic defects
+act as a nonlinear phase), and the inverse lift.  Time enters only
+through the phase diagonal, so a whole trace is one lossless array
+expression over its times.
 
 Frequencies are wavenumbers (inverse centimeters), times picoseconds.
 All phases are computed from frequency differences rather than raw
@@ -16,7 +16,6 @@ wrapping, and the harmonic variant yields exactly zero nonlinearity.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -182,64 +181,50 @@ class TracePoint:
     anharmonic: bool
 
 
-def _mode_unitary_layers(u: np.ndarray) -> list[states.LayerSpec]:
-    """Decompose a 2x2 unitary into phase and splitter layers.
+def _trace_points(
+    times: np.ndarray,
+    spec: MoleculeSpec,
+    harmonic: bool,
+    input_mode: int,
+) -> list[TracePoint]:
+    """Occupancies at every time, from one lifted propagator.
 
-    Uses the interferometer form D1 * B * D2 * B * D3 with diagonal
-    phase layers around the fixed symmetric splitter; the overall
-    phase is dropped, which leaves pair probabilities unchanged.
+    The pair amplitudes are L^H diag(exp(i theta(t))) L a0, where L is
+    the states lift of the localization unitary on the three
+    ancilla-free configurations (2,0), (0,2), (1,1) and a0 puts both
+    quanta in mode ``input_mode``.  Zero time is the identity, so those
+    rows carry the input occupancy without rounding residue.
     """
-    mixing = math.atan2(abs(u[1, 0]), abs(u[0, 0]))
-    if abs(u[1, 0]) < 1e-12:
-        alpha, beta = cmath.phase(u[0, 0]), 0.0
-        gamma, delta = 0.0, cmath.phase(u[1, 1])
-    elif abs(u[0, 0]) < 1e-12:
-        beta = cmath.phase(u[1, 0]) - 0.5 * math.pi
-        alpha, gamma, delta = cmath.phase(u[0, 1]) - 0.5 * math.pi, 0.0, 0.0
-    else:
-        gamma = 0.0
-        alpha = cmath.phase(u[0, 0])
-        beta = cmath.phase(u[1, 0]) - 0.5 * math.pi
-        delta = cmath.phase(u[0, 1]) - 0.5 * math.pi - alpha
-    return [
-        states.linear_phase(gamma - delta),
-        states.beam_splitter_first(),
-        states.linear_phase(2.0 * mixing),
-        states.beam_splitter_second(),
-        states.linear_phase(alpha - beta),
-    ]
-
-
-def evolution_layers(t: float, spec: MoleculeSpec, harmonic: bool = False) -> list[states.LayerSpec]:
-    """The full localized -> eigenbasis -> localized layer sequence.
-
-    The eigenbasis phase diagonal splits into a linear phase and a
-    same-mode nonlinear phase; both are computed from frequency
-    differences, so the harmonic variant carries zero nonlinearity
-    exactly.
-    """
+    if input_mode not in (0, 1):
+        raise ValueError(f"input_mode must be 0 or 1, got {input_mode!r}")
     spec.validate()
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"evolution time must be non-negative, got {t!r}")
     if harmonic:
         spec = spec.harmonic_variant()
-    scale = -_RAD_PER_PS_CM * t
-    # diag(th20, th02, th11) over pair configurations, up to a global
-    # phase: a linear phase of (th20 - th02) / 2 plus a nonlinear phase
-    # of (th20 + th02) / 2 - th11 on the doubly occupied entries.
-    linear = 0.5 * scale * (spec.nu20 - spec.nu02)
-    kerr = 0.5 * scale * (spec.nu20 + spec.nu02 - 2.0 * spec.nu11)
-    u = spec.matrix
-    layers = _mode_unitary_layers(u)
-    layers.append(states.linear_phase(linear))
-    layers.append(states.nonlinear(kerr, 0.0, 1.0))
-    layers.extend(_mode_unitary_layers(u.conj().T))
-    return layers
-
-
-_SAME_LEFT = states.CONFIGURATIONS.index((2, 0, 0, 0))
-_SAME_RIGHT = states.CONFIGURATIONS.index((0, 2, 0, 0))
-_SEPARATE = states.CONFIGURATIONS.index((1, 1, 0, 0))
+    # diag(th20, th02, th11) over pair configurations, up to the global
+    # phase th11: a linear phase of (th20 - th02) / 2 plus a nonlinear
+    # phase of (th20 + th02) / 2 - th11 on the doubly occupied entries.
+    linear = 0.5 * (spec.nu20 - spec.nu02)
+    kerr = 0.5 * (spec.nu20 + spec.nu02 - 2.0 * spec.nu11)
+    theta = np.multiply.outer(-_RAD_PER_PS_CM * times, (kerr + linear, kerr - linear, 0.0))
+    single = np.eye(states.N_MODES, dtype=complex)
+    single[:2, :2] = spec.matrix
+    # The ancilla-free configurations lead states.CONFIGURATIONS.
+    lift = states.two_boson_transfer(single)[:3, :3]
+    # einsum, not @: BLAS takes another kernel for one row than for many,
+    # and each row must not depend on how many times share the call.
+    amps = np.einsum("tj,jk->tk", np.exp(1j * theta) * lift[:, input_mode], lift.conj())
+    weights = np.abs(amps) ** 2
+    weights[times == 0.0] = np.eye(3)[input_mode]
+    return [
+        TracePoint(
+            t=float(t),
+            p_separate=float(separate),
+            p_same_left=float(left),
+            p_same_right=float(right),
+            anharmonic=not harmonic,
+        )
+        for t, (left, right, separate) in zip(times, weights)
+    ]
 
 
 def evolve(
@@ -254,32 +239,9 @@ def evolve(
     excitations at t = 0.  The evolution is lossless, so the three
     occupancies sum to one up to rounding.
     """
-    if input_mode not in (0, 1):
-        raise ValueError(f"input_mode must be 0 or 1, got {input_mode!r}")
-    spec.validate()
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"evolution time must be non-negative, got {t!r}")
-    if t == 0.0:
-        # Zero time is the identity; skip the layer products so the
-        # initial occupancy is reproduced without rounding residue.
-        return TracePoint(
-            t=0.0,
-            p_separate=0.0,
-            p_same_left=1.0 if input_mode == 0 else 0.0,
-            p_same_right=0.0 if input_mode == 0 else 1.0,
-            anharmonic=not harmonic,
-        )
-    amps = np.zeros(states.N_CONFIGURATIONS, dtype=complex)
-    amps[_SAME_LEFT if input_mode == 0 else _SAME_RIGHT] = 1.0
-    state = states.apply_circuit(states.TwoPhotonState(amps), evolution_layers(t, spec, harmonic))
-    weights = np.abs(state.amplitudes) ** 2
-    return TracePoint(
-        t=float(t),
-        p_separate=float(weights[_SEPARATE]),
-        p_same_left=float(weights[_SAME_LEFT]),
-        p_same_right=float(weights[_SAME_RIGHT]),
-        anharmonic=not harmonic,
-    )
+    return _trace_points(np.array([float(t)]), spec, harmonic, input_mode)[0]
 
 
 def trace(
@@ -296,10 +258,8 @@ def trace(
         raise ValueError(f"n_steps must be at least 2, got {n_steps!r}")
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be positive, got {t_max!r}")
-    points = []
-    for t in np.linspace(0.0, t_max, n_steps):
-        points.append((evolve(float(t), spec), evolve(float(t), spec, harmonic=True)))
-    return points
+    times = np.linspace(0.0, t_max, n_steps)
+    return list(zip(_trace_points(times, spec, False, 0), _trace_points(times, spec, True, 0)))
 
 
 def phase_to_detuning(phi_nl_target: float, curve) -> float:

@@ -12,19 +12,24 @@ phase by phase, instead of the batched ten-configuration evolution;
 Simpson convolution of the transmission dip, where the package uses
 the Faddeeva Voigt profile; dict tables of detection slots summed
 pair by pair in Python, where the package lifts the state to the slots
-with one matrix product; and a grid search with a simplex polish of the
+with one matrix product; a grid search with a simplex polish of the
 pair-statistics chi-square, where the package solves the constrained
-least-squares problem directly.
+least-squares problem directly; and a splitter-and-phase layer circuit
+for the vibrational evolution, where the package lifts the localization
+once around a phase diagonal.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 
 import numpy as np
 from scipy import integrate, optimize
 from scipy.special import wofz
+
+from nltimebin import states
 
 TWO_PI = 2.0 * math.pi
 
@@ -413,3 +418,51 @@ def pair_occupancies(t_ps: float, freqs: dict, localization: np.ndarray) -> tupl
     start = np.array([1.0, 0.0, 0.0], dtype=complex)
     final = evo @ start
     return (abs(final[0]) ** 2, abs(final[1]) ** 2, abs(final[2]) ** 2)
+
+
+def mode_unitary_layers(u: np.ndarray) -> list:
+    """Decompose a 2x2 unitary into phase and splitter layers.
+
+    Uses the interferometer form D1 * B * D2 * B * D3 with diagonal
+    phase layers around the fixed symmetric splitter; the overall
+    phase is dropped, which leaves pair probabilities unchanged.
+    """
+    mixing = math.atan2(abs(u[1, 0]), abs(u[0, 0]))
+    if abs(u[1, 0]) < 1e-12:
+        alpha, beta = cmath.phase(u[0, 0]), 0.0
+        gamma, delta = 0.0, cmath.phase(u[1, 1])
+    elif abs(u[0, 0]) < 1e-12:
+        beta = cmath.phase(u[1, 0]) - 0.5 * math.pi
+        alpha, gamma, delta = cmath.phase(u[0, 1]) - 0.5 * math.pi, 0.0, 0.0
+    else:
+        gamma = 0.0
+        alpha = cmath.phase(u[0, 0])
+        beta = cmath.phase(u[1, 0]) - 0.5 * math.pi
+        delta = cmath.phase(u[0, 1]) - 0.5 * math.pi - alpha
+    return [
+        states.linear_phase(gamma - delta),
+        states.beam_splitter_first(),
+        states.linear_phase(2.0 * mixing),
+        states.beam_splitter_second(),
+        states.linear_phase(alpha - beta),
+    ]
+
+
+def evolution_layers(t_ps: float, spec, harmonic: bool = False) -> list:
+    """The localized -> eigenbasis -> localized circuit of a molecule, 12 layers.
+
+    The eigenbasis phase diagonal splits into a linear phase and a
+    same-mode nonlinear phase, both from frequency differences.
+    """
+    if harmonic:
+        spec = spec.harmonic_variant()
+    scale = -TWO_PI * 2.99792458e10 * 1e-12 * t_ps
+    linear = 0.5 * scale * (spec.nu20 - spec.nu02)
+    kerr = 0.5 * scale * (spec.nu20 + spec.nu02 - 2.0 * spec.nu11)
+    u = spec.matrix
+    return [
+        *mode_unitary_layers(u),
+        states.linear_phase(linear),
+        states.nonlinear(kerr, 0.0, 1.0),
+        *mode_unitary_layers(u.conj().T),
+    ]

@@ -162,6 +162,13 @@ def test_reference_parameters(swept_params):
     assert abs(abs(swept_params[(0.0, 0.26)].theta_int) - math.pi) < 1e-6
 
 
+@pytest.mark.parametrize("sigma", [0.0223, 0.0249])
+def test_resonant_overlap_phase_takes_the_upper_branch(sigma):
+    # At zero detuning the overlap is real and negative; its imaginary
+    # part is rounding noise whose sign used to pick -pi.
+    assert scatter.nonlinear_params(scatter.PulseSpec(0.0, sigma)).theta_int == math.pi
+
+
 def test_pair_norm_against_independent_quadrature(swept_params):
     for delta, sigma in [(0.0, 1.0), (1.0, 1.0)]:
         eta2 = swept_params[(delta, sigma)].eta ** 2

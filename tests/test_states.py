@@ -168,7 +168,7 @@ def _oracle_transfer(single: np.ndarray) -> np.ndarray:
 def test_lift_matches_pair_tensor_oracle(seed):
     rng = np.random.default_rng(seed)
     single = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    lift = states._two_boson_transfer(single)
+    lift = states.two_boson_transfer(single)
     assert np.max(np.abs(lift - _oracle_transfer(single))) < 1e-12
 
 

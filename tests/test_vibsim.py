@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from nltimebin import states, vibsim
 
-from _oracles import pair_occupancies
+from _oracles import evolution_layers, pair_occupancies
 
 WATER_PERIOD_PS = 1.0 / (2.99792458e10 * 1e-12 * (3740.05 - 3619.68))
 
@@ -82,10 +83,6 @@ def test_harmonic_step_phases_vanish_identically():
 def test_step_phase_reference_point():
     phases = vibsim.step_phases(0.5, vibsim.water_spec())
     assert abs(phases.phi_nl_0 - 2.067983916484) < 1e-9
-
-
-def test_evolution_uses_twelve_layers():
-    assert len(vibsim.evolution_layers(0.2, vibsim.water_spec())) == 12
 
 
 @settings(deadline=None, max_examples=50)
@@ -195,11 +192,81 @@ def test_detuning_lookup_rejects_bad_requests():
         vibsim.phase_to_detuning(0.5, [(0.0, 1.0), (1.0, 1.1), (2.0, 0.3)])
 
 
-def test_layer_products_stay_in_the_photonic_basis():
-    spec = vibsim.water_spec()
-    amps = np.zeros(states.N_CONFIGURATIONS, dtype=complex)
-    amps[0] = 1.0
-    evolved = states.apply_circuit(
-        states.TwoPhotonState(amps), vibsim.evolution_layers(0.3, spec)
+def unitary(theta: float, phi1: float, phi2: float, psi: float) -> np.ndarray:
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array(
+        [
+            [np.exp(1j * phi1) * c, np.exp(1j * phi2) * s],
+            [-np.exp(1j * (psi - phi2)) * s, np.exp(1j * (psi - phi1)) * c],
+        ]
     )
-    assert abs(evolved.norm_squared - 1.0) < 1e-12
+
+
+def localized(spec: vibsim.MoleculeSpec, u: np.ndarray) -> vibsim.MoleculeSpec:
+    return replace(spec, localization=tuple(tuple(complex(z) for z in row) for row in u))
+
+
+def test_layer_circuit_reproduces_the_lifted_propagator():
+    # Water, then a diagonal and an anti-diagonal localization: the
+    # splitter decomposition takes a separate branch for each.
+    spec = vibsim.water_spec()
+    localizations = (
+        spec.matrix,
+        unitary(0.0, 0.4, 0.0, -0.9),
+        unitary(0.5 * math.pi, 0.0, 1.3, 0.6),
+    )
+    for u in localizations:
+        molecule = localized(spec, u)
+        for input_mode in (0, 1):
+            start = np.zeros(states.N_CONFIGURATIONS, dtype=complex)
+            start[input_mode] = 1.0
+            for harmonic in (False, True):
+                for t in (0.07, 0.23, 0.41):
+                    layers = evolution_layers(t, molecule, harmonic)
+                    assert len(layers) == 12
+                    weights = np.abs(
+                        states.apply_circuit(states.TwoPhotonState(start), layers).amplitudes
+                    ) ** 2
+                    point = vibsim.evolve(t, molecule, harmonic=harmonic, input_mode=input_mode)
+                    mine = (point.p_same_left, point.p_same_right, point.p_separate)
+                    assert np.max(np.abs(np.array(mine) - weights[:3])) < 1e-12
+                    assert np.max(weights[3:]) < 1e-24
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    angles=st.tuples(
+        st.floats(0.0, 0.5 * math.pi),
+        st.floats(-math.pi, math.pi),
+        st.floats(-math.pi, math.pi),
+        st.floats(-math.pi, math.pi),
+    ),
+    t=st.floats(0.0, 1.0),
+    harmonic=st.booleans(),
+)
+def test_random_localizations_match_dense_matrix_oracle(angles, t, harmonic):
+    u = unitary(*angles)
+    molecule = localized(vibsim.water_spec(), u)
+    source = molecule.harmonic_variant() if harmonic else molecule
+    freqs = {"nu20": source.nu20, "nu02": source.nu02, "nu11": source.nu11}
+    ref = pair_occupancies(t, freqs, u)
+    point = vibsim.evolve(t, molecule, harmonic=harmonic)
+    mine = (point.p_same_left, point.p_same_right, point.p_separate)
+    assert max(abs(a - b) for a, b in zip(mine, ref)) < 1e-12
+
+
+@pytest.mark.parametrize("t_max, n_steps", [(0.5, 51), (2.3, 7)])
+def test_trace_rows_equal_evolve_bit_for_bit(t_max, n_steps):
+    spec = vibsim.water_spec()
+    for anharmonic, harmonic in vibsim.trace(t_max, n_steps, spec):
+        assert anharmonic == vibsim.evolve(anharmonic.t, spec)
+        assert harmonic == vibsim.evolve(harmonic.t, spec, harmonic=True)
+
+
+def test_zero_time_is_the_exact_input():
+    spec = vibsim.water_spec()
+    for harmonic in (False, True):
+        left = vibsim.evolve(0.0, spec, harmonic=harmonic, input_mode=0)
+        right = vibsim.evolve(0.0, spec, harmonic=harmonic, input_mode=1)
+        assert (left.p_same_left, left.p_same_right, left.p_separate) == (1.0, 0.0, 0.0)
+        assert (right.p_same_left, right.p_same_right, right.p_separate) == (0.0, 1.0, 0.0)
