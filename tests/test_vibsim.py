@@ -85,6 +85,10 @@ def test_step_phase_reference_point():
     assert abs(phases.phi_nl_0 - 2.067983916484) < 1e-9
 
 
+def test_evolution_uses_twelve_layers():
+    assert len(evolution_layers(0.2, vibsim.water_spec())) == 12
+
+
 @settings(deadline=None, max_examples=50)
 @given(
     t=st.floats(1e-3, 1.0),
@@ -204,6 +208,14 @@ def unitary(theta: float, phi1: float, phi2: float, psi: float) -> np.ndarray:
 
 def localized(spec: vibsim.MoleculeSpec, u: np.ndarray) -> vibsim.MoleculeSpec:
     return replace(spec, localization=tuple(tuple(complex(z) for z in row) for row in u))
+
+
+def test_layer_products_stay_in_the_photonic_basis():
+    spec = vibsim.water_spec()
+    amps = np.zeros(states.N_CONFIGURATIONS, dtype=complex)
+    amps[0] = 1.0
+    evolved = states.apply_circuit(states.TwoPhotonState(amps), evolution_layers(0.3, spec))
+    assert abs(evolved.norm_squared - 1.0) < 1e-12
 
 
 def test_layer_circuit_reproduces_the_lifted_propagator():
