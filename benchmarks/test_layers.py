@@ -119,7 +119,7 @@ def test_fit_fringe(benchmark):
 @pytest.mark.parametrize("points", [512, 262_144])
 def test_faddeeva(benchmark, points):
     # The bound-channel arguments of a unit-width pulse: a profile panel
-    # pair has 512 of them, the jti frequency grid 512^2.
+    # pair has 512 of them; 512^2 is the large-array regime.
     s = np.linspace(-16.0, 16.0, points)
     z = (0.5 * s + 1j) / math.sqrt(2.0)
     out = benchmark(scatter.faddeeva, z)

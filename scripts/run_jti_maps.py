@@ -24,7 +24,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--grid", type=int, default=256, help="time grid size")
     parser.add_argument("--span", type=float, default=6.0,
-                        help="half width of the time window, in pulse widths")
+                        help="half width of the time window, in emitter lifetimes")
     parser.add_argument("--sigma", type=float, default=1.0, help="pulse bandwidth")
     parser.add_argument("--far-delta", type=float, default=1000.0,
                         help="detuning used for the factorized reference map")

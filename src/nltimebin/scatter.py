@@ -18,14 +18,16 @@ passes lies in the upper half-plane, where that approximation holds.
 The pair norm and overlap are then one-dimensional integrals over the
 total frequency, taken by Gauss-Legendre quadrature on two panels split
 at the emitter line; node doubling certifies convergence.  Time maps are
-transformed from a Gauss-Legendre frequency grid.
+exact in the time difference: at fixed total frequency the integral over
+the frequency difference is a residue, so a map is two 1D transforms on
+the same panels, certified by node doubling too.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -101,10 +103,10 @@ class QuadratureConfig:
     frequency s = x + y within ``2 * half_width`` pulse widths of twice
     the pulse center; ``nodes`` counts those s-grid nodes, split into two
     Gauss-Legendre panels of ``nodes // 2`` at the emitter line s = 0
-    (at the window centre when the line lies outside).  ``nodes`` also
-    sizes the frequency grid that ``jti`` and ``circuit_jti`` transform
-    to detection times.  The bound channel, the single-photon norm and
-    the integrals over the frequency difference are closed forms.
+    (at the window centre when the line lies outside).  ``jti`` and
+    ``circuit_jti`` transform to detection times on the same panels.  The
+    bound channel, the single-photon norm and the integrals over the
+    frequency difference are closed forms.
     """
 
     half_width: float = 8.0
@@ -223,19 +225,6 @@ def bound_channel_integral(s: np.ndarray | float, pulse: PulseSpec) -> np.ndarra
     return complex(values) if values.ndim == 0 else values
 
 
-def _pair_terms(
-    x: np.ndarray, y: np.ndarray, weight: np.ndarray, pulse: PulseSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Independent product and bound term of the pair amplitude at ``(x, y)``.
-
-    ``weight`` is the bound-channel weight at the total frequency ``x + y``.
-    Both terms share the emitter poles: t(x) t(y) = x y / ((x + i)(y + i)).
-    """
-    pole = 1.0 / ((x + 1j) * (y + 1j))
-    product = (x * y) * (gaussian_spectrum(x, pulse) * gaussian_spectrum(y, pulse)) * pole
-    return product, (1j / TWO_PI) * weight * pole
-
-
 def two_photon_output(
     x: np.ndarray | float,
     y: np.ndarray | float,
@@ -253,8 +242,10 @@ def two_photon_output(
     # argument orders differently.
     lo = np.minimum(x, y)
     hi = np.maximum(x, y)
-    product, bound = _pair_terms(lo, hi, bound_channel_integral(lo + hi, pulse), pulse)
-    result = product + bound
+    # Both terms share the emitter poles: t(x) t(y) = x y / ((x + i)(y + i)).
+    pole = 1.0 / ((lo + 1j) * (hi + 1j))
+    product = (lo * hi) * (gaussian_spectrum(lo, pulse) * gaussian_spectrum(hi, pulse)) * pole
+    result = product + (1j / TWO_PI) * bound_channel_integral(lo + hi, pulse) * pole
     return complex(result) if result.ndim == 0 else result
 
 
@@ -387,6 +378,18 @@ def _params_from_profile(pulse: PulseSpec, prof: _Profile) -> NonlinearParams:
     )
 
 
+def _check_doubling(drift: float, what: str, pulse: PulseSpec, quad: QuadratureConfig) -> None:
+    """Raise ``QuadratureError`` unless node doubling moved a result by at most 1e-6."""
+    budget = 1e-6
+    if not drift <= budget:
+        raise QuadratureError(
+            f"pulse delta={float(pulse.delta)!r}, sigma={float(pulse.sigma)!r}: "
+            f"{what} drift {drift:.2e} under node doubling exceeds the {budget:.0e} "
+            f"budget at half_width={quad.half_width}, nodes={quad.nodes}; "
+            "widen the window or increase nodes"
+        )
+
+
 def _checked_profile(pulse: PulseSpec, quad: QuadratureConfig) -> _Profile:
     """The pulse profile, once its parameters settle under node doubling.
 
@@ -396,21 +399,13 @@ def _checked_profile(pulse: PulseSpec, quad: QuadratureConfig) -> _Profile:
     """
     prof = _profile(pulse, quad)
     base = _params_from_profile(pulse, prof)
-    doubled = QuadratureConfig(half_width=quad.half_width, nodes=2 * quad.nodes)
-    fine = _params_from_profile(pulse, _profile(pulse, doubled))
+    fine = _params_from_profile(pulse, _profile(pulse, replace(quad, nodes=2 * quad.nodes)))
     drift = max(
         abs(base.eta - fine.eta) / fine.eta,
         abs(base.ell_nl - fine.ell_nl),
         abs(base.phi_nl - fine.phi_nl),
     )
-    budget = 1e-6
-    if drift > budget:
-        raise QuadratureError(
-            f"pulse delta={float(pulse.delta)!r}, sigma={float(pulse.sigma)!r}: "
-            f"parameter drift {drift:.2e} under node doubling exceeds the {budget:.0e} "
-            f"budget at half_width={quad.half_width}, nodes={quad.nodes}; "
-            "widen the window or increase nodes"
-        )
+    _check_doubling(drift, "parameter", pulse, quad)
     return prof
 
 
@@ -493,37 +488,57 @@ def _check_time_window(pulse: PulseSpec, times: np.ndarray) -> None:
         warnings.warn(
             f"pulse duration {duration:.2f} lifetimes exceeds the time window "
             f"[{times.min():.2f}, {times.max():.2f}]; intensities will be truncated",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
-def _time_amplitudes(
-    pulse: PulseSpec,
-    quad: QuadratureConfig,
-    times: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pair amplitude on the time grid and the single-photon wavepacket."""
-    pulse.validate()
-    quad.validate()
-    hw = quad.half_width * pulse.sigma
-    x, w_x = _scaled_gl(pulse.delta - hw, pulse.delta + hw, quad.nodes)
-    f_x = transmission_coefficient(x) * gaussian_spectrum(x, pulse)
-    col, row = x[:, None], x[None, :]
-    product, bound = _pair_terms(col, row, bound_channel_integral(col + row, pulse), pulse)
+def _time_amplitude(
+    pulse: PulseSpec, quad: QuadratureConfig, times: np.ndarray, a: complex, b: complex
+) -> np.ndarray:
+    """a psi(t1, t2) + b f(t1) f(t2) from the pair amplitude psi and the wavepacket f.
 
-    phases = np.exp(-1j * np.outer(times, x)) * w_x[None, :]
-    psi_t = phases @ (product + bound) @ phases.T / TWO_PI
-    f_t = (phases @ f_x) / math.sqrt(TWO_PI)
-    return psi_t, f_t
+    At fixed total frequency s the integral over the frequency difference
+    has one emitter pole in each half-plane, so psi is exactly
+    exp(-|t1 - t2|) g(min(t1, t2)) + f(t1) f(t2) with g(t) = (1/4 pi)
+    int ds I(s) exp(-i s t) / (s/2 + i), I the bound channel, and f the
+    transform of the transmitted pulse spectrum at x = s/2: two 1D
+    transforms on the total-frequency panels.
+    """
+    s, w_s = _total_frequency_grid(pulse, quad)
+    x = 0.5 * s
+    # exp(-i s t) is the square of exp(-i x t): one complex exp for both kernels.
+    half = np.exp(-1j * np.outer(times, x))
+    f_x = transmission_coefficient(x) * gaussian_spectrum(x, pulse)
+    f_t = half @ (0.5 * w_s * f_x) / math.sqrt(TWO_PI)
+    g_t = (half * half) @ (w_s * bound_channel_integral(s, pulse) / (x + 1j)) / (2.0 * TWO_PI)
+    col, row = times[:, None], times[None, :]
+    bound = np.exp(-np.abs(col - row)) * np.where(col <= row, g_t[:, None], g_t[None, :])
+    return a * bound + (a + b) * np.outer(f_t, f_t)
 
 
 def _symmetric_intensity(amplitude: np.ndarray) -> np.ndarray:
     """Intensity of a pair amplitude that is symmetric in exact arithmetic.
 
-    Averaging with the transpose removes summation-order and product-order
-    rounding, so the returned map is exactly symmetric.
+    Averaging with the transpose removes product-order rounding of
+    f(t1) f(t2), so the returned map is exactly symmetric.
     """
     return np.abs(0.5 * (amplitude + amplitude.T)) ** 2
+
+
+def _time_map(
+    pulse: PulseSpec, quad: QuadratureConfig, times: np.ndarray | None, a: complex, b: complex
+) -> JointTimeIntensity:
+    """Intensity of ``_time_amplitude``, once it settles under node doubling."""
+    if times is None:
+        times = _default_times()
+    times = np.asarray(times, dtype=float)
+    pulse.validate()
+    quad.validate()
+    _check_time_window(pulse, times)
+    base = _time_amplitude(pulse, quad, times, a, b)
+    fine = _time_amplitude(pulse, replace(quad, nodes=2 * quad.nodes), times, a, b)
+    _check_doubling(float(np.max(np.abs(fine - base)) / np.max(np.abs(base))), "map", pulse, quad)
+    return JointTimeIntensity(times=times, intensity=_symmetric_intensity(base))
 
 
 def jti(
@@ -531,13 +546,14 @@ def jti(
     quad: QuadratureConfig = DEFAULT_QUADRATURE,
     times: np.ndarray | None = None,
 ) -> JointTimeIntensity:
-    """Joint detection-time intensity of the bare scattered pair."""
-    if times is None:
-        times = _default_times()
-    times = np.asarray(times, dtype=float)
-    _check_time_window(pulse, times)
-    psi_t, _ = _time_amplitudes(pulse, quad, times)
-    return JointTimeIntensity(times=times, intensity=_symmetric_intensity(psi_t))
+    """Joint detection-time intensity of the bare scattered pair.
+
+    Raises ``QuadratureError`` when node doubling moves the pair amplitude
+    by more than 1e-6 of its peak.  With the default quadrature and times
+    the map resolves, measured, for ``sigma`` from 0.02 to 5 at ``delta``
+    of 0, 1 and 5; ``sigma`` of 10 and wider raise.
+    """
+    return _time_map(pulse, quad, times, 1.0, 0.0)
 
 
 def circuit_jti(
@@ -546,16 +562,13 @@ def circuit_jti(
     quad: QuadratureConfig = DEFAULT_QUADRATURE,
     times: np.ndarray | None = None,
 ) -> JointTimeIntensity:
-    """Joint detection-time intensity of the both-photons-one-port pattern."""
-    if times is None:
-        times = _default_times()
-    times = np.asarray(times, dtype=float)
-    _check_time_window(pulse, times)
-    psi_t, f_t = _time_amplitudes(pulse, quad, times)
-    a = (np.exp(2j * phi) + 1.0) / 4.0
-    b = np.exp(1j * phi) / 2.0
-    amplitude = a * psi_t + b * np.outer(f_t, f_t)
-    return JointTimeIntensity(times=times, intensity=_symmetric_intensity(amplitude))
+    """Joint detection-time intensity of the both-photons-one-port pattern.
+
+    Its amplitude is ``a * psi + b * f(t1) f(t2)`` at the interferometer
+    phase ``phi``.  Resolves over the same domain as ``jti`` and raises
+    ``QuadratureError`` outside it.
+    """
+    return _time_map(pulse, quad, times, (np.exp(2j * phi) + 1.0) / 4.0, np.exp(1j * phi) / 2.0)
 
 
 def factorization_residual(intensity: np.ndarray) -> float:

@@ -6,7 +6,10 @@ closed form; adaptive quadrature over the photons' frequency difference
 and a 2D rotated grid for the pair norm, where the package integrates
 closed forms over the total frequency alone; per-phase grid integrals
 of the fringe on a grid of its own, where the package expands the
-fringe into three pulse integrals; a dense two-boson transfer matrix
+fringe into three pulse integrals; a 2D transform over a square
+frequency window, QAWF over the frequency difference and adaptive
+quadrature of the equal-time amplitude, where the package takes joint
+time maps from two 1D transforms; a dense two-boson transfer matrix
 instead of layered evolution; a first-quantized pair tensor, evolved
 phase by phase, instead of the batched ten-configuration evolution;
 Simpson convolution of the transmission dip, where the package uses
@@ -201,6 +204,85 @@ def full_statistics_per_phase(phis, delta: float, sigma: float, nodes: int = 768
         out[k, 1] = eta2 * abs(c) ** 2
         out[k, 2] = np.sum(weights * np.abs(a * psi - b * ff) ** 2)
     return out
+
+
+def windowed_time_amplitudes(times, delta: float, sigma: float, half_width: float = 8.0,
+                             nodes: int = 512):
+    """Product and bound term of the pair amplitude at detection times (t1, t2).
+
+    The 2D transform of both terms over a square window of
+    ``half_width`` pulse widths around the pulse centre in each photon's
+    frequency, on a ``nodes`` x ``nodes`` Gauss-Legendre grid.  The window
+    cuts the 1/d^2 tails of the bound term in the frequency difference d,
+    so its bound term converges only as 1/half_width.
+    """
+    u, wu = np.polynomial.legendre.leggauss(nodes)
+    x = delta + half_width * sigma * u
+    phases = np.exp(-1j * np.outer(times, x)) * (half_width * sigma * wu)
+    col, row = x[:, None], x[None, :]
+    pole = 1.0 / ((col + 1j) * (row + 1j))
+    bound = (1j / TWO_PI) * bound_integral_faddeeva(col + row, delta, sigma) * pole
+    return tuple(phases @ k @ phases.T / TWO_PI for k in (_product(col, row, delta, sigma), bound))
+
+
+def difference_integral_qawf(s: float, tau: float) -> complex:
+    """``int dd exp(-i d tau / 2) / ((s/2 + i)^2 - d^2 / 4)`` over R by QAWF.
+
+    The integrand is even in d, so it is twice the cosine transform over
+    [0, inf), taken by ``quad`` with the cos weight (plain ``quad`` at
+    tau = 0).
+    """
+    a = 0.5 * s + 1j
+
+    def part(fn):
+        weight = {"weight": "cos", "wvar": 0.5 * abs(tau)} if tau else {}
+        return integrate.quad(fn, 0.0, np.inf, epsabs=1e-11, limit=200, **weight)[0]
+
+    return 2.0 * complex(
+        part(lambda d: (1.0 / (a * a - 0.25 * d * d)).real),
+        part(lambda d: (1.0 / (a * a - 0.25 * d * d)).imag),
+    )
+
+
+def bound_time_term_qawf(t1: float, t2: float, s, w_s, delta: float, sigma: float) -> complex:
+    """Bound term of the pair amplitude at (t1, t2) on a given total-frequency rule.
+
+    In s = x + y and d = x - y the transform of (i / 2 pi) I(s) / ((x + i)(y + i))
+    is (i / 8 pi^2) int ds I(s) exp(-i s (t1 + t2) / 2) J(s, t1 - t2), with
+    J the integral over d, here by ``difference_integral_qawf``.
+    """
+    inner = np.array([difference_integral_qawf(v, t1 - t2) for v in s])
+    weights = w_s * bound_integral_faddeeva(s, delta, sigma) * np.exp(-0.5j * s * (t1 + t2))
+    return 1j / (8.0 * math.pi**2) * complex(weights @ inner)
+
+
+def diagonal_pair_amplitude_quad(t: float, delta: float, sigma: float) -> complex:
+    """Pair amplitude at equal detection times, g(t) + f(t)^2, by adaptive quadrature.
+
+    g(t) = (1 / 4 pi) int ds I(s) exp(-i s t) / (s/2 + i) within 40 pulse
+    widths of 2 delta, and f(t) the transform of the transmitted pulse
+    within 20 pulse widths of delta, both split at the pulse centre and
+    at the emitter line.
+    """
+
+    def transform(values, centre: float, edge: float) -> complex:
+        lo, hi = centre - edge, centre + edge
+        points = [centre] + ([0.0] if lo < 0.0 < hi else [])
+        re, im = integrate.quad_vec(
+            lambda v: np.array([values(v).real, values(v).imag]),
+            lo, hi, epsabs=1e-14, epsrel=1e-12, norm="max", points=points,
+        )[0]
+        return complex(re, im)
+
+    g = transform(
+        lambda s: bound_integral_faddeeva(s, delta, sigma) * np.exp(-1j * s * t) / (0.5 * s + 1j),
+        2.0 * delta, 40.0 * sigma,
+    ) / (2.0 * TWO_PI)
+    f = transform(
+        lambda x: x / (x + 1j) * _spectrum(x, delta, sigma) * np.exp(-1j * x * t),
+        delta, 20.0 * sigma,
+    ) / math.sqrt(TWO_PI)
+    return g + f * f
 
 
 # Pair-tensor model over the modes (early, late, early ancilla, late

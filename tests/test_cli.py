@@ -200,6 +200,11 @@ def test_quadrature_failure_maps_to_exit_three(tmp_path, capsys):
     assert "sigma=10000.0" in err
 
 
+def test_unresolved_time_map_maps_to_exit_three(tmp_path, capsys):
+    assert run(["jti", "--sigma", 10, "--out", tmp_path / "x"]) == 3
+    assert "map drift" in capsys.readouterr().err
+
+
 def test_far_detuned_fringe_reports_full_visibility(tmp_path):
     out = tmp_path / "far"
     assert run(["fringe", "--delta", 20, "--grid", 101, "--out", out]) == 0

@@ -14,12 +14,15 @@ from nltimebin import scatter
 
 from _oracles import (
     bound_integral_quadrature,
+    bound_time_term_qawf,
+    diagonal_pair_amplitude_quad,
     difference_kernel_quad,
     full_statistics_per_phase,
     lorentzian_convolution_quad,
     pair_norm_faddeeva,
     pair_profile_quad,
     pair_wavefunction_quadrature,
+    windowed_time_amplitudes,
 )
 
 # Effective parameters frozen after verifying stability to 2e-12 under
@@ -284,8 +287,8 @@ def test_parameters_resolve_across_the_stated_width_domain(delta, sigma):
 
 
 def test_default_quadrature_builds_no_doubled_legendre_rule(monkeypatch):
-    # Profiles use two panels of nodes // 2 (256, and 512 when doubled) and
-    # jti one 512-node grid, so no 1024-node rule is ever built.
+    # Profiles and time maps use two panels of nodes // 2 (256, and 512
+    # when doubled), so no 1024-node rule is ever built.
     orders = []
     build = np.polynomial.legendre.leggauss
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: orders.append(n) or build(n))
@@ -359,6 +362,15 @@ def test_jti_total_matches_pair_norm(resonant_jti, swept_params):
     assert abs(resonant_jti.total - eta2) / eta2 < 5e-3
 
 
+def test_narrow_pulse_jti_total_matches_pair_norm():
+    # The rectangle rule of ``total`` over the diagonal cusp errs as the
+    # squared time step, so this pulse takes the CLI's 256-point grid
+    # (on 96 points it is 1e-2 off).
+    pulse = scatter.PulseSpec(0.0, 0.3)
+    eta2 = scatter.nonlinear_params(pulse).eta ** 2
+    assert abs(scatter.jti(pulse).total - eta2) / eta2 < 5e-3
+
+
 def test_far_detuned_jti_factorizes():
     times = np.linspace(-8.0, 8.0, 96)
     result = scatter.jti(scatter.PulseSpec(1000.0, 1.0), times=times)
@@ -370,6 +382,71 @@ def test_resonant_jti_diagonal_enhanced(resonant_jti):
     diagonal = float(np.mean(np.diag(intensity)))
     anti = float(np.mean(np.diag(np.fliplr(intensity))))
     assert diagonal > anti
+
+
+@pytest.mark.parametrize("sigma", [10.0, 400.0])
+def test_unresolved_time_map_is_reported(sigma):
+    pulse = scatter.PulseSpec(0.0, sigma)
+    with pytest.raises(scatter.QuadratureError, match=rf"sigma={sigma!r}: map drift .*1e-06 budget"):
+        scatter.jti(pulse)
+    with pytest.raises(scatter.QuadratureError):
+        scatter.circuit_jti(0.4, pulse)
+
+
+@pytest.mark.filterwarnings("ignore:pulse duration")
+@pytest.mark.parametrize("delta", [0.0, 1.0, 5.0])
+@pytest.mark.parametrize("sigma", [0.02, 5.0])
+def test_time_map_resolves_across_the_stated_width_domain(delta, sigma):
+    result = scatter.jti(scatter.PulseSpec(delta, sigma))
+    assert np.all(np.isfinite(result.intensity)) and result.intensity.max() > 0.0
+
+
+def _time_terms(delta, sigma, times, quad=scatter.DEFAULT_QUADRATURE):
+    # (a, b) = (0, 1) picks f(t1) f(t2) out of a psi + b f f, (1, -1) the bound term.
+    pulse = scatter.PulseSpec(delta, sigma)
+    return tuple(scatter._time_amplitude(pulse, quad, times, a, b) for a, b in ((0, 1), (1, -1)))
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.7])
+def test_windowed_transform_oracle_product_term_and_bound_term_convergence(delta):
+    # The square frequency window of the 2D transform gets the product
+    # term right but cuts the bound term's tails in the frequency
+    # difference, so its error against the exact form halves as the
+    # window doubles.
+    times = np.linspace(-8.0, 8.0, 64)
+    product, bound = _time_terms(delta, 1.0, times)
+    peak = np.max(np.abs(product + bound))
+    narrow_product, narrow_bound = windowed_time_amplitudes(times, delta, 1.0, half_width=8.0)
+    _, wide_bound = windowed_time_amplitudes(times, delta, 1.0, half_width=16.0)
+    assert np.max(np.abs(narrow_product - product)) < 1e-14
+    narrow = np.max(np.abs(narrow_bound - bound)) / peak
+    wide = np.max(np.abs(wide_bound - bound)) / peak
+    assert 0.05 < narrow < 0.2
+    assert 0.4 < wide / narrow < 0.6
+
+
+def test_bound_time_term_matches_difference_integral_by_qawf():
+    # Same total-frequency rule on both sides, so only the integral over
+    # the frequency difference differs: the closed form against QAWF.
+    delta, sigma = 0.7, 1.0
+    times = np.array([0.0, 0.3, 1.5, 4.0])
+    quad = scatter.QuadratureConfig(nodes=64)
+    _, bound = _time_terms(delta, sigma, times, quad)
+    s, w_s = scatter._total_frequency_grid(scatter.PulseSpec(delta, sigma), quad)
+    for i, j in zip(*np.triu_indices(times.size)):
+        expected = bound_time_term_qawf(times[i], times[j], s, w_s, delta, sigma)
+        assert abs(bound[i, j] - expected) < 1e-8, (times[i], times[j])
+
+
+@pytest.mark.parametrize("delta, sigma", [(0.0, 1.0), (0.7, 1.0), (0.0, 0.3)])
+def test_equal_time_amplitude_matches_adaptive_quadrature(delta, sigma):
+    times = np.linspace(-8.0, 8.0, 64)
+    product, bound = _time_terms(delta, sigma, times)
+    psi = product + bound
+    peak = np.max(np.abs(psi))
+    for k in (20, 28, 32, 36, 44):
+        expected = diagonal_pair_amplitude_quad(times[k], delta, sigma)
+        assert abs(psi[k, k] - expected) < 1e-7 * peak, times[k]
 
 
 def test_long_pulse_triggers_window_warning():
