@@ -72,6 +72,17 @@ def test_nonlinear_params_cold(benchmark, delta, sigma):
     assert 0.0 < params.eta <= 1.0
 
 
+def test_legendre_rules_cold(benchmark):
+    # The two panel rules a fresh process builds: 256 nodes, and 512 for
+    # the node-doubling check.
+    def cold():
+        scatter._leggauss.cache_clear()
+        return scatter._leggauss(256), scatter._leggauss(512)
+
+    rules = benchmark(cold)
+    assert rules[1][0].shape == (512,)
+
+
 def test_full_statistics(benchmark):
     phis = np.linspace(0.0, 2.0 * math.pi, 101)
     out = benchmark(scatter.full_statistics, phis, scatter.PulseSpec(0.0, 1.0))

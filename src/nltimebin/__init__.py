@@ -5,11 +5,20 @@ scattering of pulses on a two-level emitter (``scatter``), the
 interferometer measurement model (``circuit``), estimation routines
 (``fit``), vibrational dynamics mapped onto the same circuit
 (``vibsim``), and a command-line artifact generator (``cli``).
+Submodules load on first attribute access, so a CLI subcommand imports
+only the modules it uses.
 """
 
 from __future__ import annotations
 
-from . import circuit, fit, scatter, states, vibsim
-
 __all__ = ["circuit", "fit", "scatter", "states", "vibsim"]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # ``__import__``, not ``importlib.import_module``: only imports through
+    # ``__import__`` show in the ``python -X importtime`` log perfbench reads.
+    if name in __all__:
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,6 +25,7 @@ once around a phase diagonal.
 from __future__ import annotations
 
 import cmath
+import decimal
 import itertools
 import math
 
@@ -109,6 +110,35 @@ def pair_norm_faddeeva(delta: float, sigma: float, nodes: int = 768) -> float:
     x, y, weights = _rotated_grid(delta, sigma, nodes)
     psi = pair_wavefunction_faddeeva(x, y, delta, sigma)
     return float(np.sum(weights * np.abs(psi) ** 2))
+
+
+def legendre_node_decimal(n: int, x0: float, digits: int = 40) -> tuple[float, float]:
+    """One Gauss-Legendre node and weight of order n, in ``digits``-digit decimals.
+
+    Newton's method in x from ``x0`` on the three-term recurrence, and
+    w = 2 (1 - x^2) / (n P_{n-1}(x))^2, all in ``decimal`` arithmetic, so
+    near x = +-1 neither the node nor the recurrence loses digits to
+    double rounding.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+
+        def legendre(x):
+            p0, p1 = decimal.Decimal(1), x
+            for j in range(1, n):
+                p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+            return p1, p0
+
+        x = decimal.Decimal(x0)
+        tiny = decimal.Decimal(10) ** (8 - digits)
+        for _ in range(20):
+            pn, pm = legendre(x)
+            step = pn * (x * x - 1) / (n * (x * pn - pm))
+            x -= step
+            if abs(step) < tiny:
+                break
+        _, pm = legendre(x)
+        return float(x), float(2 * (1 - x * x) / (n * pm) ** 2)
 
 
 def _split_quad(f, points) -> float:

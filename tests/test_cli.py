@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from nltimebin import cli, scatter
+from nltimebin import circuit, cli, scatter
 
 FRAME = scatter.EmitterFrame()
 
@@ -270,6 +270,52 @@ def test_subcommands_load_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+LOADED_MODULES = {
+    "characterize": (["characterize", "--sigma", "0.5", "--grid", "3"], ["cli", "scatter"]),
+    "jti": (["jti", "--delta", "0.3", "--grid", "16"], ["cli", "scatter"]),
+    "fringe": (["fringe", "--delta", "0.3", "--grid", "9"], ["circuit", "cli", "scatter", "states"]),
+    "water": (["water", "--steps", "5"], ["cli", "scatter", "states", "vibsim"]),
+    "fit": (["fit", "--data", "{data}"], ["circuit", "cli", "fit", "scatter", "states"]),
+}
+
+
+@pytest.mark.parametrize("name", list(LOADED_MODULES))
+def test_each_subcommand_loads_only_the_modules_it_uses(name, tmp_path):
+    argv, expected = LOADED_MODULES[name]
+    data = tmp_path / "stats.csv"
+    phis = np.linspace(0.15, 2.95, 9)
+    rows = np.column_stack([phis, circuit.model_triple(phis, 0.8, 0.2)])
+    np.savetxt(data, rows, delimiter=",", header="phi,p20,p11,p02", comments="")
+    argv = [arg.format(data=data) for arg in argv] + ["--out", str(tmp_path / "out")]
+    code = (
+        "import json, sys\n"
+        "from nltimebin import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(json.dumps([sorted(m.split('.', 1)[1] for m in sys.modules"
+        " if m.startswith('nltimebin.')), 'numpy.polynomial' in sys.modules]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [expected, False]
+    # perfbench times imports from this log, lazy ones included.
+    logged = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {m for m in logged if m.startswith("nltimebin.")} == {f"nltimebin.{m}" for m in expected}
+
+
+def test_package_attributes_load_their_submodules():
+    code = (
+        "import sys\n"
+        "import nltimebin\n"
+        "print(sorted(m for m in sys.modules if m.startswith('nltimebin.')))\n"
+        "print(nltimebin.fit.fit_nl.__module__)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "nltimebin.fit"]
 
 
 def test_only_the_simplex_fits_load_the_optimizer():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from _oracles import (
     diagonal_pair_amplitude_quad,
     difference_kernel_quad,
     full_statistics_per_phase,
+    legendre_node_decimal,
     lorentzian_convolution_quad,
     pair_norm_faddeeva,
     pair_profile_quad,
@@ -290,15 +292,43 @@ def test_default_quadrature_builds_no_doubled_legendre_rule(monkeypatch):
     # Profiles and time maps use two panels of nodes // 2 (256, and 512
     # when doubled), so no 1024-node rule is ever built.
     orders = []
-    build = np.polynomial.legendre.leggauss
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: orders.append(n) or build(n))
-    scatter._leggauss.cache_clear()
+    build = scatter._leggauss.__wrapped__
+    spy = lru_cache(maxsize=32)(lambda n: orders.append(n) or build(n))
+    monkeypatch.setattr(scatter, "_leggauss", spy)
     scatter._profile.cache_clear()
     pulse = scatter.PulseSpec(0.3, 1.0)
     scatter.nonlinear_params(pulse)
     scatter.full_statistics([0.0, 1.0], pulse)
     scatter.jti(pulse, times=np.linspace(-8.0, 8.0, 16))
     assert sorted(orders) == [256, 512]
+
+
+@pytest.mark.parametrize("n", [32, 33, 65, 256, 512, 1024])
+def test_legendre_rule_matches_numpy(n):
+    nodes, weights = scatter._leggauss(n)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+    assert np.abs(nodes - ref_nodes).max() <= 4e-16
+    relative = np.abs(weights / ref_weights - 1.0)
+    # numpy's endpoint weights drift like n^2 eps: at n = 1024 its first
+    # weight is off by 1.2e-9 from a 40-digit reference, which the next
+    # test checks this rule against.
+    assert relative.max() <= (2e-9 if n == 1024 else 1e-9)
+    assert relative[np.abs(ref_nodes) <= 0.9].max() <= 1e-12
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    powers = np.arange(0, 2 * n - 1, 2)
+    moments = (weights * nodes ** powers[:, None]).sum(axis=1)
+    assert np.abs(moments - 2.0 / (powers + 1.0)).max() <= 1e-13
+    if n % 2:
+        assert nodes[n // 2] == 0.0
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024])
+def test_legendre_endpoint_weights_match_a_high_precision_reference(n):
+    nodes, weights = scatter._leggauss(n)
+    for k in (n - 1, n - 2, n - 3):
+        node, weight = legendre_node_decimal(n, float(nodes[k]))
+        assert abs(nodes[k] - node) <= 1.2e-16
+        assert abs(weights[k] / weight - 1.0) <= 1e-13
 
 
 def test_profile_evaluates_the_faddeeva_function_once_on_its_grid(monkeypatch):
