@@ -117,6 +117,8 @@ def test_fit_rt(benchmark, qd):
         rounds=5, iterations=1,
     )
     assert result.converged
+    assert abs(result.parameters["beta"] - qd.beta) < 1e-6
+    assert abs(result.parameters["sigma_sd"] - qd.sigma_sd) < 1e-6 * qd.sigma_sd
 
 
 def test_fit_fringe(benchmark):

@@ -1,11 +1,13 @@
 """Model fitting for transmission spectra, fringes, and pair statistics.
 
 The experiment-facing fits of the transmission dip, the interference
-fringes and the nonlinear-phase parameters.  Fringes and pair
-statistics are linear in a few coefficients and fitted by direct
-solves; the dip and ``minimize`` use a deterministic simplex search
-from ``scipy.optimize``, loaded on their first call.  Uncertainties come
-from the curvature of the objective at the optimum.
+fringes and the nonlinear-phase parameters, on numpy alone.  Fringes
+and pair statistics are linear in a few coefficients and fitted by
+direct solves; the dip, linear in its depth, by a projected
+Levenberg-Marquardt (damped Gauss-Newton) solve on its exact Jacobian.
+Uncertainties are the delta method on the Fisher matrix at the
+optimum, infinite where the map to a reported parameter is infinitely
+steep.
 """
 
 from __future__ import annotations
@@ -17,87 +19,6 @@ import numpy as np
 
 from . import circuit
 from .scatter import faddeeva
-
-
-@dataclass(frozen=True)
-class MinimizeResult:
-    """An optimum, its objective value, the work done, and (if converged) its Hessian."""
-
-    x: np.ndarray
-    fun: float
-    evaluations: int
-    converged: bool
-    curvature: np.ndarray | None = None
-
-
-def _search(
-    objective,
-    x0: np.ndarray,
-    bounds: list[tuple[float, float]] | None = None,
-    restarts: int = 3,
-    seed: int = 0,
-) -> MinimizeResult:
-    """Simplex minimization with jittered restarts, best residual wins.
-
-    The first start is ``x0`` itself; later starts jitter the best point
-    so far with a seeded generator, so results are reproducible.  A
-    converged result carries the finite-difference Hessian there.
-    Raises ``ValueError`` when the objective is not finite at ``x0``.
-    """
-    from scipy import optimize
-
-    x0 = np.asarray(x0, dtype=float)
-    f0 = float(objective(x0))
-    if not math.isfinite(f0):
-        raise ValueError(f"objective is not finite at the initial point {x0!r}")
-    rng = np.random.default_rng(seed)
-    best_x, best_f = x0, f0
-    evaluations = 0
-    converged = False
-    start = x0
-    for attempt in range(max(1, restarts)):
-        res = optimize.minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"xatol": 1e-8, "fatol": 1e-10, "maxfev": 10000},
-        )
-        evaluations += int(res.nfev)
-        if float(res.fun) < best_f:
-            best_x, best_f = np.asarray(res.x, dtype=float), float(res.fun)
-        converged = converged or bool(res.success)
-        scale = 0.05 * (1.0 + np.abs(best_x))
-        start = best_x + rng.normal(0.0, scale)
-        if bounds is not None:
-            lo = np.array([b[0] for b in bounds])
-            hi = np.array([b[1] for b in bounds])
-            start = np.clip(start, lo, hi)
-    curvature = _hessian(objective, best_x) if converged else None
-    return MinimizeResult(best_x, best_f, evaluations, converged, curvature)
-
-
-def _hessian(objective, x: np.ndarray, rel_step: float = 1e-4) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    h = rel_step * np.maximum(np.abs(x), 1e-2)
-    hess = np.empty((n, n))
-    f0 = float(objective(x))
-
-    def at(shift):
-        return float(objective(x + shift))
-
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h[i]
-        hess[i, i] = (at(ei) - 2.0 * f0 + at(-ei)) / h[i] ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h[j]
-            hess[i, j] = hess[j, i] = (
-                at(ei + ej) - at(ei - ej) - at(-ei + ej) + at(-ei - ej)
-            ) / (4.0 * h[i] * h[j])
-    return hess
 
 
 def _covariance(
@@ -147,50 +68,33 @@ class FitResult:
 
 
 def _finish_fit(
-    outcome: MinimizeResult,
     names: tuple[str, ...],
+    x: np.ndarray,
+    residual: float,
+    curvature: np.ndarray,
     n_points: int,
     weighted: bool,
+    evaluations: int = 1,
+    converged: bool = True,
 ) -> FitResult:
-    n_params = outcome.x.size
+    """FitResult at the optimum ``x``; errors from the Hessian ``curvature`` if converged."""
     std: dict[str, float] = {}
     unidentifiable: tuple[str, ...] = ()
-    if outcome.converged:
-        dof = max(n_points - n_params, 1)
-        scale = 1.0 if weighted else outcome.fun / dof
-        cov, unidentifiable = _covariance(outcome.curvature, names, scale)
+    if converged:
+        dof = max(n_points - x.size, 1)
+        scale = 1.0 if weighted else residual / dof
+        cov, unidentifiable = _covariance(curvature, names, scale)
         errors = np.sqrt(np.clip(np.diag(cov), 0.0, None))
         for k, name in enumerate(names):
             std[name] = math.inf if name in unidentifiable else float(errors[k])
     return FitResult(
-        parameters={name: float(outcome.x[k]) for k, name in enumerate(names)},
+        parameters={name: float(x[k]) for k, name in enumerate(names)},
         std_errors=std,
-        residual=outcome.fun,
-        converged=outcome.converged,
-        evaluations=outcome.evaluations,
+        residual=residual,
+        converged=converged,
+        evaluations=evaluations,
         unidentifiable=unidentifiable,
     )
-
-
-def minimize(
-    objective,
-    x0: np.ndarray,
-    bounds: list[tuple[float, float]] | None = None,
-    restarts: int = 3,
-    seed: int = 0,
-    names: tuple[str, ...] | None = None,
-) -> FitResult:
-    """Minimize a scalar objective and report curvature-based errors.
-
-    Parameters are named ``x0, x1, ...`` unless ``names`` overrides
-    them.  Standard errors treat the objective as a chi-squared
-    surface, so they are only meaningful for such objectives.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    outcome = _search(objective, x0, bounds=bounds, restarts=restarts, seed=seed)
-    if names is None:
-        names = tuple(f"x{k}" for k in range(x0.size))
-    return _finish_fit(outcome, names, x0.size, True)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +142,26 @@ class QDCharacterization:
         return (self.gamma + self.gamma_d) * math.sqrt(1.0 + self.saturation)
 
 
+def _dip_profile(omega: np.ndarray, half: float, sigma_sd: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-peak dip profile P(omega) and its derivative dP/dsigma_sd.
+
+    P is the Voigt profile Re w(z) / Re w(z0) of the Faddeeva function w
+    at z = (omega + i half) / (sqrt(2) sigma_sd) and z0 = z(omega = 0).
+    Since w'(z) = -2 z w(z) + 2i / sqrt(pi) and dz/dsigma_sd = -z /
+    sigma_sd, each Re w has the derivative Re[2 z (z w - i / sqrt(pi))] /
+    sigma_sd, from the same Faddeeva values.  Without wandering P is the
+    exact Lorentzian, flat in sigma_sd to first order.
+    """
+    if sigma_sd == 0.0:
+        return half * half / (omega * omega + half * half), np.zeros_like(omega)
+    z = np.append(omega + 1j * half, 1j * half) / (math.sqrt(2.0) * sigma_sd)
+    w = faddeeva(z)
+    slope = (2.0 * z * (z * w - 1j / math.sqrt(math.pi))).real / sigma_sd
+    norm = w.real[-1]
+    profile = w.real[:-1] / norm
+    return profile, (slope[:-1] - profile * slope[-1]) / norm
+
+
 def rt_spectrum(omega: np.ndarray | float, qd: QDCharacterization) -> np.ndarray | float:
     """Resonant-transmission spectrum of the emitter.
 
@@ -251,16 +175,16 @@ def rt_spectrum(omega: np.ndarray | float, qd: QDCharacterization) -> np.ndarray
     """
     qd.validate()
     omega = np.asarray(omega, dtype=float)
-    scalar = omega.ndim == 0
-    w = np.atleast_1d(omega)
-    half = qd.gamma_fwhm / 2.0
-    if qd.sigma_sd == 0.0:
-        profile = half * half / (w * w + half * half)
-    else:
-        scale = math.sqrt(2.0) * qd.sigma_sd
-        profile = faddeeva((w + 1j * half) / scale).real / faddeeva(1j * half / scale).real
+    profile, _ = _dip_profile(np.atleast_1d(omega), qd.gamma_fwhm / 2.0, qd.sigma_sd)
     result = 1.0 - qd.depth * profile
-    return float(result[0]) if scalar else result
+    return float(result[0]) if omega.ndim == 0 else result
+
+
+# ``fit_rt`` stops once a proposed step moves each parameter by at most
+# _RT_STEP_TOL of its scale, or reports no convergence after
+# _RT_MAX_EVALUATIONS model evaluations.
+_RT_STEP_TOL = 1e-12
+_RT_MAX_EVALUATIONS = 100
 
 
 def fit_rt(
@@ -268,13 +192,30 @@ def fit_rt(
     transmission: np.ndarray,
     qd_template: QDCharacterization | None = None,
     errors: np.ndarray | None = None,
-    fit_linewidth: bool = False,
 ) -> FitResult:
     """Fit dip depth and spectral wandering of a transmission spectrum.
 
-    ``qd_template`` fixes dephasing and saturation; ``fit_linewidth``
-    additionally frees the dephasing rate.  Reports the derived
-    ``gamma_fwhm`` alongside the fitted parameters.
+    ``qd_template`` fixes gamma, dephasing and saturation (default: unit
+    gamma, neither of the others); ``errors`` are optional standard
+    errors of ``transmission``.  Reports beta, sigma_sd and the derived
+    ``gamma_fwhm``, whose error is zero.
+
+    The model 1 - depth P(omega; sigma_sd) is linear in the depth and
+    dP/dsigma_sd is closed form, so the exact Jacobian drives a
+    Levenberg-Marquardt (damped Gauss-Newton) solve in (depth,
+    sigma_sd).  It starts from half the half width at half depth, with
+    the depth solved linearly there, and every step is projected onto
+    the physical box: 0 <= depth <= 1 / factor, that is 0 <= beta <= 1,
+    with factor = (1 + 2 gamma_d / gamma)(1 + saturation), and sigma_sd
+    >= 0.  No other bound applies, so every ratio of sigma_sd to gamma
+    is in the domain.  ``evaluations`` counts model evaluations.
+
+    Errors are the delta method on the Fisher matrix.  beta = 1 - sqrt(1
+    - depth factor) has slope factor / (2 sqrt(1 - depth factor)), so
+    beta pinned at 1 gets an infinite error; without a dip sigma_sd is
+    unidentifiable.  Raises ``ValueError`` for fewer than 8 points,
+    data that are not finite, or errors that are not finite and
+    positive.
     """
     omega = np.asarray(omega, dtype=float)
     transmission = np.asarray(transmission, dtype=float)
@@ -282,56 +223,65 @@ def fit_rt(
         raise ValueError("omega and transmission must have matching shapes")
     if omega.size < 8:
         raise ValueError("need at least 8 spectrum points spanning the dip")
-    if qd_template is None:
-        qd_template = QDCharacterization(beta=0.5)
-    weights = None if errors is None else 1.0 / np.asarray(errors, dtype=float) ** 2
+    if not np.all(np.isfinite(omega) & np.isfinite(transmission)):
+        raise ValueError("omega and transmission must be finite")
+    root_weights = np.ones_like(omega)
+    if errors is not None:
+        errors = np.broadcast_to(np.asarray(errors, dtype=float), omega.shape)
+        if not np.all(np.isfinite(errors) & (errors > 0.0)):
+            raise ValueError("errors must be finite and positive")
+        root_weights = 1.0 / errors
+    qd = qd_template or QDCharacterization(beta=0.5)
+    qd.validate()
+    half = qd.gamma_fwhm / 2.0
+    factor = (1.0 + 2.0 * qd.gamma_d / qd.gamma) * (1.0 + qd.saturation)
+    upper = np.array([1.0 / factor, math.inf])
+    scale = np.array([1.0 / factor, half])
+    target = (1.0 - transmission) * root_weights
 
-    names: tuple[str, ...] = ("beta", "sigma_sd")
-    scale = qd_template.gamma
-    bounds = [(0.0, 1.0), (0.0, 50.0 * scale)]
-    if fit_linewidth:
-        names = names + ("gamma_d",)
-        bounds.append((0.0, 50.0 * scale))
+    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """Chi-square, weighted residuals and their Jacobian in (depth, sigma_sd)."""
+        profile, slope = _dip_profile(omega, half, float(x[1]))
+        jac = np.column_stack([profile, x[0] * slope]) * -root_weights[:, None]
+        resid = target + x[0] * jac[:, 0]
+        return float(resid @ resid), resid, jac
 
-    def build(x) -> QDCharacterization:
-        # Finite-difference probes around a boundary optimum may step
-        # outside the box; evaluate at the clipped point.
-        kwargs = {
-            "beta": min(max(float(x[0]), 0.0), 1.0),
-            "sigma_sd": max(float(x[1]), 0.0),
-        }
-        if fit_linewidth:
-            kwargs["gamma_d"] = max(float(x[2]), 0.0)
-        return replace(qd_template, **kwargs)
-
-    def objective(x):
-        resid = rt_spectrum(omega, build(x)) - transmission
-        if weights is None:
-            return float(np.sum(resid**2))
-        return float(np.sum(weights * resid**2))
-
-    depth0 = min(0.999, max(1e-3, 1.0 - float(transmission.min())))
-    dephasing_factor = (1.0 + 2.0 * qd_template.gamma_d / scale) * (1.0 + qd_template.saturation)
-    beta0 = 1.0 - math.sqrt(max(0.0, 1.0 - min(1.0, depth0 * dephasing_factor)))
-    beta0 = min(0.999, max(1e-3, beta0))
-    # Half width at half depth as the wandering scale seed.
-    level = 1.0 - 0.5 * depth0
-    above = omega[transmission >= level]
-    w_half = float(np.min(np.abs(above))) if above.size else scale
-    sigma0 = max(0.05 * scale, 0.5 * w_half)
-    x0 = [beta0, sigma0] + ([qd_template.gamma_d or 0.1 * scale] if fit_linewidth else [])
-
-    outcome = _search(objective, np.asarray(x0), bounds=bounds)
-    result = _finish_fit(outcome, names, omega.size, weights is not None)
-    fitted = build(outcome.x)
-    params = dict(result.parameters)
-    std = dict(result.std_errors)
-    params["gamma_fwhm"] = fitted.gamma_fwhm
-    if std:
-        if fit_linewidth:
-            std["gamma_fwhm"] = std["gamma_d"] * math.sqrt(1.0 + fitted.saturation)
+    above = np.abs(omega[transmission >= 0.5 * (1.0 + transmission.min())])
+    sigma = 0.5 * float(above.min()) if above.size else qd.gamma
+    sigma = max(0.05 * qd.gamma, sigma)
+    basis = _dip_profile(omega, half, sigma)[0] * root_weights
+    x = np.array([min(max(float(basis @ target / (basis @ basis)), 0.0), upper[0]), sigma])
+    chi2, resid, jac = evaluate(x)
+    evaluations, damping, converged = 2, 1e-3, False
+    while evaluations < _RT_MAX_EVALUATIONS:
+        grad = jac.T @ resid
+        # A parameter on its bound stays there while descent points outwards.
+        free = ~(((x <= 0.0) & (grad > 0.0)) | ((x >= upper) & (grad < 0.0)))
+        fisher = jac.T @ jac * np.outer(free, free)
+        step = np.linalg.lstsq(fisher + damping * np.diag(np.diag(fisher)), -grad * free,
+                               rcond=None)[0]
+        trial = np.clip(x + step, 0.0, upper)
+        if np.all(np.abs(trial - x) <= _RT_STEP_TOL * (np.abs(x) + scale)):
+            converged = True
+            break
+        trial_chi2, trial_resid, trial_jac = evaluate(trial)
+        evaluations += 1
+        if trial_chi2 < chi2:
+            x, chi2, resid, jac = trial, trial_chi2, trial_resid, trial_jac
+            damping *= 0.1
         else:
-            std["gamma_fwhm"] = 0.0
+            damping *= 10.0
+
+    depth = float(x[0])
+    root = 0.0 if depth >= upper[0] else math.sqrt(max(0.0, 1.0 - depth * factor))
+    result = _finish_fit(("beta", "sigma_sd"), np.array([1.0 - root, x[1]]), chi2,
+                         2.0 * jac.T @ jac, omega.size, errors is not None, evaluations,
+                         converged)
+    std = dict(result.std_errors)
+    if std:
+        std["beta"] = math.inf if root == 0.0 else std["beta"] * factor / (2.0 * root)
+        std["gamma_fwhm"] = 0.0
+    params = dict(result.parameters, gamma_fwhm=qd.gamma_fwhm)
     return replace(result, parameters=params, std_errors=std)
 
 
@@ -373,9 +323,9 @@ def fit_fringe(
     jac = np.array([[0.0, 0.0, 1.0], [cos2, -2.0 * amplitude * sin2, 0.0],
                     [sin2, 2.0 * amplitude * cos2, 0.0]])
     curvature = jac.T @ (2.0 * scaled.T @ scaled) @ jac
-    outcome = MinimizeResult(np.array([amplitude, phi0, offset]), residual, 1, True, curvature)
     weighted = errors is not None
-    result = _finish_fit(outcome, names, phi.size, weighted)
+    result = _finish_fit(names, np.array([amplitude, phi0, offset]), residual, curvature,
+                         phi.size, weighted)
 
     params = dict(result.parameters)
     std = dict(result.std_errors)
@@ -529,8 +479,8 @@ def fit_nl(
     if not fit_distinguishability:
         jac, fisher = jac[1:, :2], fisher[1:, 1:]
     x = np.array([math.acos(cos_nl), 1.0 - t, math.acos(cos_perp)])[: len(names)]
-    outcome = MinimizeResult(x, residual, evaluations, True, jac.T @ (2.0 * fisher) @ jac)
-    result = _finish_fit(outcome, names, 2 * phi.size, errors is not None)
+    result = _finish_fit(names, x, residual, jac.T @ (2.0 * fisher) @ jac, 2 * phi.size,
+                         errors is not None, evaluations)
     # |d angle / d cosine|; ell_nl = 1 - t has slope 1, taken as infinite at t = 0.
     with np.errstate(divide="ignore"):
         slopes = 1.0 / np.sqrt(1.0 - np.array([cos_nl, float(t == 0.0), cos_perp]) ** 2)

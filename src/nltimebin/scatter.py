@@ -426,11 +426,11 @@ def _params_from_profile(pulse: PulseSpec, prof: _Profile) -> NonlinearParams:
     p1 = prof.p_single
     ell = 1.0 - p1 / eta
     r = abs(prof.overlap) / (eta * p1)
-    theta = math.atan2(prof.overlap.imag, prof.overlap.real)
-    if theta == -math.pi:
-        # (-pi, pi], as vibsim.wrap_phase: at delta = 0 Im(overlap)
-        # vanishes exactly and only its rounding sign picks -pi.
-        theta = math.pi
+    if pulse.delta == 0.0:
+        # Im(overlap) vanishes by symmetry; its computed value is rounding noise.
+        theta = 0.0 if prof.overlap.real >= 0.0 else math.pi
+    else:
+        theta = math.atan2(prof.overlap.imag, prof.overlap.real)
     phi_nl = math.acos(min(1.0, max(-1.0, r * math.cos(theta))))
     return NonlinearParams(
         delta=pulse.delta,

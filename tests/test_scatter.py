@@ -174,6 +174,17 @@ def test_resonant_overlap_phase_takes_the_upper_branch(sigma):
     assert scatter.nonlinear_params(scatter.PulseSpec(0.0, sigma)).theta_int == math.pi
 
 
+@pytest.mark.parametrize(
+    "sigma, theta", [(0.02, math.pi), (0.3, math.pi), (0.5, 0.0), (1.0, 0.0), (1000.0, 0.0)]
+)
+def test_resonant_overlap_phase_is_exactly_zero_or_pi(sigma, theta):
+    # At zero detuning the overlap is real by symmetry: negative for narrow
+    # pulses, positive from between sigma = 0.3 and 0.5 on.  The sign of its
+    # real part alone sets the phase, not the rounding noise in its
+    # imaginary part.
+    assert scatter.nonlinear_params(scatter.PulseSpec(0.0, sigma)).theta_int == theta
+
+
 def test_pair_norm_against_independent_quadrature(swept_params):
     for delta, sigma in [(0.0, 1.0), (1.0, 1.0)]:
         eta2 = swept_params[(delta, sigma)].eta ** 2
