@@ -1,8 +1,8 @@
 """Simulation and analysis of two-mode nonlinear time-bin circuits.
 
-The package splits into pair-state bookkeeping (``states``), spectral
-scattering of pulses on a two-level emitter (``scatter``), the
-interferometer measurement model (``circuit``), estimation routines
+The package splits into spectral scattering of pulses on a two-level
+emitter (``scatter``), the interferometer measurement model and its
+two-photon statistics (``circuit``), estimation routines
 (``fit``), vibrational dynamics mapped onto the same circuit
 (``vibsim``), and a command-line artifact generator (``cli``).
 Submodules load on first attribute access, so a CLI subcommand imports
@@ -11,7 +11,7 @@ only the modules it uses.
 
 from __future__ import annotations
 
-__all__ = ["circuit", "fit", "scatter", "states", "vibsim"]
+__all__ = ["circuit", "fit", "scatter", "vibsim"]
 __version__ = "0.1.0"
 
 

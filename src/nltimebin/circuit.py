@@ -7,7 +7,8 @@ Covers four layers of the experiment pipeline:
   phase calibration);
 * closed-form two-photon output statistics of the balanced circuit,
   affine in three coefficients for every degree of partial
-  distinguishability (``triple_basis``);
+  distinguishability (``triple_basis``), and the closed-form pair state
+  that enters the recombiner;
 * normalization of raw coincidence histograms into output-pattern
   probabilities, with first-order Poisson error propagation;
 * Monte Carlo synthesis of raw 3x3 peak histograms per detector pair,
@@ -24,9 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import states
-from .states import DetectionProbabilities
 
 DETECTORS = ("a1", "a2", "b1", "b2")
 
@@ -52,20 +50,16 @@ _CLASS_KEYS = ("20", "11", "02")
 class TBIConfig:
     """Interferometer settings and path/detector efficiencies.
 
-    Delays are in nanoseconds and only label the histogram timing; the
-    default difference of 3 ns matches the bin separation used
-    throughout.  ``eta_ratio_a2``/``eta_ratio_b2`` scale the second
-    detector of each output port relative to the first, so every
-    detector has an independent efficiency while keeping the four
-    canonical arm-and-detector products as explicit fields.
+    ``eta_ratio_a2``/``eta_ratio_b2`` scale the second detector of each
+    output port relative to the first, so every detector has an
+    independent efficiency while keeping the four canonical
+    arm-and-detector products as explicit fields.
     """
 
     phi: float = 0.0
     theta_qwp: float = math.pi / 4
     t_short: float = 1.0
     t_long: float = 1.0
-    tau_short: float = 1.0
-    tau_long: float = 4.0
     theta: float = 0.0
     theta_prime: float = 0.0
     theta1: float = math.pi / 2
@@ -83,8 +77,6 @@ class TBIConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-        if not (self.tau_long > self.tau_short > 0.0):
-            raise ValueError("delays must satisfy tau_long > tau_short > 0")
         for name in ("phi", "theta_qwp", "theta", "theta_prime", "theta1", "theta2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -245,6 +237,19 @@ def triple_basis(phi: np.ndarray) -> np.ndarray:
     return columns[:, None, :] * shapes
 
 
+def _check_model_domain(ell_nl: float, **angles: float) -> None:
+    """Raise ``ValueError`` naming the first model parameter outside its domain.
+
+    The domain is finite angles (phases and ``theta_perp``) and
+    ``ell_nl`` in [0, 1].
+    """
+    for name, value in angles.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not 0.0 <= ell_nl <= 1.0:
+        raise ValueError(f"ell_nl must be in [0, 1], got {ell_nl!r}")
+
+
 def model_triple(
     phi: np.ndarray,
     phi_nl: float,
@@ -253,40 +258,14 @@ def model_triple(
 ) -> np.ndarray:
     """Renormalized (p20, p11, p02) stacked over an array of phases.
 
-    Evaluates every phase at once, on the same domain as
-    ``model_statistics``: finite phases, finite ``phi_nl`` and
-    ``theta_perp``, and ``ell_nl`` in [0, 1].
+    Evaluates every phase at once; the overall transmission factors out
+    and the raw total is (1 + t^2) / 2 at every phase.  Valid domain:
+    finite phases, finite ``phi_nl`` and ``theta_perp``, and ``ell_nl``
+    in [0, 1]; anything else raises ``ValueError`` naming the parameter.
     """
-    for name, value in (("phi_nl", phi_nl), ("theta_perp", theta_perp)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if not 0.0 <= ell_nl <= 1.0:
-        raise ValueError(f"ell_nl must be in [0, 1], got {ell_nl!r}")
+    _check_model_domain(ell_nl, phi_nl=phi_nl, theta_perp=theta_perp)
     weights = triple_coefficients(math.cos(phi_nl), 1.0 - ell_nl, math.cos(theta_perp))
     return triple_basis(phi) @ weights
-
-
-def _raw_statistics(phis, phi_nl: float, ell_nl: float, theta_perp: float) -> np.ndarray:
-    """Raw (p20, p11, p02) rows: for every overlap angle, (1 + t^2) / 2 times the triple."""
-    triples = model_triple(phis, phi_nl, ell_nl, theta_perp)
-    return 0.5 * (1.0 + (1.0 - ell_nl) ** 2) * triples
-
-
-def model_statistics(
-    phi: float,
-    phi_nl: float,
-    ell_nl: float,
-    theta_perp: float = 0.0,
-) -> DetectionProbabilities:
-    """Two-photon output statistics of the balanced circuit at one phase.
-
-    The overall transmission factors out of the renormalized result and
-    is set to one here; one closed form covers every overlap angle.
-    Valid domain: finite ``phi``, ``phi_nl`` and ``theta_perp``, and
-    ``ell_nl`` in [0, 1]; anything else raises ``ValueError`` naming
-    the parameter.
-    """
-    return DetectionProbabilities.from_raw(_raw_statistics(phi, phi_nl, ell_nl, theta_perp)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +395,10 @@ def normalize_counts(hist: PeakHistogram) -> NormalizedStats:
 # Monte Carlo synthesis
 
 
+# Modes of the pair tensor: early, late, and an orthogonal ancilla copy
+# of each, which models partially distinguishable photons.
+_N_MODES = 4
+
 # Detection slots (window, detector, ancilla flag), flattened in that
 # order.  Ancilla photons follow the same optics as their physical
 # partners but never interfere with them.
@@ -458,11 +441,36 @@ def _slot_map(config: TBIConfig) -> np.ndarray:
     ratio = np.array([1.0, config.eta_ratio_a2, 1.0, config.eta_ratio_b2])
     optics = _detection_optics(config)[:, _DETECTOR_PORT] * np.sqrt(ratio / 4.0)
     excitation = np.array([1.0, np.exp(-1j * config.theta)])
-    slots = np.zeros(_SLOT_SHAPE + (states.N_MODES,), dtype=complex)
+    slots = np.zeros(_SLOT_SHAPE + (_N_MODES,), dtype=complex)
     slots[_ROUTE_ARM + _ROUTE_BIN, :, _ROUTE_ANCILLA, _ROUTE_BIN + 2 * _ROUTE_ANCILLA] = (
         excitation[_ROUTE_BIN, None] * optics[_ROUTE_ARM]
     )
-    return slots.reshape(-1, states.N_MODES)
+    return slots.reshape(-1, _N_MODES)
+
+
+def _recombiner_pair(phi: float, phi_nl: float, ell_nl: float, theta_perp: float) -> np.ndarray:
+    """Symmetric 4x4 mode tensor psi of the pair entering the recombiner.
+
+    Both photons start early.  The first splitter, the linear phase
+    ``phi`` on the early bin and the nonlinear element (phase ``phi_nl``
+    when both photons share a bin, amplitude t = 1 - ``ell_nl`` on each
+    photon otherwise), followed by the overlap rotation of the early
+    photon into its ancilla copy, leave
+
+        psi = [e^{i phi_nl} (e^{2 i phi} eps eps^T + l l^T)
+               + t e^{i phi} (eps l^T + l eps^T)] / sqrt(2)
+
+    with eps = (cos theta_perp, 0, sin theta_perp, 0) and l = (0, 1, 0, 0).
+    For a single-photon map ``m`` from the modes onto any set of slots,
+    ``(m @ psi @ m.T)[s, t]`` with s != t is the amplitude of one photon
+    in slot s and one in slot t.  The raw norm is |psi|^2 / 2 = (1 + t^2) / 2.
+    """
+    early = np.array([math.cos(theta_perp), 0.0, math.sin(theta_perp), 0.0])
+    late = np.array([0.0, 1.0, 0.0, 0.0])
+    phase = np.exp(1j * phi)
+    bunched = np.exp(1j * phi_nl) * (phase * phase * np.outer(early, early) + np.outer(late, late))
+    split = (1.0 - ell_nl) * phase * np.outer(early, late)
+    return (bunched + split + split.T) / math.sqrt(2.0)
 
 
 def peak_cell_probabilities(
@@ -474,11 +482,11 @@ def peak_cell_probabilities(
 ) -> np.ndarray:
     """Expected coincidence weight per (detector pair, window, window) cell.
 
-    Evolves the two-photon state up to (but not through) the recombining
-    splitter, then routes both photons through the detection
-    interferometer.  At the default splitter phases the middle window
-    realizes the ideal recombiner up to diagonal phases, which the
-    internal calibration offset absorbs so that ``phi`` is the
+    Builds the two-photon state entering the recombining splitter in
+    closed form (``_recombiner_pair``), then routes both photons through
+    the detection interferometer.  At the default splitter phases the
+    middle window realizes the ideal recombiner up to diagonal phases,
+    which the internal calibration offset absorbs so that ``phi`` is the
     calibrated linear phase of the closed-form model.  Coincidences on
     a single detector are dropped (they produce one click).  Weights
     are unnormalized probabilities; their sum is below one because of
@@ -487,15 +495,18 @@ def peak_cell_probabilities(
     With the slot map M and the symmetric mode tensor psi of the state,
     ``M psi M^T`` holds the amplitude of every pair of distinct slots,
     and distinct configurations interfere in it.
+
+    Valid domain: finite ``phi``, ``phi_nl`` and ``theta_perp``, and
+    ``ell_nl`` in [0, 1], as for ``model_triple``; anything else raises
+    ``ValueError`` naming the parameter.
     """
+    _check_model_domain(ell_nl, phi=phi, phi_nl=phi_nl, theta_perp=theta_perp)
     if config is None:
         config = TBIConfig()
     config.validate()
     offset = config.theta2 + config.theta_prime - config.theta
-    *layers, _ = states.standard_circuit(phi + offset, phi_nl, ell_nl, theta_perp=theta_perp)
-    pre = states.apply_circuit(states.new_input(), layers)
     slots = _slot_map(config)
-    pairs = slots @ states.pair_tensor(pre.amplitudes) @ slots.T
+    pairs = slots @ _recombiner_pair(phi + offset, phi_nl, ell_nl, theta_perp) @ slots.T
     weights = np.abs(pairs[_SLOT_S, _SLOT_T]) ** 2
     return np.bincount(_SLOT_CELL, weights, minlength=math.prod(_HIST_SHAPE)).reshape(_HIST_SHAPE)
 
@@ -515,6 +526,10 @@ def synthesize_histogram(
     by their conditional probabilities; the stream is a single 64-bit
     generator seeded by ``seed`` (an integer or a ``SeedSequence``), so
     fixed arguments give identical histograms.
+
+    Valid domain: ``shots >= 1`` plus the domain of
+    ``peak_cell_probabilities``; anything else raises ``ValueError``
+    naming the parameter.
     """
     if shots <= 0:
         raise ValueError(f"shots must be positive, got {shots!r}")

@@ -187,6 +187,30 @@ _RT_STEP_TOL = 1e-12
 _RT_MAX_EVALUATIONS = 100
 
 
+def _checked_series(x, y, errors, names: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float arrays ``x`` and ``y`` and the root weights 1 / ``errors``.
+
+    The weights are ones when ``errors`` is None.  Raises ``ValueError``
+    unless ``x`` and ``y`` (together ``names``) have one shape with at
+    least 8 finite points, and ``errors``, if given, broadcast to that
+    shape and are finite and positive.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(f"{names} must have matching shapes")
+    if x.size < 8:
+        raise ValueError(f"need at least 8 points, got {x.size}")
+    if not np.all(np.isfinite(x) & np.isfinite(y)):
+        raise ValueError(f"{names} must be finite")
+    if errors is None:
+        return x, y, np.ones_like(x)
+    errors = np.broadcast_to(np.asarray(errors, dtype=float), x.shape)
+    if not np.all(np.isfinite(errors) & (errors > 0.0)):
+        raise ValueError("errors must be finite and positive")
+    return x, y, 1.0 / errors
+
+
 def fit_rt(
     omega: np.ndarray,
     transmission: np.ndarray,
@@ -217,20 +241,9 @@ def fit_rt(
     data that are not finite, or errors that are not finite and
     positive.
     """
-    omega = np.asarray(omega, dtype=float)
-    transmission = np.asarray(transmission, dtype=float)
-    if omega.shape != transmission.shape:
-        raise ValueError("omega and transmission must have matching shapes")
-    if omega.size < 8:
-        raise ValueError("need at least 8 spectrum points spanning the dip")
-    if not np.all(np.isfinite(omega) & np.isfinite(transmission)):
-        raise ValueError("omega and transmission must be finite")
-    root_weights = np.ones_like(omega)
-    if errors is not None:
-        errors = np.broadcast_to(np.asarray(errors, dtype=float), omega.shape)
-        if not np.all(np.isfinite(errors) & (errors > 0.0)):
-            raise ValueError("errors must be finite and positive")
-        root_weights = 1.0 / errors
+    omega, transmission, root_weights = _checked_series(
+        omega, transmission, errors, "omega and transmission"
+    )
     qd = qd_template or QDCharacterization(beta=0.5)
     qd.validate()
     half = qd.gamma_fwhm / 2.0
@@ -300,14 +313,14 @@ def fit_fringe(
     phi0, amplitude sin 2 phi0).  Reports the derived visibility
     ``amplitude / offset``.  For flat data the fringe phase carries no
     information and is flagged unidentifiable with an infinite error.
+
+    Valid domain: at least 8 finite points whose phases span a full
+    fringe period (pi), and ``errors``, if given, finite and positive;
+    anything else raises ``ValueError``.
     """
-    phi = np.asarray(phi, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if phi.shape != values.shape:
-        raise ValueError("phi and values must have matching shapes")
-    if phi.size and float(phi.max() - phi.min()) < math.pi - 1e-9:
+    phi, values, root_weights = _checked_series(phi, values, errors, "phi and values")
+    if float(phi.max() - phi.min()) < math.pi - 1e-9:
         raise ValueError("phase sweep must cover at least one full fringe period")
-    root_weights = np.ones_like(phi) if errors is None else 1.0 / np.asarray(errors, dtype=float)
 
     design = np.column_stack([np.ones_like(phi), np.cos(2.0 * phi), np.sin(2.0 * phi)])
     scaled = design * root_weights[:, None]

@@ -2,10 +2,10 @@
 
 A pair of coupled stretch oscillators, truncated to two excitation
 quanta, evolves freely in its eigenbasis.  Expressed in the localized
-basis this is the states module's two-boson lift of the basis-change
-unitary, a diagonal of per-configuration phases (the anharmonic defects
-act as a nonlinear phase), and the inverse lift.  Time enters only
-through the phase diagonal, so a whole trace is one lossless array
+basis this is the two-boson lift of the basis-change unitary onto the
+pairs (2,0), (0,2), (1,1), a diagonal of per-pair phases (the anharmonic
+defects act as a nonlinear phase), and the inverse lift.  Time enters
+only through the phase diagonal, so a whole trace is one lossless array
 expression over its times.
 
 Frequencies are wavenumbers (inverse centimeters), times picoseconds.
@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import states
 from .scatter import SPEED_OF_LIGHT_CM
 
 # Radians accumulated per picosecond and per wavenumber of frequency.
@@ -170,6 +169,23 @@ def step_phases(t: float, spec: MoleculeSpec, harmonic: bool = False) -> StepPha
     )
 
 
+def _pair_lift(u: np.ndarray) -> np.ndarray:
+    """Lift a 2x2 mode map to the pair basis (2,0), (0,2), (1,1).
+
+    Column j is the image of pair j: both quanta are mapped, and the
+    sqrt(2) norms of the doubly occupied pairs are divided out.
+    """
+    (a, b), (c, d) = u
+    r2 = math.sqrt(2.0)
+    return np.array(
+        [
+            [a * a, b * b, r2 * a * b],
+            [c * c, d * d, r2 * c * d],
+            [r2 * a * c, r2 * b * d, a * d + b * c],
+        ]
+    )
+
+
 @dataclass(frozen=True)
 class TracePoint:
     """Localized-basis occupancies after one evolution time."""
@@ -190,9 +206,8 @@ def _trace_points(
     """Occupancies at every time, from one lifted propagator.
 
     The pair amplitudes are L^H diag(exp(i theta(t))) L a0, where L is
-    the states lift of the localization unitary on the three
-    ancilla-free configurations (2,0), (0,2), (1,1) and a0 puts both
-    quanta in mode ``input_mode``.  Zero time is the identity, so those
+    the pair lift of the localization unitary and a0 puts both quanta in
+    mode ``input_mode``.  Zero time is the identity, so those
     rows carry the input occupancy without rounding residue.
     """
     if input_mode not in (0, 1):
@@ -206,10 +221,7 @@ def _trace_points(
     linear = 0.5 * (spec.nu20 - spec.nu02)
     kerr = 0.5 * (spec.nu20 + spec.nu02 - 2.0 * spec.nu11)
     theta = np.multiply.outer(-_RAD_PER_PS_CM * times, (kerr + linear, kerr - linear, 0.0))
-    single = np.eye(states.N_MODES, dtype=complex)
-    single[:2, :2] = spec.matrix
-    # The ancilla-free configurations lead states.CONFIGURATIONS.
-    lift = states.two_boson_transfer(single)[:3, :3]
+    lift = _pair_lift(spec.matrix)
     # einsum, not @: BLAS takes another kernel for one row than for many,
     # and each row must not depend on how many times share the call.
     amps = np.einsum("tj,jk->tk", np.exp(1j * theta) * lift[:, input_mode], lift.conj())

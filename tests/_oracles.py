@@ -9,9 +9,9 @@ of the fringe on a grid of its own, where the package expands the
 fringe into three pulse integrals; a 2D transform over a square
 frequency window, QAWF over the frequency difference and adaptive
 quadrature of the equal-time amplitude, where the package takes joint
-time maps from two 1D transforms; a dense two-boson transfer matrix
-instead of layered evolution; a first-quantized pair tensor, evolved
-phase by phase, instead of the batched ten-configuration evolution;
+time maps from two 1D transforms; a first-quantized pair tensor,
+evolved step by step and phase by phase, where the package writes the
+pair entering the recombiner and the output statistics in closed form;
 Simpson convolution of the transmission dip, where the package uses
 the Faddeeva Voigt profile; a grid over the wandering width with the
 dip depth solved linearly and a Brent polish, where the package runs
@@ -19,9 +19,10 @@ Levenberg-Marquardt on the exact Jacobian; dict tables of detection slots summed
 pair by pair in Python, where the package lifts the state to the slots
 with one matrix product; a grid search with a simplex polish of the
 pair-statistics chi-square, where the package solves the constrained
-least-squares problem directly; and a splitter-and-phase layer circuit
-for the vibrational evolution, where the package lifts the localization
-once around a phase diagonal.
+least-squares problem directly; and a dense two-boson unitary and a
+twelve-step splitter-and-phase pair-tensor circuit for the vibrational
+evolution, where the package lifts the localization once around a
+phase diagonal.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.special import wofz
 
-from nltimebin import states
 
 TWO_PI = 2.0 * math.pi
 
@@ -361,27 +361,69 @@ def pair_tensor_amplitude(psi: np.ndarray, first: int, second: int) -> complex:
     return complex(psi[first, second] + psi[second, first]) / math.sqrt(2.0)
 
 
+def pair_tensor_click_pattern(psi: np.ndarray) -> np.ndarray:
+    """Raw (p20, p11, p02): pair weights binned by late-bin photons, ancilla labels ignored."""
+    late = _MODE_BIN[:, None] + _MODE_BIN[None, :]
+    weights = np.abs(psi) ** 2
+    return np.array([weights[late == b].sum() for b in range(3)])
+
+
+def configuration_amplitudes(psi: np.ndarray) -> np.ndarray:
+    """The ten occupation-basis amplitudes of ``psi``, in canonical order."""
+    return np.array([pair_tensor_amplitude(psi, i, j) for i, j in _CONFIGURATION_PAIRS])
+
+
+def pair_tensor_run(steps, first: int, second: int) -> np.ndarray:
+    """Apply ``steps`` in order to one photon in each of modes ``first`` and ``second``."""
+    psi = pair_tensor_from_configuration(first, second)
+    for step in steps:
+        psi = step(psi)
+    return psi
+
+
+def splitter_step(psi: np.ndarray) -> np.ndarray:
+    """The symmetric splitter on the time bins, and on their ancilla copies."""
+    return pair_tensor_evolve(psi, _SPLITTER)
+
+
+def phase_step(phi: float):
+    """Linear phase ``phi`` on the early bin and its ancilla copy."""
+    u = np.diag(np.exp(1j * phi * (1 - _MODE_BIN)))
+    return lambda psi: pair_tensor_evolve(psi, u)
+
+
+def nonlinear_step(phi_nl: float, ell_nl: float):
+    """Pair phase when both photons share a bin, the extra loss on each photon otherwise."""
+    mask = np.where(_MODE_BIN[:, None] == _MODE_BIN[None, :], np.exp(1j * phi_nl), 1.0 - ell_nl)
+    return lambda psi: psi * mask
+
+
+def pair_tensor_before_recombiner(phi: float, phi_nl: float, ell_nl: float,
+                                  theta_perp: float) -> np.ndarray:
+    """The balanced circuit up to the recombiner, one step at a time.
+
+    Both photons start early; splitter, linear phase on the early bin,
+    nonlinear mask, rotation of the early mode into its ancilla copy.
+    """
+    steps = (
+        splitter_step,
+        phase_step(phi),
+        nonlinear_step(phi_nl, ell_nl),
+        lambda psi: pair_tensor_evolve(psi, _rotation(theta_perp)),
+    )
+    return pair_tensor_run(steps, 0, 0)
+
+
 def pair_tensor_triples(phis, phi_nl: float, ell_nl: float, theta_perp: float) -> np.ndarray:
     """Renormalized (p20, p11, p02) of the balanced circuit, one phase at a time.
 
-    Both photons start early; splitter, linear phase on the early bin,
-    nonlinear mask (pair phase when both photons share a bin, the extra
-    loss on each photon otherwise), rotation into the ancilla, splitter.
-    Click patterns count late-bin photons and ignore the ancilla label.
+    The state before the recombiner, then the recombining splitter;
+    click patterns count late-bin photons and ignore the ancilla label.
     """
-    same_bin = _MODE_BIN[:, None] == _MODE_BIN[None, :]
-    mask = np.where(same_bin, np.exp(1j * phi_nl), 1.0 - ell_nl)
-    late = _MODE_BIN[:, None] + _MODE_BIN[None, :]
     out = np.empty((len(phis), 3))
     for k, phi in enumerate(phis):
-        psi = pair_tensor_from_configuration(0, 0)
-        psi = pair_tensor_evolve(psi, _SPLITTER)
-        psi = pair_tensor_evolve(psi, np.diag(np.exp(1j * phi * (1 - _MODE_BIN))))
-        psi = psi * mask
-        psi = pair_tensor_evolve(psi, _rotation(theta_perp))
-        psi = pair_tensor_evolve(psi, _SPLITTER)
-        weights = np.abs(psi) ** 2
-        raw = np.array([weights[late == b].sum() for b in range(3)])
+        psi = pair_tensor_before_recombiner(phi, phi_nl, ell_nl, theta_perp)
+        raw = pair_tensor_click_pattern(splitter_step(psi))
         out[k] = raw / raw.sum()
     return out
 
@@ -566,11 +608,11 @@ def pair_occupancies(t_ps: float, freqs: dict, localization: np.ndarray) -> tupl
     return (abs(final[0]) ** 2, abs(final[1]) ** 2, abs(final[2]) ** 2)
 
 
-def mode_unitary_layers(u: np.ndarray) -> list:
-    """Decompose a 2x2 unitary into phase and splitter layers.
+def mode_unitary_steps(u: np.ndarray) -> list:
+    """Decompose a 2x2 unitary into pair-tensor phase and splitter steps.
 
     Uses the interferometer form D1 * B * D2 * B * D3 with diagonal
-    phase layers around the fixed symmetric splitter; the overall
+    phase steps around the fixed symmetric splitter; the overall
     phase is dropped, which leaves pair probabilities unchanged.
     """
     mixing = math.atan2(abs(u[1, 0]), abs(u[0, 0]))
@@ -586,18 +628,19 @@ def mode_unitary_layers(u: np.ndarray) -> list:
         beta = cmath.phase(u[1, 0]) - 0.5 * math.pi
         delta = cmath.phase(u[0, 1]) - 0.5 * math.pi - alpha
     return [
-        states.linear_phase(gamma - delta),
-        states.beam_splitter_first(),
-        states.linear_phase(2.0 * mixing),
-        states.beam_splitter_second(),
-        states.linear_phase(alpha - beta),
+        phase_step(gamma - delta),
+        splitter_step,
+        phase_step(2.0 * mixing),
+        splitter_step,
+        phase_step(alpha - beta),
     ]
 
 
-def evolution_layers(t_ps: float, spec, harmonic: bool = False) -> list:
-    """The localized -> eigenbasis -> localized circuit of a molecule, 12 layers.
+def evolution_steps(t_ps: float, spec, harmonic: bool = False) -> list:
+    """The localized -> eigenbasis -> localized circuit of a molecule, 12 pair-tensor steps.
 
-    The eigenbasis phase diagonal splits into a linear phase and a
+    Localized modes 0 and 1 are the early and late modes.  The
+    eigenbasis phase diagonal splits into a linear phase and a
     same-mode nonlinear phase, both from frequency differences.
     """
     if harmonic:
@@ -607,8 +650,8 @@ def evolution_layers(t_ps: float, spec, harmonic: bool = False) -> list:
     kerr = 0.5 * scale * (spec.nu20 + spec.nu02 - 2.0 * spec.nu11)
     u = spec.matrix
     return [
-        *mode_unitary_layers(u),
-        states.linear_phase(linear),
-        states.nonlinear(kerr, 0.0, 1.0),
-        *mode_unitary_layers(u.conj().T),
+        *mode_unitary_steps(u),
+        phase_step(linear),
+        nonlinear_step(kerr, 0.0),
+        *mode_unitary_steps(u.conj().T),
     ]

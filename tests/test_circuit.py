@@ -10,9 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nltimebin import circuit, states
+from nltimebin import circuit
 
-from _oracles import pair_tensor_triples, peak_cells_slot_dict
+from _oracles import (
+    configuration_amplitudes,
+    pair_tensor_before_recombiner,
+    pair_tensor_click_pattern,
+    pair_tensor_triples,
+    peak_cells_slot_dict,
+    splitter_step,
+)
 
 
 def uniform_histogram(value: int = 100) -> circuit.PeakHistogram:
@@ -69,13 +76,22 @@ def test_phase_calibration_tracks_the_arm_phase():
     assert min(null, math.pi - null) < 1e-6
 
 
+def _normalized_cells(phi, phi_nl, ell_nl, theta_perp=0.0):
+    # Exact cell weights as counts of a 1e15-shot histogram.
+    cells = circuit.peak_cell_probabilities(phi, phi_nl, ell_nl, theta_perp)
+    hist = circuit.PeakHistogram(np.rint(cells * 1e15).astype(np.int64))
+    return np.array(circuit.normalize_counts(hist).as_tuple())
+
+
 def test_model_statistics_landmarks():
-    flat = circuit.model_statistics(0.0, 0.0, 0.0).renormalized
-    assert np.allclose(flat, (1.0, 0.0, 0.0), atol=1e-12)
-    mid = circuit.model_statistics(math.pi / 2.0, 0.77, 0.0).renormalized
-    assert np.allclose(mid, (0.25, 0.5, 0.25), atol=1e-12)
-    inverted = circuit.model_statistics(0.0, math.pi, 0.0).renormalized
-    assert np.allclose(inverted, (0.0, 0.0, 1.0), atol=1e-12)
+    # The closed form and the normalized detector cells of the pair state.
+    for phi, phi_nl, expected in (
+        (0.0, 0.0, (1.0, 0.0, 0.0)),
+        (math.pi / 2.0, 0.77, (0.25, 0.5, 0.25)),
+        (0.0, math.pi, (0.0, 0.0, 1.0)),
+    ):
+        assert np.max(np.abs(circuit.model_triple(phi, phi_nl, 0.0)[0] - expected)) < 1e-12
+        assert np.max(np.abs(_normalized_cells(phi, phi_nl, 0.0) - expected)) < 1e-12
 
 
 @settings(deadline=None, max_examples=60)
@@ -86,18 +102,15 @@ def test_model_statistics_landmarks():
 )
 def test_closed_forms_match_state_evolution(phi, phi_nl, ell_nl):
     closed = circuit.model_triple(phi, phi_nl, ell_nl)[0]
-    layers = states.standard_circuit(phi, phi_nl, ell_nl)
-    evolved = states.apply_circuit(states.new_input(), layers)
-    brute = states.detection_probabilities(evolved).renormalized
-    assert np.max(np.abs(closed - np.asarray(brute))) < 1e-9
+    brute = pair_tensor_triples([phi], phi_nl, ell_nl, 0.0)[0]
+    assert np.max(np.abs(closed - brute)) < 1e-9
 
 
 def test_distinguishability_delegates_to_state_evolution():
-    mine = circuit.model_statistics(0.8, 0.9, 0.2, theta_perp=0.5)
-    layers = states.standard_circuit(0.8, 0.9, 0.2, theta_perp=0.5)
-    evolved = states.apply_circuit(states.new_input(), layers)
-    ref = states.detection_probabilities(evolved)
-    assert np.allclose(mine.renormalized, ref.renormalized, atol=1e-12)
+    # With partial distinguishability the pair state routed to the
+    # detectors normalizes to the closed form.
+    closed = circuit.model_triple(0.8, 0.9, 0.2, theta_perp=0.5)[0]
+    assert np.max(np.abs(_normalized_cells(0.8, 0.9, 0.2, 0.5) - closed)) < 1e-12
 
 
 @settings(deadline=None, max_examples=60)
@@ -126,23 +139,28 @@ def test_batched_model_matches_pair_tensor_oracle(phi_nl, ell_nl, theta_perp):
 def test_non_finite_inputs_rejected_on_both_paths(theta_perp, name, phi, phi_nl):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         circuit.model_triple([0.3, phi], phi_nl, 0.2, theta_perp)
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        circuit.model_statistics(phi, phi_nl, 0.2, theta_perp)
+    with pytest.raises(ValueError, match=rf"\b{name} must be finite"):
+        circuit.sample_statistics([0.3, phi], phi_nl, 0.2, 100, 0, theta_perp)
 
 
 @pytest.mark.parametrize("theta_perp", [math.inf, math.nan])
 def test_non_finite_overlap_angle_rejected(theta_perp):
     with pytest.raises(ValueError, match="^theta_perp must be finite"):
         circuit.model_triple([0.3], 1.0, 0.2, theta_perp)
+    with pytest.raises(ValueError, match=r"\btheta_perp must be finite"):
+        circuit.sample_statistics([0.3], 1.0, 0.2, 100, 0, theta_perp)
 
 
 def test_raw_totals_ignore_the_phases():
+    # The recombiner is lossless, so the click patterns of the closed-form
+    # pair sum to its raw norm (1 + t^2) / 2, half its squared entries.
     phis = np.linspace(0.0, 2.0 * math.pi, 17)
     for ell in (0.0, 0.3, 1.0):
         expected = 0.5 * (1.0 + (1.0 - ell) ** 2)
         for phi in phis:
             for phi_nl in (0.0, 1.1, 2.9):
-                raw = circuit.model_statistics(float(phi), phi_nl, ell).raw
+                pair = circuit._recombiner_pair(float(phi), phi_nl, ell, 0.3)
+                raw = 0.5 * pair_tensor_click_pattern(splitter_step(pair))
                 assert abs(sum(raw) - expected) < 1e-12
 
 
@@ -300,12 +318,12 @@ def test_round_trip_recovers_the_model():
 def test_config_validation_rejects_bad_values():
     with pytest.raises(ValueError, match="eta_sa1"):
         circuit.TBIConfig(phi=0.0, eta_sa1=1.5).validate()
-    with pytest.raises(ValueError, match="delays"):
-        circuit.TBIConfig(phi=0.0, tau_short=4.0, tau_long=1.0).validate()
     with pytest.raises(ValueError, match="phi"):
         circuit.TBIConfig(phi=math.nan).validate()
-    with pytest.raises(ValueError):
-        circuit.model_statistics(0.0, 0.0, 1.5)
+    with pytest.raises(ValueError, match="^ell_nl must be in"):
+        circuit.model_triple(0.0, 0.0, 1.5)
+    with pytest.raises(ValueError, match="^ell_nl must be in"):
+        circuit.sample_statistics([0.0], 0.0, 1.5, 100, 0)
 
 
 def _random_config(rng: np.random.Generator) -> circuit.TBIConfig:
@@ -326,14 +344,11 @@ def test_slot_lift_matches_dict_oracle(with_overlap):
         phi, phi_nl = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, math.pi)
         ell_nl = rng.uniform()
         theta_perp = rng.uniform(0.0, 0.5 * math.pi) if with_overlap else 0.0
-        layers = [
-            states.beam_splitter_first(),
-            states.linear_phase(phi + config.theta2 + config.theta_prime - config.theta),
-            states.nonlinear(phi_nl, ell_nl, 1.0),
-        ] + ([states.distinguishability(theta_perp)] if with_overlap else [])
-        pre = states.apply_circuit(states.new_input(), layers)
+        offset = config.theta2 + config.theta_prime - config.theta
+        pre = pair_tensor_before_recombiner(phi + offset, phi_nl, ell_nl, theta_perp)
         cells = circuit.peak_cell_probabilities(phi, phi_nl, ell_nl, theta_perp, config)
-        assert np.max(np.abs(cells - peak_cells_slot_dict(pre.amplitudes, config))) < 1e-15
+        reference = peak_cells_slot_dict(configuration_amplitudes(pre), config)
+        assert np.max(np.abs(cells - reference)) < 1e-15
 
 
 def test_sampled_rows_do_not_depend_on_the_sweep_length():

@@ -275,9 +275,9 @@ def test_subcommands_load_no_scipy(tmp_path):
 LOADED_MODULES = {
     "characterize": (["characterize", "--sigma", "0.5", "--grid", "3"], ["cli", "scatter"]),
     "jti": (["jti", "--delta", "0.3", "--grid", "16"], ["cli", "scatter"]),
-    "fringe": (["fringe", "--delta", "0.3", "--grid", "9"], ["circuit", "cli", "scatter", "states"]),
-    "water": (["water", "--steps", "5"], ["cli", "scatter", "states", "vibsim"]),
-    "fit": (["fit", "--data", "{data}"], ["circuit", "cli", "fit", "scatter", "states"]),
+    "fringe": (["fringe", "--delta", "0.3", "--grid", "9"], ["circuit", "cli", "scatter"]),
+    "water": (["water", "--steps", "5"], ["cli", "scatter", "vibsim"]),
+    "fit": (["fit", "--data", "{data}"], ["circuit", "cli", "fit", "scatter"]),
 }
 
 

@@ -237,6 +237,34 @@ def test_fringe_fit_needs_a_full_period():
         fit.fit_fringe(phi, np.cos(2.0 * phi))
 
 
+_FRINGE_PHI = np.linspace(0.0, 2.0 * math.pi, 9)
+_FRINGE_DATA = 0.25 * (1.0 + np.cos(2.0 * _FRINGE_PHI))
+
+
+def _spoiled(array: np.ndarray, value: float) -> np.ndarray:
+    out = np.array(array, dtype=float)
+    out[3] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "phi, values, errors, match",
+    [
+        (_FRINGE_PHI, _FRINGE_DATA, np.full(9, -0.01), "errors must be finite and positive"),
+        (_FRINGE_PHI, _FRINGE_DATA, np.zeros(9), "errors must be finite and positive"),
+        (_FRINGE_PHI, _FRINGE_DATA, _spoiled(np.full(9, 0.01), math.nan), "errors must be finite"),
+        (_FRINGE_PHI, _spoiled(_FRINGE_DATA, math.nan), 0.01, "phi and values must be finite"),
+        (_spoiled(_FRINGE_PHI, math.inf), _FRINGE_DATA, None, "phi and values must be finite"),
+        (_FRINGE_PHI, _FRINGE_DATA[:8], None, "matching shapes"),
+        (_FRINGE_PHI[[0, 8]], _FRINGE_DATA[[0, 8]], 0.01, "at least 8"),
+        (_FRINGE_PHI, _FRINGE_DATA, np.full(3, 0.01), "broadcast"),
+    ],
+)
+def test_fringe_fit_rejects_data_it_cannot_weigh(phi, values, errors, match):
+    with pytest.raises(ValueError, match=match):
+        fit.fit_fringe(phi, values, errors)
+
+
 def test_nl_fit_round_trip():
     phi = np.linspace(0.15, 2.95, 11)
     triples = circuit.model_triple(phi, math.pi / 4.0, 0.3)

@@ -1,4 +1,4 @@
-"""Amplitude-level pair evolution: conventions, norms, worked statistics."""
+"""The two-photon state: the closed-form pair entering the recombiner and the pair lift."""
 
 from __future__ import annotations
 
@@ -9,49 +9,39 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nltimebin import states
+from nltimebin import circuit, vibsim
 
-from _oracles import pair_tensor_amplitude, pair_tensor_evolve, pair_tensor_from_configuration
+from _oracles import (
+    pair_tensor_amplitude,
+    pair_tensor_click_pattern,
+    pair_tensor_evolve,
+    pair_tensor_from_configuration,
+    splitter_step,
+)
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
-def _random_state(seed: int) -> states.TwoPhotonState:
-    rng = np.random.default_rng(seed)
-    amps = rng.normal(size=states.N_CONFIGURATIONS) + 1j * rng.normal(size=states.N_CONFIGURATIONS)
-    return states.TwoPhotonState(amps / np.linalg.norm(amps))
-
-
-def test_new_input_is_both_photons_early():
-    state = states.new_input()
-    assert state.norm_squared == 1.0
-    assert state.amplitude((2, 0, 0, 0)) == 1.0
-    probs = states.detection_probabilities(state)
-    assert probs.raw == (1.0, 0.0, 0.0)
-    assert probs.renormalized == (1.0, 0.0, 0.0)
-
-
-def test_beam_splitter_applied_twice_is_identity():
-    state = states.new_input()
-    for _ in range(2):
-        state = states.apply_layer(state, states.beam_splitter_first())
-    dev = np.max(np.abs(state.amplitudes - states.new_input().amplitudes))
-    assert dev < 1e-12
-
-
 def test_identity_nonlinear_layer_changes_nothing():
-    state = _random_state(5)
-    out = states.apply_layer(state, states.nonlinear(0.0, 0.0, 1.0))
-    assert np.array_equal(out.amplitudes, state.amplitudes)
+    # Without a nonlinearity the pair is two copies of the single-photon
+    # state (e^{i phi} eps + l) / sqrt(2) of the linear interferometer.
+    for phi, theta_perp in ((0.0, 0.0), (0.7, 0.0), (2.3, 0.4), (-1.1, math.pi / 2)):
+        single = np.array(
+            [np.exp(1j * phi) * math.cos(theta_perp), 1.0, np.exp(1j * phi) * math.sin(theta_perp), 0.0]
+        ) / math.sqrt(2.0)
+        pair = circuit._recombiner_pair(phi, 0.0, 0.0, theta_perp)
+        assert np.max(np.abs(pair - math.sqrt(2.0) * np.outer(single, single))) < 1e-15
 
 
 def test_full_rotation_moves_pair_into_ancilla():
-    out = states.apply_layer(states.new_input(), states.distinguishability(math.pi / 2))
-    assert abs(out.amplitude((0, 0, 2, 0)) - 1.0) < 1e-12
+    aligned = circuit._recombiner_pair(0.7, 0.4, 0.1, 0.0)
+    rotated = circuit._recombiner_pair(0.7, 0.4, 0.1, math.pi / 2)
+    assert np.max(np.abs(rotated[0])) < 1e-15
+    assert abs(rotated[2, 2] - aligned[0, 0]) < 1e-15
     # Detectors cannot tell the ancilla copy apart, so the click
     # pattern is unchanged.
-    assert states.detection_probabilities(out).renormalized[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(pair_tensor_click_pattern(rotated) - pair_tensor_click_pattern(aligned))) < 1e-15
 
 
 @pytest.mark.parametrize(
@@ -64,51 +54,21 @@ def test_full_rotation_moves_pair_into_ancilla():
     ],
 )
 def test_ideal_circuit_statistics(phi, phi_nl, expected):
-    out = states.apply_circuit(states.new_input(), states.standard_circuit(phi, phi_nl, 0.0))
-    renorm = states.detection_probabilities(out).renormalized
-    assert max(abs(a - b) for a, b in zip(renorm, expected)) < 1e-12
+    raw = pair_tensor_click_pattern(splitter_step(circuit._recombiner_pair(phi, phi_nl, 0.0, 0.0)))
+    assert np.max(np.abs(raw / raw.sum() - expected)) < 1e-12
+    assert np.max(np.abs(circuit.model_triple(phi, phi_nl, 0.0)[0] - expected)) < 1e-12
 
 
-@given(
-    st.lists(
-        st.tuples(st.sampled_from(["bs1", "bs2", "phase", "rotate"]), angles),
-        max_size=6,
-    )
-)
-def test_lossless_layers_preserve_norm(sequence):
-    builders = {
-        "bs1": lambda _: states.beam_splitter_first(),
-        "bs2": lambda _: states.beam_splitter_second(),
-        "phase": states.linear_phase,
-        "rotate": states.distinguishability,
-    }
-    state = _random_state(11)
-    for kind, value in sequence:
-        state = states.apply_layer(state, builders[kind](value))
-    assert abs(state.norm_squared - 1.0) < 1e-12
-
-
-@given(phi=angles, phi_nl=angles, ell=fractions, eta=fractions)
-def test_raw_norm_after_nonlinear_element(phi, phi_nl, ell, eta):
-    layers = [
-        states.beam_splitter_first(),
-        states.linear_phase(phi),
-        states.nonlinear(phi_nl, ell, eta),
-    ]
-    out = states.apply_circuit(states.new_input(), layers)
-    expected = 0.5 * eta**2 * (1.0 + (1.0 - ell) ** 2)
-    assert abs(out.norm_squared - expected) < 1e-9
+@given(phi=angles, phi_nl=angles, ell=fractions, theta_perp=angles)
+def test_raw_norm_after_nonlinear_element(phi, phi_nl, ell, theta_perp):
+    pair = circuit._recombiner_pair(phi, phi_nl, ell, theta_perp)
+    expected = 0.5 * (1.0 + (1.0 - ell) ** 2)
+    assert abs(0.5 * np.sum(np.abs(pair) ** 2) - expected) < 1e-9
 
 
 def _coincidence_floor(theta_perp: float) -> float:
-    lowest = 1.0
-    for phi in np.linspace(0.0, 2.0 * math.pi, 73):
-        layers = states.standard_circuit(float(phi), 0.4, 0.1, theta_perp=theta_perp)
-        probs = states.detection_probabilities(
-            states.apply_circuit(states.new_input(), layers)
-        )
-        lowest = min(lowest, probs.renormalized[1])
-    return lowest
+    phis = np.linspace(0.0, 2.0 * math.pi, 73)
+    return float(circuit.model_triple(phis, 0.4, 0.1, theta_perp)[:, 1].min())
 
 
 def test_distinguishability_lifts_the_coincidence_floor():
@@ -118,62 +78,38 @@ def test_distinguishability_lifts_the_coincidence_floor():
 
 
 @pytest.mark.parametrize(
-    "layer",
+    "call",
     [
-        lambda: states.nonlinear(0.1, -0.2, 1.0),
-        lambda: states.nonlinear(0.1, 0.2, 1.5),
-        lambda: states.nonlinear(math.inf, 0.0, 1.0),
-        lambda: states.linear_phase(math.nan),
-        lambda: states.distinguishability(math.inf),
+        lambda: circuit.peak_cell_probabilities(0.3, 0.1, -0.2),
+        lambda: circuit.peak_cell_probabilities(0.3, 0.1, 1.5),
+        lambda: circuit.peak_cell_probabilities(0.3, math.inf, 0.0),
+        lambda: circuit.peak_cell_probabilities(math.nan, 0.1, 0.0),
+        lambda: circuit.peak_cell_probabilities(0.3, 0.1, 0.0, theta_perp=math.inf),
     ],
 )
-def test_invalid_layer_parameters_rejected(layer):
-    with pytest.raises(ValueError):
-        states.apply_layer(states.new_input(), layer())
+def test_invalid_layer_parameters_rejected(call):
+    with pytest.raises(ValueError, match="^(phi|phi_nl|ell_nl|theta_perp) must be"):
+        call()
 
 
-def test_degenerate_state_has_no_renormalized_triple():
-    empty = states.TwoPhotonState(np.zeros(states.N_CONFIGURATIONS))
-    probs = states.detection_probabilities(empty)
-    assert probs.raw == (0.0, 0.0, 0.0)
-    assert probs.renormalized is None
+# The pair basis of ``vibsim._pair_lift``: (2,0), (0,2), (1,1).
+_LIFT_PAIRS = ((0, 0), (1, 1), (0, 1))
 
 
-def test_amplitude_vector_shape_is_guarded():
-    with pytest.raises(ValueError):
-        states.TwoPhotonState(np.zeros(9))
-
-
-def test_state_amplitudes_are_read_only():
-    state = states.new_input()
-    with pytest.raises(ValueError):
-        state.amplitudes[0] = 0.0
-
-
-def _modes(occupation):
-    return tuple(m for m in range(4) for _ in range(occupation[m]))
-
-
-def _oracle_transfer(single: np.ndarray) -> np.ndarray:
-    """Columns of the pair-space transfer, one basis configuration at a time."""
-    transfer = np.empty((states.N_CONFIGURATIONS, states.N_CONFIGURATIONS), dtype=complex)
-    for col, occ_in in enumerate(states.CONFIGURATIONS):
-        psi = pair_tensor_evolve(pair_tensor_from_configuration(*_modes(occ_in)), single)
-        for row, occ_out in enumerate(states.CONFIGURATIONS):
-            transfer[row, col] = pair_tensor_amplitude(psi, *_modes(occ_out))
+def _oracle_transfer(u: np.ndarray) -> np.ndarray:
+    """Columns of the pair-space transfer, one basis pair at a time."""
+    single = np.eye(4, dtype=complex)
+    single[:2, :2] = u
+    transfer = np.empty((3, 3), dtype=complex)
+    for col, modes_in in enumerate(_LIFT_PAIRS):
+        psi = pair_tensor_evolve(pair_tensor_from_configuration(*modes_in), single)
+        for row, modes_out in enumerate(_LIFT_PAIRS):
+            transfer[row, col] = pair_tensor_amplitude(psi, *modes_out)
     return transfer
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_lift_matches_pair_tensor_oracle(seed):
     rng = np.random.default_rng(seed)
-    single = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    lift = states.two_boson_transfer(single)
-    assert np.max(np.abs(lift - _oracle_transfer(single))) < 1e-12
-
-
-@given(phi=angles)
-def test_linear_phase_factors_are_the_lifted_diagonal(phi):
-    single = np.diag(np.exp(1j * phi * np.array([1.0, 0.0, 1.0, 0.0])))
-    factors = states.linear_phase_factors(phi)
-    assert np.max(np.abs(np.diag(factors) - _oracle_transfer(single))) < 1e-12
+    u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    assert np.max(np.abs(vibsim._pair_lift(u) - _oracle_transfer(u))) < 1e-12

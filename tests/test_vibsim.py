@@ -11,9 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nltimebin import states, vibsim
+from nltimebin import vibsim
 
-from _oracles import evolution_layers, pair_occupancies
+from _oracles import (
+    configuration_amplitudes,
+    evolution_steps,
+    pair_occupancies,
+    pair_tensor_run,
+)
 
 WATER_PERIOD_PS = 1.0 / (2.99792458e10 * 1e-12 * (3740.05 - 3619.68))
 
@@ -86,7 +91,7 @@ def test_step_phase_reference_point():
 
 
 def test_evolution_uses_twelve_layers():
-    assert len(evolution_layers(0.2, vibsim.water_spec())) == 12
+    assert len(evolution_steps(0.2, vibsim.water_spec())) == 12
 
 
 @settings(deadline=None, max_examples=50)
@@ -211,11 +216,8 @@ def localized(spec: vibsim.MoleculeSpec, u: np.ndarray) -> vibsim.MoleculeSpec:
 
 
 def test_layer_products_stay_in_the_photonic_basis():
-    spec = vibsim.water_spec()
-    amps = np.zeros(states.N_CONFIGURATIONS, dtype=complex)
-    amps[0] = 1.0
-    evolved = states.apply_circuit(states.TwoPhotonState(amps), evolution_layers(0.3, spec))
-    assert abs(evolved.norm_squared - 1.0) < 1e-12
+    psi = pair_tensor_run(evolution_steps(0.3, vibsim.water_spec()), 0, 0)
+    assert abs(np.sum(np.abs(configuration_amplitudes(psi)) ** 2) - 1.0) < 1e-12
 
 
 def test_layer_circuit_reproduces_the_lifted_propagator():
@@ -230,15 +232,12 @@ def test_layer_circuit_reproduces_the_lifted_propagator():
     for u in localizations:
         molecule = localized(spec, u)
         for input_mode in (0, 1):
-            start = np.zeros(states.N_CONFIGURATIONS, dtype=complex)
-            start[input_mode] = 1.0
             for harmonic in (False, True):
                 for t in (0.07, 0.23, 0.41):
-                    layers = evolution_layers(t, molecule, harmonic)
-                    assert len(layers) == 12
-                    weights = np.abs(
-                        states.apply_circuit(states.TwoPhotonState(start), layers).amplitudes
-                    ) ** 2
+                    steps = evolution_steps(t, molecule, harmonic)
+                    assert len(steps) == 12
+                    psi = pair_tensor_run(steps, input_mode, input_mode)
+                    weights = np.abs(configuration_amplitudes(psi)) ** 2
                     point = vibsim.evolve(t, molecule, harmonic=harmonic, input_mode=input_mode)
                     mine = (point.p_same_left, point.p_same_right, point.p_separate)
                     assert np.max(np.abs(np.array(mine) - weights[:3])) < 1e-12
