@@ -1,10 +1,7 @@
 """Double-pass time-bin interferometer and coincidence statistics.
 
-Covers four layers of the experiment pipeline:
+Covers three layers of the experiment pipeline:
 
-* classical field equations of the excitation and detection passes
-  through the interferometer (per-pulse amplitudes, fringe contrast,
-  phase calibration);
 * closed-form two-photon output statistics of the balanced circuit,
   affine in three coefficients for every degree of partial
   distinguishability (``triple_basis``), and the closed-form pair state
@@ -12,15 +9,15 @@ Covers four layers of the experiment pipeline:
 * normalization of raw coincidence histograms into output-pattern
   probabilities, with first-order Poisson error propagation;
 * Monte Carlo synthesis of raw 3x3 peak histograms per detector pair,
-  and the seeded synthesize -> normalize sweep built on it.
+  routed through the detection optics, and the seeded
+  synthesize -> normalize sweep built on it.
 
-Efficiencies and transmissions are probabilities; they enter field
-amplitudes as square roots.
+Efficiencies are probabilities; they enter field amplitudes as square
+roots.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -48,18 +45,18 @@ _CLASS_KEYS = ("20", "11", "02")
 
 @dataclass(frozen=True)
 class TBIConfig:
-    """Interferometer settings and path/detector efficiencies.
+    """Interferometer phases and path/detector efficiencies.
 
-    ``eta_ratio_a2``/``eta_ratio_b2`` scale the second detector of each
-    output port relative to the first, so every detector has an
-    independent efficiency while keeping the four canonical
-    arm-and-detector products as explicit fields.
+    ``theta`` is the excitation phase of the late time bin,
+    ``theta_prime`` the detection phase of the long arm, and
+    ``theta1``/``theta2`` the splitter phases on the short-to-b and
+    long-to-a reflections.  ``eta_sa1``, ``eta_sb1``, ``eta_la1`` and
+    ``eta_lb1`` are the four arm-and-detector efficiencies of the first
+    detector of each port; ``eta_ratio_a2``/``eta_ratio_b2`` scale the
+    second detector of each port relative to the first, so every
+    detector has an independent efficiency.
     """
 
-    phi: float = 0.0
-    theta_qwp: float = math.pi / 4
-    t_short: float = 1.0
-    t_long: float = 1.0
     theta: float = 0.0
     theta_prime: float = 0.0
     theta1: float = math.pi / 2
@@ -72,140 +69,13 @@ class TBIConfig:
     eta_ratio_b2: float = 1.0
 
     def validate(self) -> None:
-        for name in ("t_short", "t_long", "eta_sa1", "eta_sb1", "eta_la1",
-                     "eta_lb1", "eta_ratio_a2", "eta_ratio_b2"):
+        for name in ("eta_sa1", "eta_sb1", "eta_la1", "eta_lb1", "eta_ratio_a2", "eta_ratio_b2"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-        for name in ("phi", "theta_qwp", "theta", "theta_prime", "theta1", "theta2"):
+        for name in ("theta", "theta_prime", "theta1", "theta2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-
-
-@dataclass(frozen=True)
-class ExcitationFields:
-    """Per-pulse complex amplitudes of the two generated time bins.
-
-    The common temporal envelope is factored out; ``relative_phase`` is
-    the unwrapped early-minus-late phase at the balanced waveplate
-    setting, linear in the programmed phase so that sweeps track the
-    full winding rather than folding back into (-pi, pi].
-    """
-
-    e_early: complex
-    e_late: complex
-    relative_phase: float
-
-    @property
-    def intensity_early(self) -> float:
-        return abs(self.e_early) ** 2
-
-    @property
-    def intensity_late(self) -> float:
-        return abs(self.e_late) ** 2
-
-
-def _excitation_amplitudes(config: TBIConfig, phis) -> tuple[np.ndarray, np.ndarray]:
-    """Early and late excitation fields at each programmed phase in ``phis``."""
-    config.validate()
-    phis = np.asarray(phis, dtype=float)
-    tq = config.theta_qwp
-    pref = (1.0 + 1.0j) / 2.0
-    e_early = pref * math.sqrt(config.t_short) * (np.sin(phis) + 1j * np.sin(phis - 2 * tq))
-    e_late = (
-        np.exp(-1j * config.theta)
-        * pref
-        * math.sqrt(config.t_long)
-        * (np.cos(phis) - 1j * np.cos(phis - 2 * tq))
-    )
-    return e_early, e_late
-
-
-def excitation_fields(config: TBIConfig) -> ExcitationFields:
-    """Fields of the early/late excitation pulses and their relative phase."""
-    e_early, e_late = _excitation_amplitudes(config, config.phi)
-    relative_phase = config.theta + 2.0 * config.phi - math.pi / 2.0
-    return ExcitationFields(
-        e_early=complex(e_early),
-        e_late=complex(e_late),
-        relative_phase=relative_phase,
-    )
-
-
-def _detection_optics(config: TBIConfig) -> np.ndarray:
-    """(arm, port) field amplitudes to the first detector of each port.
-
-    Rows are the short and long arm, columns ports a and b.  The long
-    arm carries the detection-path phase; the splitter phases sit on
-    the short-to-b and long-to-a reflections.  The recombiner splits
-    evenly, and the arm-and-detector efficiency enters as a root since
-    loss acts on the probability.
-    """
-    phases = [[0.0, config.theta1], [config.theta2 + config.theta_prime, config.theta_prime]]
-    efficiency = np.array([[config.eta_sa1, config.eta_sb1], [config.eta_la1, config.eta_lb1]])
-    return np.exp(-1j * np.array(phases)) * np.sqrt(efficiency / 2.0)
-
-
-def _middle_window_intensities(config: TBIConfig, phis) -> np.ndarray:
-    """Middle-window intensities at a1 and b1, one (a1, b1) row per phase.
-
-    The early pulse reaches the middle window through the long arm, the
-    late pulse through the short arm; their interference carries the
-    fringe.  Only the excitation fields depend on the phase.
-    """
-    e_early, e_late = _excitation_amplitudes(config, phis)
-    optics = _detection_optics(config)
-    fields = np.multiply.outer(e_early, optics[1]) + np.multiply.outer(e_late, optics[0])
-    return np.abs(fields) ** 2
-
-
-def middle_peak_intensities(config: TBIConfig) -> tuple[float, float]:
-    """Middle-window intensities at the first detector of each port.
-
-    The one-phase view, at ``config.phi``, of the phase-sweep fields.
-    """
-    i_a1, i_b1 = _middle_window_intensities(config, config.phi)
-    return float(i_a1), float(i_b1)
-
-
-def contrast_amplitude(config: TBIConfig) -> float:
-    """Fringe amplitude of the two-detector contrast under efficiency imbalance."""
-    sa = math.sqrt(config.eta_sa1 * config.eta_la1)
-    sb = math.sqrt(config.eta_sb1 * config.eta_lb1)
-    denom = config.eta_sa1 + config.eta_la1 + config.eta_sb1 + config.eta_lb1
-    if denom == 0.0:
-        return 0.0
-    return 2.0 * (sa + sb) / denom
-
-
-def fringe_contrast(config: TBIConfig, phi_sweep: np.ndarray) -> tuple[np.ndarray, float]:
-    """Contrast (I_a1 - I_b1)/(I_a1 + I_b1) of the middle window over a phase sweep.
-
-    For balanced efficiencies the curve is -C*cos(2*phi + theta - theta')
-    with C = contrast_amplitude(config); imbalanced detectors add a
-    constant offset on top of the same fringe amplitude.  ``config.phi``
-    is ignored: the sweep supplies the phases.
-    """
-    i_a1, i_b1 = _middle_window_intensities(config, np.asarray(phi_sweep, dtype=float)).T
-    return (i_a1 - i_b1) / (i_a1 + i_b1), contrast_amplitude(config)
-
-
-def calibrate_phase_offset(config: TBIConfig, scan_points: int = 720) -> float:
-    """Phase that suppresses the middle-window intensity at detector a1.
-
-    Scans one full fringe period and refines the minimum with a
-    parabolic step, mirroring the experimental calibration that nulls
-    the interfering window before re-zeroing the phase.
-    """
-    grid = np.linspace(0.0, math.pi, scan_points, endpoint=False)
-    values = _middle_window_intensities(config, grid)[:, 0]
-    k = int(np.argmin(values))
-    # Parabolic refinement through the minimum and its periodic neighbours.
-    h = grid[1] - grid[0]
-    y0, y1, y2 = values[(k - 1) % scan_points], values[k], values[(k + 1) % scan_points]
-    denom = y0 - 2.0 * y1 + y2
-    shift = 0.0 if denom == 0.0 else 0.5 * (y0 - y2) / denom
-    return float(grid[k] + shift * h)
 
 
 # ---------------------------------------------------------------------------
@@ -307,21 +177,6 @@ class PeakHistogram:
         side = np.bincount(_PAIR_CLASS, self.counts[:, 0, 2] + self.counts[:, 2, 0], minlength=3)
         return {key: (float(c), float(s)) for key, c, s in zip(_CLASS_KEYS, center, side)}
 
-    def to_csv_rows(self) -> list[tuple[str, str, str, int]]:
-        rows = []
-        for p, (d1, d2) in enumerate(DETECTOR_PAIRS):
-            for i, row_peak in enumerate(PEAKS):
-                for j, col_peak in enumerate(PEAKS):
-                    rows.append((f"{d1}-{d2}", row_peak, col_peak, int(self.counts[p, i, j])))
-        return rows
-
-    def to_json(self) -> str:
-        payload = {
-            f"{d1}-{d2}": [[int(c) for c in row] for row in self.counts[p]]
-            for p, (d1, d2) in enumerate(DETECTOR_PAIRS)
-        }
-        return json.dumps({"peaks": list(PEAKS), "pairs": payload}, indent=2, sort_keys=True)
-
 
 @dataclass(frozen=True)
 class NormalizedStats:
@@ -334,20 +189,6 @@ class NormalizedStats:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.p20, self.p11, self.p02)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p20": self.p20,
-                "p11": self.p11,
-                "p02": self.p02,
-                "sigma_p20": self.uncertainties[0],
-                "sigma_p11": self.uncertainties[1],
-                "sigma_p02": self.uncertainties[2],
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 class NormalizationError(ValueError):
@@ -429,6 +270,20 @@ _SLOT_CELL = np.ravel_multi_index(
     ),
     _HIST_SHAPE,
 )
+
+
+def _detection_optics(config: TBIConfig) -> np.ndarray:
+    """(arm, port) field amplitudes to the first detector of each port.
+
+    Rows are the short and long arm, columns ports a and b.  The long
+    arm carries the detection-path phase; the splitter phases sit on
+    the short-to-b and long-to-a reflections.  The recombiner splits
+    evenly, and the arm-and-detector efficiency enters as a root since
+    loss acts on the probability.
+    """
+    phases = [[0.0, config.theta1], [config.theta2 + config.theta_prime, config.theta_prime]]
+    efficiency = np.array([[config.eta_sa1, config.eta_sb1], [config.eta_la1, config.eta_lb1]])
+    return np.exp(-1j * np.array(phases)) * np.sqrt(efficiency / 2.0)
 
 
 def _slot_map(config: TBIConfig) -> np.ndarray:

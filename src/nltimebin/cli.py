@@ -115,6 +115,8 @@ def parse_angle(value, flag: str) -> float:
 
 
 def parse_count(value, flag: str, minimum: int) -> int:
+    if isinstance(value, bool):
+        raise FlagError(flag, f"expected an integer, got {value!r}")
     try:
         number = int(value)
     except (TypeError, ValueError):
@@ -130,7 +132,9 @@ def parse_count(value, flag: str, minimum: int) -> int:
 # Config-file merge and artifact writers
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(args: argparse.Namespace) -> dict:
+    """The ``--config`` JSON object; each key must name a flag of the subcommand."""
+    path = args.config
     if path is None:
         return {}
     try:
@@ -142,6 +146,10 @@ def _load_config(path: str | None) -> dict:
         raise FlagError("--config", f"{path!r} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise FlagError("--config", f"{path!r} must hold a JSON object")
+    known = set(vars(args)) - {"func", "command", "config"}
+    for key in config:
+        if key not in known:
+            raise FlagError("--config", f"unknown key {key!r}; expected one of {sorted(known)}")
     return config
 
 
@@ -156,7 +164,10 @@ def _setting(args: argparse.Namespace, config: dict, dest: str, fallback):
 
 
 def _out_dir(args: argparse.Namespace, config: dict) -> Path:
-    out = Path(_setting(args, config, "out", "."))
+    out = _setting(args, config, "out", ".")
+    if not isinstance(out, str):
+        raise FlagError("--out", f"expected a directory path, got {out!r}")
+    out = Path(out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -189,7 +200,7 @@ def _peak_to_trough(values: np.ndarray) -> float:
 
 
 def cmd_jti(args: argparse.Namespace) -> None:
-    config = _load_config(args.config)
+    config = _load_config(args)
     delta = parse_detuning(_setting(args, config, "delta", 0.0), "--delta")
     sigma = parse_width(_setting(args, config, "sigma", 1.0), "--sigma")
     phi = parse_angle(_setting(args, config, "phi", 0.0), "--phi")
@@ -215,7 +226,7 @@ def cmd_jti(args: argparse.Namespace) -> None:
 def cmd_fringe(args: argparse.Namespace) -> None:
     from . import circuit
 
-    config = _load_config(args.config)
+    config = _load_config(args)
     delta = parse_detuning(_setting(args, config, "delta", 0.0), "--delta")
     sigma = parse_width(_setting(args, config, "sigma", 1.0), "--sigma")
     grid = parse_count(_setting(args, config, "grid", 101), "--grid", 2)
@@ -276,7 +287,7 @@ def _parse_sigma_list(value, flag: str) -> list[float]:
 
 
 def cmd_characterize(args: argparse.Namespace) -> None:
-    config = _load_config(args.config)
+    config = _load_config(args)
     sigmas = _parse_sigma_list(_setting(args, config, "sigma", 1.0), "--sigma")
     delta_max = parse_detuning(_setting(args, config, "delta_max", 5.0), "--delta-max")
     if delta_max <= 0.0:
@@ -359,16 +370,18 @@ def _read_statistics_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray 
 def cmd_fit(args: argparse.Namespace) -> None:
     from . import fit
 
-    config = _load_config(args.config)
+    config = _load_config(args)
     data = _setting(args, config, "data", None)
     if data is None:
         raise FlagError("--data", "a statistics CSV path is required")
     free_overlap = _setting(args, config, "distinguishability", False)
+    if not isinstance(free_overlap, bool):
+        raise FlagError("--distinguishability", f"expected true or false, got {free_overlap!r}")
     out = _out_dir(args, config)
 
     phis, triples, errors = _read_statistics_csv(str(data))
     try:
-        result = fit.fit_nl(phis, triples, errors, fit_distinguishability=bool(free_overlap))
+        result = fit.fit_nl(phis, triples, errors, fit_distinguishability=free_overlap)
     except ValueError as exc:
         raise FlagError("--data", str(exc)) from exc
 
@@ -380,7 +393,7 @@ def cmd_fit(args: argparse.Namespace) -> None:
 def cmd_water(args: argparse.Namespace) -> None:
     from . import vibsim
 
-    config = _load_config(args.config)
+    config = _load_config(args)
     tmax = parse_time_ps(_setting(args, config, "tmax", 0.5), "--tmax")
     steps = parse_count(_setting(args, config, "steps", 51), "--steps", 2)
     out = _out_dir(args, config)

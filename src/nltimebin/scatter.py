@@ -5,10 +5,10 @@ detunings from the emitter line multiplied by its lifetime, times are
 in units of the lifetime.  A single photon scatters with amplitude
 ``omega / (omega + i)``; a photon pair additionally populates a bound
 two-photon channel whose spectral weight is concentrated along the
-total-frequency diagonal.  This module evaluates the pair output
-wavefunction, reduces it to the effective interferometer parameters
-(transmission, pair loss, nonlinear phase), and produces joint
-detection-time intensities.
+total-frequency diagonal.  This module reduces the pair output
+wavefunction to the effective interferometer parameters (transmission,
+pair loss, nonlinear phase) and produces joint detection-time
+intensities.
 
 The bound channel is a closed form in the Faddeeva function, and so are
 the single-photon norm (a Voigt profile) and every integral over the
@@ -99,26 +99,21 @@ class PulseSpec:
 class QuadratureConfig:
     """Frequency-integration window (in pulse widths) and node count.
 
-    ``nonlinear_params`` and ``full_statistics`` integrate over the total
-    frequency s = x + y within ``2 * half_width`` pulse widths of twice
-    the pulse center; ``nodes`` counts those s-grid nodes, split into two
-    Gauss-Legendre panels of ``nodes // 2`` at the emitter line s = 0
-    (at the window centre when the line lies outside).  ``jti`` and
-    ``circuit_jti`` transform to detection times on the same panels.  The
-    bound channel, the single-photon norm and the integrals over the
-    frequency difference are closed forms.
+    An internal record: every public entry point integrates at
+    ``DEFAULT_QUADRATURE``, and the node-doubling check evaluates a copy
+    with twice the nodes.  ``nonlinear_params`` and ``full_statistics``
+    integrate over the total frequency s = x + y within
+    ``2 * half_width`` pulse widths of twice the pulse center; ``nodes``
+    counts those s-grid nodes, split into two Gauss-Legendre panels of
+    ``nodes // 2`` at the emitter line s = 0 (at the window centre when
+    the line lies outside).  ``jti`` and ``circuit_jti`` transform to
+    detection times on the same panels.  The bound channel, the
+    single-photon norm and the integrals over the frequency difference
+    are closed forms.
     """
 
     half_width: float = 8.0
     nodes: int = 512
-
-    def validate(self) -> None:
-        if not (math.isfinite(self.half_width) and self.half_width >= 6.0):
-            raise ValueError(
-                f"half_width must be at least 6 pulse widths, got {self.half_width!r}"
-            )
-        if self.nodes < 64:
-            raise ValueError(f"nodes must be at least 64, got {self.nodes!r}")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -291,30 +286,6 @@ def bound_channel_integral(s: np.ndarray | float, pulse: PulseSpec) -> np.ndarra
     return complex(values) if values.ndim == 0 else values
 
 
-def two_photon_output(
-    x: np.ndarray | float,
-    y: np.ndarray | float,
-    pulse: PulseSpec,
-) -> np.ndarray | complex:
-    """Pair output amplitude at constituent frequencies ``(x, y)``.
-
-    Sum of the independently transmitted product and the bound-channel
-    term; symmetric under exchange of its frequency arguments.  A closed
-    form, valid for any finite ``delta`` and any ``sigma > 0``.
-    """
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    # Evaluate on the ordered pair so exchange symmetry holds bitwise;
-    # fused multiplies in the array loop would otherwise round the two
-    # argument orders differently.
-    lo = np.minimum(x, y)
-    hi = np.maximum(x, y)
-    # Both terms share the emitter poles: t(x) t(y) = x y / ((x + i)(y + i)).
-    pole = 1.0 / ((lo + 1j) * (hi + 1j))
-    product = (lo * hi) * (gaussian_spectrum(lo, pulse) * gaussian_spectrum(hi, pulse)) * pole
-    result = product + (1j / TWO_PI) * bound_channel_integral(lo + hi, pulse) * pole
-    return complex(result) if result.ndim == 0 else result
-
-
 # ---------------------------------------------------------------------------
 # Effective interferometer parameters
 
@@ -417,7 +388,6 @@ class _Profile:
 @lru_cache(maxsize=8)
 def _profile(pulse: PulseSpec, quad: QuadratureConfig) -> _Profile:
     pulse.validate()
-    quad.validate()
     return _Profile(pulse, quad)
 
 
@@ -452,17 +422,18 @@ def _check_doubling(drift: float, what: str, pulse: PulseSpec, quad: QuadratureC
             f"pulse delta={float(pulse.delta)!r}, sigma={float(pulse.sigma)!r}: "
             f"{what} drift {drift:.2e} under node doubling exceeds the {budget:.0e} "
             f"budget at half_width={quad.half_width}, nodes={quad.nodes}; "
-            "widen the window or increase nodes"
+            "the pulse lies outside the domain this quadrature resolves"
         )
 
 
-def _checked_profile(pulse: PulseSpec, quad: QuadratureConfig) -> _Profile:
+def _checked_profile(pulse: PulseSpec) -> _Profile:
     """The pulse profile, once its parameters settle under node doubling.
 
     Raises ``QuadratureError`` when the extracted parameters move by
     more than 1e-6 at doubled node count, which points at a window too
     narrow or too coarse for the requested pulse.
     """
+    quad = DEFAULT_QUADRATURE
     prof = _profile(pulse, quad)
     base = _params_from_profile(pulse, prof)
     fine = _params_from_profile(pulse, _profile(pulse, replace(quad, nodes=2 * quad.nodes)))
@@ -475,10 +446,7 @@ def _checked_profile(pulse: PulseSpec, quad: QuadratureConfig) -> _Profile:
     return prof
 
 
-def nonlinear_params(
-    pulse: PulseSpec,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> NonlinearParams:
+def nonlinear_params(pulse: PulseSpec) -> NonlinearParams:
     """Extract the effective circuit parameters for a pulse.
 
     Raises ``QuadratureError`` when the parameters have not settled to
@@ -487,22 +455,15 @@ def nonlinear_params(
     20, where they agree with an adaptive-quadrature oracle; ``sigma``
     of 3000 and 1e4 raise.
     """
-    return _params_from_profile(pulse, _checked_profile(pulse, quad))
+    return _params_from_profile(pulse, _checked_profile(pulse))
 
 
-def parameter_sweep(
-    pulses: list[PulseSpec],
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> list[NonlinearParams]:
+def parameter_sweep(pulses: list[PulseSpec]) -> list[NonlinearParams]:
     """Effective parameters for a sequence of pulses."""
-    return [nonlinear_params(pulse, quad) for pulse in pulses]
+    return [nonlinear_params(pulse) for pulse in pulses]
 
 
-def full_statistics(
-    phis: np.ndarray | float,
-    pulse: PulseSpec,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> np.ndarray:
+def full_statistics(phis: np.ndarray | float, pulse: PulseSpec) -> np.ndarray:
     """Raw output-pattern probabilities of the full spectral model.
 
     The both-photons-one-port patterns carry the amplitude
@@ -514,7 +475,7 @@ def full_statistics(
     ``QuadratureError`` for a pulse whose profile is not resolved, like
     ``nonlinear_params``.
     """
-    prof = _checked_profile(pulse, quad)
+    prof = _checked_profile(pulse)
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     a = (np.exp(2j * phis) + 1.0) / 4.0
     b = np.exp(1j * phis) / 2.0
@@ -592,14 +553,14 @@ def _symmetric_intensity(amplitude: np.ndarray) -> np.ndarray:
 
 
 def _time_map(
-    pulse: PulseSpec, quad: QuadratureConfig, times: np.ndarray | None, a: complex, b: complex
+    pulse: PulseSpec, times: np.ndarray | None, a: complex, b: complex
 ) -> JointTimeIntensity:
     """Intensity of ``_time_amplitude``, once it settles under node doubling."""
+    quad = DEFAULT_QUADRATURE
     if times is None:
         times = _default_times()
     times = np.asarray(times, dtype=float)
     pulse.validate()
-    quad.validate()
     _check_time_window(pulse, times)
     base = _time_amplitude(pulse, quad, times, a, b)
     fine = _time_amplitude(pulse, replace(quad, nodes=2 * quad.nodes), times, a, b)
@@ -607,11 +568,7 @@ def _time_map(
     return JointTimeIntensity(times=times, intensity=_symmetric_intensity(base))
 
 
-def jti(
-    pulse: PulseSpec,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-    times: np.ndarray | None = None,
-) -> JointTimeIntensity:
+def jti(pulse: PulseSpec, times: np.ndarray | None = None) -> JointTimeIntensity:
     """Joint detection-time intensity of the bare scattered pair.
 
     Raises ``QuadratureError`` when node doubling moves the pair amplitude
@@ -619,14 +576,11 @@ def jti(
     the map resolves, measured, for ``sigma`` from 0.02 to 5 at ``delta``
     of 0, 1 and 5; ``sigma`` of 10 and wider raise.
     """
-    return _time_map(pulse, quad, times, 1.0, 0.0)
+    return _time_map(pulse, times, 1.0, 0.0)
 
 
 def circuit_jti(
-    phi: float,
-    pulse: PulseSpec,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-    times: np.ndarray | None = None,
+    phi: float, pulse: PulseSpec, times: np.ndarray | None = None
 ) -> JointTimeIntensity:
     """Joint detection-time intensity of the both-photons-one-port pattern.
 
@@ -634,7 +588,7 @@ def circuit_jti(
     phase ``phi``.  Resolves over the same domain as ``jti`` and raises
     ``QuadratureError`` outside it.
     """
-    return _time_map(pulse, quad, times, (np.exp(2j * phi) + 1.0) / 4.0, np.exp(1j * phi) / 2.0)
+    return _time_map(pulse, times, (np.exp(2j * phi) + 1.0) / 4.0, np.exp(1j * phi) / 2.0)
 
 
 def factorization_residual(intensity: np.ndarray) -> float:

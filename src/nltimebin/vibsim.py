@@ -27,14 +27,6 @@ from .scatter import SPEED_OF_LIGHT_CM
 _RAD_PER_PS_CM = 2.0 * math.pi * SPEED_OF_LIGHT_CM * 1e-12
 
 
-def wrap_phase(angle: float) -> float:
-    """Reduce an angle to the interval (-pi, pi]."""
-    wrapped = math.remainder(angle, math.tau)
-    if wrapped <= -math.pi:
-        wrapped = math.pi
-    return wrapped
-
-
 @dataclass(frozen=True)
 class MoleculeSpec:
     """Eigenfrequencies of a two-mode vibrational ladder.
@@ -75,39 +67,6 @@ class MoleculeSpec:
             nu11=self.nu10 + self.nu01,
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "nu10": self.nu10,
-            "nu01": self.nu01,
-            "nu20": self.nu20,
-            "nu02": self.nu02,
-            "nu11": self.nu11,
-            "localization": [[[z.real, z.imag] for z in row] for row in self.localization],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> MoleculeSpec:
-        if "localization" in data:
-            rows = []
-            for row in data["localization"]:
-                entries = []
-                for z in row:
-                    entries.append(complex(z[0], z[1]) if isinstance(z, (list, tuple)) else complex(z))
-                rows.append(tuple(entries))
-            localization = tuple(rows)
-        else:
-            localization = _BEAM_SPLITTER_LOCALIZATION
-        spec = cls(
-            nu10=float(data["nu10"]),
-            nu01=float(data["nu01"]),
-            nu20=float(data["nu20"]),
-            nu02=float(data["nu02"]),
-            nu11=float(data["nu11"]),
-            localization=localization,
-        )
-        spec.validate()
-        return spec
-
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _BEAM_SPLITTER_LOCALIZATION = (
@@ -125,47 +84,6 @@ def water_spec() -> MoleculeSpec:
         nu02=7154.35,
         nu11=7206.46,
         localization=_BEAM_SPLITTER_LOCALIZATION,
-    )
-
-
-@dataclass(frozen=True)
-class StepPhases:
-    """Wrapped interferometer phases for one evolution time."""
-
-    phi_lin: float
-    phi_nl_0: float
-    phi_nl_1: float
-    phi_11_residual: float
-
-
-def step_phases(t: float, spec: MoleculeSpec, harmonic: bool = False) -> StepPhases:
-    """Phases accumulated after ``t`` picoseconds of free evolution.
-
-    Each eigenconfiguration picks up exp(-2*pi*i*c*nu*t); the reported
-    quantities are the differences that drive the circuit, wrapped to
-    (-pi, pi].  With ``harmonic`` the two-excitation frequencies are
-    replaced by sums of single-excitation ones, which zeroes the
-    nonlinear and residual phases identically.
-    """
-    spec.validate()
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"evolution time must be non-negative, got {t!r}")
-    scale = -_RAD_PER_PS_CM * t
-    if harmonic:
-        # The substitution nu20 -> 2 nu10 and so on cancels the defect
-        # frequencies identically, not just to rounding.
-        defects = (0.0, 0.0, 0.0)
-    else:
-        defects = (
-            spec.nu20 - 2.0 * spec.nu10,
-            spec.nu02 - 2.0 * spec.nu01,
-            spec.nu11 - spec.nu10 - spec.nu01,
-        )
-    return StepPhases(
-        phi_lin=wrap_phase(scale * (spec.nu10 - spec.nu01)),
-        phi_nl_0=wrap_phase(scale * defects[0]),
-        phi_nl_1=wrap_phase(scale * defects[1]),
-        phi_11_residual=wrap_phase(scale * defects[2]),
     )
 
 
@@ -272,44 +190,3 @@ def trace(
         raise ValueError(f"t_max must be positive, got {t_max!r}")
     times = np.linspace(0.0, t_max, n_steps)
     return list(zip(_trace_points(times, spec, False, 0), _trace_points(times, spec, True, 0)))
-
-
-def phase_to_detuning(phi_nl_target: float, curve) -> float:
-    """Invert a characterized (detuning, nonlinear phase) table.
-
-    ``curve`` is an iterable of sweep entries (anything with ``delta``
-    and ``phi_nl`` attributes, or (delta, phi_nl) pairs) covering
-    non-negative detunings on which the phase decreases away from
-    resonance.  Targets below the far-detuned tail clamp to the last
-    tabulated detuning; targets above the resonant maximum raise.
-    """
-    pairs = []
-    for entry in curve:
-        if hasattr(entry, "delta"):
-            delta, phase = float(entry.delta), float(entry.phi_nl)
-        else:
-            delta, phase = float(entry[0]), float(entry[1])
-        if delta >= 0.0:
-            pairs.append((delta, phase))
-    if len(pairs) < 2:
-        raise ValueError("curve must tabulate at least two non-negative detunings")
-    pairs.sort()
-    deltas = [d for d, _ in pairs]
-    phases = [p for _, p in pairs]
-    if any(phases[k + 1] >= phases[k] for k in range(len(pairs) - 1)):
-        raise ValueError("curve must be strictly decreasing in phi_nl for increasing detuning")
-    if not (math.isfinite(phi_nl_target) and phi_nl_target >= 0.0):
-        raise ValueError(f"target phase must be non-negative, got {phi_nl_target!r}")
-    if phi_nl_target > phases[0]:
-        raise ValueError(
-            f"target phase {phi_nl_target!r} exceeds the maximum achievable "
-            f"nonlinear phase {phases[0]!r} at zero detuning"
-        )
-    if phi_nl_target <= phases[-1]:
-        return deltas[-1]
-    for k in range(len(pairs) - 1):
-        if phases[k + 1] <= phi_nl_target <= phases[k]:
-            span = phases[k + 1] - phases[k]
-            frac = (phi_nl_target - phases[k]) / span
-            return deltas[k] + frac * (deltas[k + 1] - deltas[k])
-    raise ValueError("target phase does not bracket any table interval")

