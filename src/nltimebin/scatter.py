@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -75,14 +75,20 @@ class EmitterFrame:
         return math.sqrt(2.0 * math.log(2.0)) * self.lifetime_ps / duration_ps
 
 
+# Widths whose square, times the constants it meets, stays a normal float.
+_SIGMA_MIN, _SIGMA_MAX = 1e-150, 1e150
+
+
 @dataclass(frozen=True)
 class PulseSpec:
     """Gaussian pulse: center detuning and spectral width, natural units.
 
-    Any finite ``delta`` and ``sigma > 0`` is valid input.  At the default
-    quadrature the effective parameters resolve, measured, for
-    ``sigma`` from 0.02 to 1000 at ``delta`` of 0, 5 and 20; ``sigma`` of
-    3000 and 1e4 raise ``QuadratureError`` there.
+    ``validate`` accepts any finite ``delta`` and ``sigma`` in
+    [1e-150, 1e150]; outside that range the squared width leaves the
+    float range, and it raises ``ValueError`` naming ``sigma``.  The
+    effective parameters resolve, measured, for ``sigma`` from 0.02 to
+    1000 at ``delta`` of 0, 5 and 20; ``sigma`` of 3000 and 1e4 raise
+    ``QuadratureError``.
     """
 
     delta: float
@@ -91,32 +97,22 @@ class PulseSpec:
     def validate(self) -> None:
         if not math.isfinite(self.delta):
             raise ValueError(f"delta must be finite, got {self.delta!r}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
+        if not _SIGMA_MIN <= self.sigma <= _SIGMA_MAX:
+            raise ValueError(
+                f"sigma must be in [{_SIGMA_MIN:.0e}, {_SIGMA_MAX:.0e}], got {self.sigma!r}"
+            )
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Frequency-integration window (in pulse widths) and node count.
-
-    An internal record: every public entry point integrates at
-    ``DEFAULT_QUADRATURE``, and the node-doubling check evaluates a copy
-    with twice the nodes.  ``nonlinear_params`` and ``full_statistics``
-    integrate over the total frequency s = x + y within
-    ``2 * half_width`` pulse widths of twice the pulse center; ``nodes``
-    counts those s-grid nodes, split into two Gauss-Legendre panels of
-    ``nodes // 2`` at the emitter line s = 0 (at the window centre when
-    the line lies outside).  ``jti`` and ``circuit_jti`` transform to
-    detection times on the same panels.  The bound channel, the
-    single-photon norm and the integrals over the frequency difference
-    are closed forms.
-    """
-
-    half_width: float = 8.0
-    nodes: int = 512
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+# Quadrature: ``nonlinear_params`` integrates over the total frequency
+# s = x + y within 2 * _HALF_WIDTH pulse widths of twice the pulse
+# center, on _NODES s-grid nodes split into two Gauss-Legendre panels
+# of _NODES // 2 at the emitter line s = 0 (at the window centre when
+# the line lies outside); ``jti`` and ``circuit_jti`` transform to
+# detection times on the same panels.  The node-doubling check
+# evaluates 2 * _NODES.  The bound channel, the single-photon norm and
+# the integrals over the frequency difference are closed forms.
+_HALF_WIDTH = 8.0
+_NODES = 512
 
 
 class QuadratureError(RuntimeError):
@@ -335,24 +331,22 @@ def _difference_kernel(a: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndar
     return 0.5 * math.pi / (a**2 + 1.0) * ((1.0 + 2.0 * a**2) * w.imag / a - w.real), w
 
 
-def _total_frequency_grid(
-    pulse: PulseSpec, quad: QuadratureConfig
-) -> tuple[np.ndarray, np.ndarray]:
+def _total_frequency_grid(pulse: PulseSpec, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Two Gauss-Legendre panels of ``nodes // 2`` over the total-frequency window.
 
     They split at s = 0 when the emitter line lies inside the window and
     at its centre otherwise.
     """
-    lo = 2.0 * (pulse.delta - quad.half_width * pulse.sigma)
-    hi = 2.0 * (pulse.delta + quad.half_width * pulse.sigma)
+    lo = 2.0 * (pulse.delta - _HALF_WIDTH * pulse.sigma)
+    hi = 2.0 * (pulse.delta + _HALF_WIDTH * pulse.sigma)
     split = 0.0 if lo < 0.0 < hi else 2.0 * pulse.delta
-    left = _scaled_gl(lo, split, quad.nodes // 2)
-    right = _scaled_gl(split, hi, quad.nodes // 2)
+    left = _scaled_gl(lo, split, nodes // 2)
+    right = _scaled_gl(split, hi, nodes // 2)
     return np.concatenate([left[0], right[0]]), np.concatenate([left[1], right[1]])
 
 
 class _Profile:
-    """Pulse integrals that the parameters and the fringe are read from.
+    """Pulse integrals that the effective parameters are read from.
 
     ``p_single`` is the transmitted single-photon norm, ``eta2`` the
     squared pair norm and ``overlap`` the projection of the pair output
@@ -361,14 +355,14 @@ class _Profile:
 
     __slots__ = ("p_single", "eta2", "overlap")
 
-    def __init__(self, pulse: PulseSpec, quad: QuadratureConfig) -> None:
+    def __init__(self, pulse: PulseSpec, nodes: int) -> None:
         # Transmitted single-photon norm: one minus a Voigt profile at the line.
         z = complex(pulse.delta, 1.0) / (math.sqrt(2.0) * pulse.sigma)
         self.p_single = 1.0 - math.sqrt(0.5 * math.pi) / pulse.sigma * faddeeva(z).real
         # Every integral over the frequency difference is a closed form;
         # what is left is one integral over the total frequency s, whose
         # panels split at s = 0 so the width-2 emitter feature resolves.
-        s, w_s = _total_frequency_grid(pulse, quad)
+        s, w_s = _total_frequency_grid(pulse, nodes)
         # The kernel's Faddeeva values serve ``bound_channel_integral`` too:
         # their arguments differ only for |s| < 2e-100, which no node hits.
         kernel, w = _difference_kernel(0.5 * s, pulse.sigma)
@@ -383,12 +377,6 @@ class _Profile:
         ff_norm = self.p_single**2
         self.eta2 = ff_norm + 2.0 * cross.real + bound_norm
         self.overlap = ff_norm + cross.conjugate()
-
-
-@lru_cache(maxsize=8)
-def _profile(pulse: PulseSpec, quad: QuadratureConfig) -> _Profile:
-    pulse.validate()
-    return _Profile(pulse, quad)
 
 
 def _params_from_profile(pulse: PulseSpec, prof: _Profile) -> NonlinearParams:
@@ -414,14 +402,14 @@ def _params_from_profile(pulse: PulseSpec, prof: _Profile) -> NonlinearParams:
     )
 
 
-def _check_doubling(drift: float, what: str, pulse: PulseSpec, quad: QuadratureConfig) -> None:
+def _check_doubling(drift: float, what: str, pulse: PulseSpec) -> None:
     """Raise ``QuadratureError`` unless node doubling moved a result by at most 1e-6."""
     budget = 1e-6
     if not drift <= budget:
         raise QuadratureError(
             f"pulse delta={float(pulse.delta)!r}, sigma={float(pulse.sigma)!r}: "
             f"{what} drift {drift:.2e} under node doubling exceeds the {budget:.0e} "
-            f"budget at half_width={quad.half_width}, nodes={quad.nodes}; "
+            f"budget at half_width={_HALF_WIDTH}, nodes={_NODES}; "
             "the pulse lies outside the domain this quadrature resolves"
         )
 
@@ -433,16 +421,16 @@ def _checked_profile(pulse: PulseSpec) -> _Profile:
     more than 1e-6 at doubled node count, which points at a window too
     narrow or too coarse for the requested pulse.
     """
-    quad = DEFAULT_QUADRATURE
-    prof = _profile(pulse, quad)
+    pulse.validate()
+    prof = _Profile(pulse, _NODES)
     base = _params_from_profile(pulse, prof)
-    fine = _params_from_profile(pulse, _profile(pulse, replace(quad, nodes=2 * quad.nodes)))
+    fine = _params_from_profile(pulse, _Profile(pulse, 2 * _NODES))
     drift = max(
         abs(base.eta - fine.eta) / fine.eta,
         abs(base.ell_nl - fine.ell_nl),
         abs(base.phi_nl - fine.phi_nl),
     )
-    _check_doubling(drift, "parameter", pulse, quad)
+    _check_doubling(drift, "parameter", pulse)
     return prof
 
 
@@ -450,7 +438,7 @@ def nonlinear_params(pulse: PulseSpec) -> NonlinearParams:
     """Extract the effective circuit parameters for a pulse.
 
     Raises ``QuadratureError`` when the parameters have not settled to
-    1e-6 under node doubling.  With the default quadrature they settle,
+    1e-6 under node doubling.  They settle,
     measured, for ``sigma`` from 0.02 to 1000 at ``delta`` of 0, 5 and
     20, where they agree with an adaptive-quadrature oracle; ``sigma``
     of 3000 and 1e4 raise.
@@ -461,28 +449,6 @@ def nonlinear_params(pulse: PulseSpec) -> NonlinearParams:
 def parameter_sweep(pulses: list[PulseSpec]) -> list[NonlinearParams]:
     """Effective parameters for a sequence of pulses."""
     return [nonlinear_params(pulse) for pulse in pulses]
-
-
-def full_statistics(phis: np.ndarray | float, pulse: PulseSpec) -> np.ndarray:
-    """Raw output-pattern probabilities of the full spectral model.
-
-    The both-photons-one-port patterns carry the amplitude
-    ``a * psi2 +/- b * ff`` of the pair wavefunction and the independent
-    product.  Its squared norm expands into three pulse integrals, the
-    two squared norms and the overlap, so every phase is exact without a
-    grid sum of its own; nothing is reduced to the effective parameters
-    first.  Returns an array of rows (p20, p11, p02).  Raises
-    ``QuadratureError`` for a pulse whose profile is not resolved, like
-    ``nonlinear_params``.
-    """
-    prof = _checked_profile(pulse)
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    a = (np.exp(2j * phis) + 1.0) / 4.0
-    b = np.exp(1j * phis) / 2.0
-    c = (np.exp(2j * phis) - 1.0) / (2.0 * math.sqrt(2.0))
-    norms = np.abs(a) ** 2 * prof.eta2 + np.abs(b) ** 2 * prof.p_single**2
-    cross = 2.0 * np.real(np.conj(a) * b * prof.overlap)
-    return np.stack([norms + cross, prof.eta2 * np.abs(c) ** 2, norms - cross], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +486,7 @@ def _check_time_window(pulse: PulseSpec, times: np.ndarray) -> None:
 
 
 def _time_amplitude(
-    pulse: PulseSpec, quad: QuadratureConfig, times: np.ndarray, a: complex, b: complex
+    pulse: PulseSpec, nodes: int, times: np.ndarray, a: complex, b: complex
 ) -> np.ndarray:
     """a psi(t1, t2) + b f(t1) f(t2) from the pair amplitude psi and the wavepacket f.
 
@@ -531,7 +497,7 @@ def _time_amplitude(
     transform of the transmitted pulse spectrum at x = s/2: two 1D
     transforms on the total-frequency panels.
     """
-    s, w_s = _total_frequency_grid(pulse, quad)
+    s, w_s = _total_frequency_grid(pulse, nodes)
     x = 0.5 * s
     # exp(-i s t) is the square of exp(-i x t): one complex exp for both kernels.
     half = np.exp(-1j * np.outer(times, x))
@@ -556,15 +522,14 @@ def _time_map(
     pulse: PulseSpec, times: np.ndarray | None, a: complex, b: complex
 ) -> JointTimeIntensity:
     """Intensity of ``_time_amplitude``, once it settles under node doubling."""
-    quad = DEFAULT_QUADRATURE
     if times is None:
         times = _default_times()
     times = np.asarray(times, dtype=float)
     pulse.validate()
     _check_time_window(pulse, times)
-    base = _time_amplitude(pulse, quad, times, a, b)
-    fine = _time_amplitude(pulse, replace(quad, nodes=2 * quad.nodes), times, a, b)
-    _check_doubling(float(np.max(np.abs(fine - base)) / np.max(np.abs(base))), "map", pulse, quad)
+    base = _time_amplitude(pulse, _NODES, times, a, b)
+    fine = _time_amplitude(pulse, 2 * _NODES, times, a, b)
+    _check_doubling(float(np.max(np.abs(fine - base)) / np.max(np.abs(base))), "map", pulse)
     return JointTimeIntensity(times=times, intensity=_symmetric_intensity(base))
 
 
@@ -572,7 +537,7 @@ def jti(pulse: PulseSpec, times: np.ndarray | None = None) -> JointTimeIntensity
     """Joint detection-time intensity of the bare scattered pair.
 
     Raises ``QuadratureError`` when node doubling moves the pair amplitude
-    by more than 1e-6 of its peak.  With the default quadrature and times
+    by more than 1e-6 of its peak.  With the default times
     the map resolves, measured, for ``sigma`` from 0.02 to 5 at ``delta``
     of 0, 1 and 5; ``sigma`` of 10 and wider raise.
     """

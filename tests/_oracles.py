@@ -4,9 +4,10 @@ Everything here deliberately takes a different route than the package:
 direct quadrature for the bound channel, which the package evaluates in
 closed form; adaptive quadrature over the photons' frequency difference
 and a 2D rotated grid for the pair norm, where the package integrates
-closed forms over the total frequency alone; per-phase grid integrals
-of the fringe on a grid of its own, where the package expands the
-fringe into three pulse integrals; a 2D transform over a square
+closed forms over the total frequency alone; the full spectral fringe,
+from three pulse integrals or from per-phase grid integrals on a grid
+of its own, where the package reduces a pulse to its nonlinear phase
+and loss and writes the fringe in closed form; a 2D transform over a square
 frequency window, QAWF over the frequency difference and adaptive
 quadrature of the equal-time amplitude, where the package takes joint
 time maps from two 1D transforms; a first-quantized pair tensor,
@@ -206,6 +207,25 @@ def pair_profile_quad(delta: float, sigma: float) -> tuple[float, float, complex
     cross = 1j / TWO_PI * complex(total[1], total[2])
     eta2 = p_single**2 + 2.0 * cross.real + total[0]
     return p_single, eta2, p_single**2 + cross.conjugate()
+
+
+def spectral_fringe_quad(phis, delta: float, sigma: float) -> np.ndarray:
+    """Raw (p20, p11, p02) rows of the full spectral model from three pulse integrals.
+
+    The both-photons-one-port patterns carry the amplitude
+    ``a psi +/- b ff`` of the pair wavefunction and the independent
+    product, whose squared norm expands into the two squared norms and
+    the overlap from ``pair_profile_quad``; the split pattern carries
+    ``c psi``.  Nothing is reduced to the effective parameters first.
+    """
+    p_single, eta2, overlap = pair_profile_quad(delta, sigma)
+    phis = np.asarray(phis, dtype=float)
+    a = (np.exp(2j * phis) + 1.0) / 4.0
+    b = np.exp(1j * phis) / 2.0
+    c = (np.exp(2j * phis) - 1.0) / (2.0 * math.sqrt(2.0))
+    norms = np.abs(a) ** 2 * eta2 + np.abs(b) ** 2 * p_single**2
+    cross = 2.0 * np.real(np.conj(a) * b * overlap)
+    return np.stack([norms + cross, eta2 * np.abs(c) ** 2, norms - cross], axis=1)
 
 
 def full_statistics_per_phase(phis, delta: float, sigma: float, nodes: int = 768):
@@ -512,11 +532,13 @@ def reference_rt_fit(omega, data, errors, gamma: float = 1.0, gamma_d: float = 0
     return 1.0 - math.sqrt(max(0.0, 1.0 - depth * factor)), float(res.x), chi2
 
 
-def peak_cells_slot_dict(amplitudes, config):
+def peak_cells_slot_dict(amplitudes):
     """Coincidence weight per (detector pair, window, window) cell, slot by slot.
 
     ``amplitudes`` are the ten configuration amplitudes (canonical
-    order) of the state entering the detection interferometer.  Builds
+    order) of the state entering the detection interferometer, whose
+    splitters are even with the phase pi/2 on the short-to-b and
+    long-to-a reflections and whose detectors are lossless.  Builds
     a dict of detection-slot amplitudes per mode, then sums the
     two-boson amplitude of every unordered slot pair over the input
     configurations in a Python double loop, dividing by sqrt(2) for a
@@ -527,28 +549,18 @@ def peak_cells_slot_dict(amplitudes, config):
     r2 = math.sqrt(2.0)
     arm = {
         ("S", "a"): 1.0 / r2,
-        ("S", "b"): np.exp(-1j * config.theta1) / r2,
-        ("L", "a"): np.exp(-1j * (config.theta2 + config.theta_prime)) / r2,
-        ("L", "b"): np.exp(-1j * config.theta_prime) / r2,
+        ("S", "b"): np.exp(-0.5j * math.pi) / r2,
+        ("L", "a"): np.exp(-0.5j * math.pi) / r2,
+        ("L", "b"): 1.0 / r2,
     }
-    efficiency = {
-        ("S", "a"): config.eta_sa1, ("S", "b"): config.eta_sb1,
-        ("L", "a"): config.eta_la1, ("L", "b"): config.eta_lb1,
-    }
-    ratio = {"a1": 1.0, "a2": config.eta_ratio_a2, "b1": 1.0, "b2": config.eta_ratio_b2}
     routes = {0: (("S", 0), ("L", 1)), 1: (("S", 1), ("L", 2))}
-    excitation = {0: 1.0 + 0.0j, 1: np.exp(-1j * config.theta)}
     single = {}
     for mode in range(4):
         bin_idx, ancilla = mode % 2, int(mode >= 2)
         amps = {}
         for arm_name, window in routes[bin_idx]:
             for d_idx, det in enumerate(detectors):
-                amp = (
-                    excitation[bin_idx] / r2 * arm[(arm_name, det[0])] / r2
-                    * math.sqrt(efficiency[(arm_name, det[0])] * ratio[det])
-                )
-                amps[(window, d_idx, ancilla)] = amp
+                amps[(window, d_idx, ancilla)] = arm[(arm_name, det[0])] / 2.0
         single[mode] = amps
 
     pair_amps = {}

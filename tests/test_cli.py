@@ -229,6 +229,16 @@ def test_malformed_inputs_exit_with_code_two(tmp_path, capsys):
 
     assert run(["fit", "--data", tmp_path / "missing.csv", "--out", tmp_path / "x"]) == 2
 
+    # Widths whose square overflows or underflows a float, and a shot
+    # count beyond the 64-bit draw.
+    for command in ("fringe", "jti", "characterize"):
+        for sigma in ("1e200", "1e-200"):
+            capsys.readouterr()
+            assert run([command, "--sigma", sigma, "--out", tmp_path / "x"]) == 2
+            assert capsys.readouterr().err.startswith("error: sigma must be in")
+    assert run(["fringe", "--shots", 10**20, "--grid", 3, "--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err.startswith("error: --shots: shots must be at most 2**63 - 1")
+
     with pytest.raises(SystemExit) as exc:
         run(["bogus"])
     assert exc.value.code == 2

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import wofz
 
-from nltimebin import scatter
+from nltimebin import circuit, scatter
 
 from _oracles import (
     bound_integral_quadrature,
@@ -164,11 +164,13 @@ def test_pair_norm_against_independent_quadrature(swept_params):
 
 @pytest.mark.parametrize("delta, sigma", [(0.0, 1.0), (1.0, 0.5), (3.0, 2.0)])
 def test_full_statistics_matches_per_phase_oracle(delta, sigma):
-    pulse = scatter.PulseSpec(delta, sigma)
+    # The package's fringe is the closed form at the effective parameters;
+    # its raw total is eta^2 (1 + t^2) / 2 with t = 1 - ell_nl.
+    params = scatter.nonlinear_params(scatter.PulseSpec(delta, sigma))
     phis = np.linspace(0.0, 2.0 * math.pi, 101)
-    mine = scatter.full_statistics(phis, pulse)
+    eta2, t = params.eta**2, 1.0 - params.ell_nl
+    mine = circuit.model_triple(phis, params.phi_nl, params.ell_nl) * eta2 * (1.0 + t * t) / 2.0
     ref = full_statistics_per_phase(phis, delta, sigma)
-    eta2 = scatter.nonlinear_params(pulse).eta ** 2
     assert np.max(np.abs(mine - ref)) < 1e-9 * eta2
 
 
@@ -204,11 +206,6 @@ def test_far_detuned_parameters_vanish():
 def test_unresolved_quadrature_is_reported():
     with pytest.raises(scatter.QuadratureError, match=r"delta=0\.0, sigma=10000\.0.*1e-06 budget"):
         scatter.nonlinear_params(scatter.PulseSpec(0.0, 1e4))
-
-
-def test_full_statistics_reports_unresolved_quadrature():
-    with pytest.raises(scatter.QuadratureError):
-        scatter.full_statistics([0.0, 1.0], scatter.PulseSpec(0.0, 1e4))
 
 
 @settings(deadline=None, max_examples=60)
@@ -264,10 +261,8 @@ def test_default_quadrature_builds_no_doubled_legendre_rule(monkeypatch):
     build = scatter._leggauss.__wrapped__
     spy = lru_cache(maxsize=32)(lambda n: orders.append(n) or build(n))
     monkeypatch.setattr(scatter, "_leggauss", spy)
-    scatter._profile.cache_clear()
     pulse = scatter.PulseSpec(0.3, 1.0)
     scatter.nonlinear_params(pulse)
-    scatter.full_statistics([0.0, 1.0], pulse)
     scatter.jti(pulse, times=np.linspace(-8.0, 8.0, 16))
     assert sorted(orders) == [256, 512]
 
@@ -306,8 +301,8 @@ def test_profile_evaluates_the_faddeeva_function_once_on_its_grid(monkeypatch):
     sizes = []
     evaluate = scatter.faddeeva
     monkeypatch.setattr(scatter, "faddeeva", lambda z: sizes.append(np.size(z)) or evaluate(z))
-    scatter._Profile(scatter.PulseSpec(0.3, 1.0), scatter.QuadratureConfig())
-    assert sorted(sizes) == [1, scatter.QuadratureConfig().nodes]
+    scatter._Profile(scatter.PulseSpec(0.3, 1.0), scatter._NODES)
+    assert sorted(sizes) == [1, scatter._NODES]
 
 
 def test_parameter_sweep_matches_single_calls(swept_params):
@@ -320,6 +315,12 @@ def test_parameter_sweep_matches_single_calls(swept_params):
 def test_invalid_pulse_and_quadrature_rejected():
     with pytest.raises(ValueError):
         scatter.PulseSpec(0.0, -1.0).validate()
+    # Outside [1e-150, 1e150] the squared width leaves the float range.
+    for sigma in (1e200, 2e150, 5e-151, 1e-200):
+        with pytest.raises(ValueError, match=r"^sigma must be in \[1e-150, 1e\+150\]"):
+            scatter.PulseSpec(0.0, sigma).validate()
+    scatter.PulseSpec(0.0, 1e150).validate()
+    scatter.PulseSpec(0.0, 1e-150).validate()
 
 
 def test_emitter_frame_conversions():
@@ -396,10 +397,10 @@ def test_time_map_resolves_across_the_stated_width_domain(delta, sigma):
     assert np.all(np.isfinite(result.intensity)) and result.intensity.max() > 0.0
 
 
-def _time_terms(delta, sigma, times, quad=scatter.DEFAULT_QUADRATURE):
+def _time_terms(delta, sigma, times, nodes=scatter._NODES):
     # (a, b) = (0, 1) picks f(t1) f(t2) out of a psi + b f f, (1, -1) the bound term.
     pulse = scatter.PulseSpec(delta, sigma)
-    return tuple(scatter._time_amplitude(pulse, quad, times, a, b) for a, b in ((0, 1), (1, -1)))
+    return tuple(scatter._time_amplitude(pulse, nodes, times, a, b) for a, b in ((0, 1), (1, -1)))
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.7])
@@ -425,9 +426,8 @@ def test_bound_time_term_matches_difference_integral_by_qawf():
     # the frequency difference differs: the closed form against QAWF.
     delta, sigma = 0.7, 1.0
     times = np.array([0.0, 0.3, 1.5, 4.0])
-    quad = scatter.QuadratureConfig(nodes=64)
-    _, bound = _time_terms(delta, sigma, times, quad)
-    s, w_s = scatter._total_frequency_grid(scatter.PulseSpec(delta, sigma), quad)
+    _, bound = _time_terms(delta, sigma, times, nodes=64)
+    s, w_s = scatter._total_frequency_grid(scatter.PulseSpec(delta, sigma), 64)
     for i, j in zip(*np.triu_indices(times.size)):
         expected = bound_time_term_qawf(times[i], times[j], s, w_s, delta, sigma)
         assert abs(bound[i, j] - expected) < 1e-8, (times[i], times[j])
