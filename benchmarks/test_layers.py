@@ -5,8 +5,8 @@ Run from the repository root with one BLAS thread::
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest benchmarks \
         --benchmark-json=/tmp/bench.json
 
-``benchmarks/compare.py`` merges two such files (before and after a
-change) into a ``BENCH_<n>.json`` record.  Every case uses fixed inputs,
+``benchmarks/compare.py`` merges such files, from rounds that alternate
+the parent and the change, into a ``BENCH_<n>.json`` record.  Every case uses fixed inputs,
 so runs on two checkouts time the same work.  The ``test_cli`` cases
 time whole subcommands, start-up included, each round in a fresh
 interpreter that imports the same ``src/`` as this process.

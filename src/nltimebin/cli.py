@@ -25,7 +25,7 @@ from . import scatter
 
 # Laboratory-to-dimensionless conversions are anchored to the emitter
 # lifetime once, here; the physics modules never see lab units.
-_FRAME = scatter.EmitterFrame()
+_LIFETIME_PS = 155.5
 
 _SCHEMA_LINE = "# schema=1"
 
@@ -57,19 +57,23 @@ def _split_quantity(value, flag: str) -> tuple[float, str]:
     return float(match["num"]), match["unit"].strip().lower()
 
 
+def _from_frequency(number: float, unit: str, flag: str) -> float:
+    """Dimensionless angular frequency of a bare, GHz, or cm-1 value."""
+    if unit == "":
+        return number
+    if unit == "ghz":
+        return scatter.TWO_PI * number * 1e9 * (_LIFETIME_PS * 1e-12)
+    if unit in ("cm-1", "1/cm", "cm^-1"):
+        return scatter.TWO_PI * scatter.SPEED_OF_LIGHT_CM * number * (_LIFETIME_PS * 1e-12)
+    raise FlagError(flag, f"unknown unit suffix {unit!r}")
+
+
 def parse_detuning(value, flag: str) -> float:
     """Dimensionless detuning from a bare, GHz, or cm-1 value."""
     number, unit = _split_quantity(value, flag)
-    if unit == "":
-        out = number
-    elif unit == "ghz":
-        out = _FRAME.from_ghz(number)
-    elif unit in ("cm-1", "1/cm", "cm^-1"):
-        out = _FRAME.from_wavenumber(number)
-    elif unit == "ps":
+    if unit == "ps":
         raise FlagError(flag, "a detuning cannot carry time units; use GHz or cm-1")
-    else:
-        raise FlagError(flag, f"unknown unit suffix {unit!r}")
+    out = _from_frequency(number, unit, flag)
     if not math.isfinite(out):
         raise FlagError(flag, f"value {value!r} is not finite")
     return out
@@ -78,18 +82,12 @@ def parse_detuning(value, flag: str) -> float:
 def parse_width(value, flag: str) -> float:
     """Dimensionless spectral width; a ps value is an intensity FWHM."""
     number, unit = _split_quantity(value, flag)
-    if unit == "":
-        out = number
-    elif unit == "ghz":
-        out = _FRAME.from_ghz(number)
-    elif unit in ("cm-1", "1/cm", "cm^-1"):
-        out = _FRAME.from_wavenumber(number)
-    elif unit == "ps":
+    if unit == "ps":
         if number <= 0.0:
             raise FlagError(flag, f"pulse duration must be positive, got {value!r}")
-        out = _FRAME.sigma_from_fwhm_ps(number)
+        out = math.sqrt(2.0 * math.log(2.0)) * _LIFETIME_PS / number
     else:
-        raise FlagError(flag, f"unknown unit suffix {unit!r}")
+        out = _from_frequency(number, unit, flag)
     if not (math.isfinite(out) and out > 0.0):
         raise FlagError(flag, f"spectral width must be positive, got {value!r}")
     return out
@@ -295,8 +293,9 @@ def cmd_characterize(args: argparse.Namespace) -> None:
     deltas = np.linspace(0.0, delta_max, grid)
     rows = []
     for sigma in sigmas:
-        pulses = [scatter.PulseSpec(delta=float(d), sigma=sigma) for d in deltas]
-        for pulse, params in zip(pulses, scatter.parameter_sweep(pulses)):
+        for delta in deltas:
+            pulse = scatter.PulseSpec(delta=float(delta), sigma=sigma)
+            params = scatter.nonlinear_params(pulse)
             single_sq = (params.eta * (1.0 - params.ell_nl)) ** 2
             rows.append(
                 (

@@ -38,65 +38,34 @@ TWO_PI = 2.0 * math.pi
 SPEED_OF_LIGHT_CM = 2.99792458e10
 
 
-@dataclass(frozen=True)
-class EmitterFrame:
-    """Emitter lifetime anchoring the natural unit system.
-
-    ``lifetime_ps`` converts laboratory quantities into the
-    dimensionless frequencies used everywhere else: an angular
-    frequency maps to itself times the lifetime.
-    """
-
-    lifetime_ps: float = 155.5
-
-    def validate(self) -> None:
-        if not (math.isfinite(self.lifetime_ps) and self.lifetime_ps > 0.0):
-            raise ValueError(f"lifetime_ps must be positive, got {self.lifetime_ps!r}")
-
-    @property
-    def lifetime_s(self) -> float:
-        return self.lifetime_ps * 1e-12
-
-    def from_ghz(self, frequency_ghz: float) -> float:
-        """Dimensionless detuning of an ordinary frequency in GHz."""
-        self.validate()
-        return TWO_PI * frequency_ghz * 1e9 * self.lifetime_s
-
-    def from_wavenumber(self, wavenumber_inv_cm: float) -> float:
-        """Dimensionless detuning of a spectroscopic wavenumber in 1/cm."""
-        self.validate()
-        return TWO_PI * SPEED_OF_LIGHT_CM * wavenumber_inv_cm * self.lifetime_s
-
-    def sigma_from_fwhm_ps(self, duration_ps: float) -> float:
-        """Spectral width of a pulse given its intensity FWHM duration."""
-        self.validate()
-        if not (math.isfinite(duration_ps) and duration_ps > 0.0):
-            raise ValueError(f"duration_ps must be positive, got {duration_ps!r}")
-        return math.sqrt(2.0 * math.log(2.0)) * self.lifetime_ps / duration_ps
-
-
-# Widths whose square, times the constants it meets, stays a normal float.
+# Widths and detunings whose squares, times the constants they meet,
+# stay normal floats.
 _SIGMA_MIN, _SIGMA_MAX = 1e-150, 1e150
+_DELTA_MAX = 1e150
 
 
 @dataclass(frozen=True)
 class PulseSpec:
     """Gaussian pulse: center detuning and spectral width, natural units.
 
-    ``validate`` accepts any finite ``delta`` and ``sigma`` in
-    [1e-150, 1e150]; outside that range the squared width leaves the
-    float range, and it raises ``ValueError`` naming ``sigma``.  The
-    effective parameters resolve, measured, for ``sigma`` from 0.02 to
-    1000 at ``delta`` of 0, 5 and 20; ``sigma`` of 3000 and 1e4 raise
-    ``QuadratureError``.
+    ``validate`` accepts ``delta`` in [-1e150, 1e150] and ``sigma`` in
+    [1e-150, 1e150]; outside that range their squares leave the float
+    range, and it raises ``ValueError`` naming ``delta`` or ``sigma``.
+    The effective parameters resolve, measured, for ``sigma`` from 0.02
+    to 1000 at ``delta`` of 0, 5 and 20; ``sigma`` of 3000 and 1e4 raise
+    ``QuadratureError``, and so does a pulse so narrow near the line
+    (``sigma`` below about 4e-5 at ``delta`` = 0) that rounding takes
+    more than 1e-6 of its single-photon norm.
     """
 
     delta: float
     sigma: float
 
     def validate(self) -> None:
-        if not math.isfinite(self.delta):
-            raise ValueError(f"delta must be finite, got {self.delta!r}")
+        if not abs(self.delta) <= _DELTA_MAX:
+            raise ValueError(
+                f"delta must be in [-{_DELTA_MAX:.0e}, {_DELTA_MAX:.0e}], got {self.delta!r}"
+            )
         if not _SIGMA_MIN <= self.sigma <= _SIGMA_MAX:
             raise ValueError(
                 f"sigma must be in [{_SIGMA_MIN:.0e}, {_SIGMA_MAX:.0e}], got {self.sigma!r}"
@@ -116,11 +85,21 @@ _NODES = 512
 
 
 class QuadratureError(RuntimeError):
-    """Raised when node doubling moves the extracted parameters."""
+    """Raised when a pulse's results cannot be certified.
+
+    Node doubling moved them by more than 1e-6, rounding took more than
+    1e-6 of the single-photon norm, or a time map vanished.
+    """
 
 
-# Newton steps of the Legendre rule stop once every step is a few ulp of
-# theta; the cap only bounds the loop.
+def _unresolved(pulse: PulseSpec, reason: str) -> QuadratureError:
+    return QuadratureError(
+        f"pulse delta={float(pulse.delta)!r}, sigma={float(pulse.sigma)!r}: {reason}"
+    )
+
+
+# One ulp of 1.  Newton steps of the Legendre rule stop once every step
+# is a few ulp of theta; the cap only bounds the loop.
 _EPS = 2.0**-52
 _NEWTON_STEPS = 8
 
@@ -345,56 +324,66 @@ def _total_frequency_grid(pulse: PulseSpec, nodes: int) -> tuple[np.ndarray, np.
     return np.concatenate([left[0], right[0]]), np.concatenate([left[1], right[1]])
 
 
-class _Profile:
-    """Pulse integrals that the effective parameters are read from.
+def _params(pulse: PulseSpec, nodes: int) -> NonlinearParams:
+    """Effective parameters of a pulse from integrals on ``nodes`` total-frequency nodes.
 
-    ``p_single`` is the transmitted single-photon norm, ``eta2`` the
-    squared pair norm and ``overlap`` the projection of the pair output
-    onto the independent product, whose squared norm is ``p_single**2``.
+    Raises ``QuadratureError`` when rounding takes more than 1e-6 of the
+    single-photon norm, or when the folded overlap r cos(theta) leaves
+    [-1, 1] by more than 4 ulp.
     """
-
-    __slots__ = ("p_single", "eta2", "overlap")
-
-    def __init__(self, pulse: PulseSpec, nodes: int) -> None:
-        # Transmitted single-photon norm: one minus a Voigt profile at the line.
-        z = complex(pulse.delta, 1.0) / (math.sqrt(2.0) * pulse.sigma)
-        self.p_single = 1.0 - math.sqrt(0.5 * math.pi) / pulse.sigma * faddeeva(z).real
-        # Every integral over the frequency difference is a closed form;
-        # what is left is one integral over the total frequency s, whose
-        # panels split at s = 0 so the width-2 emitter feature resolves.
-        s, w_s = _total_frequency_grid(pulse, nodes)
-        # The kernel's Faddeeva values serve ``bound_channel_integral`` too:
-        # their arguments differ only for |s| < 2e-100, which no node hits.
-        kernel, w = _difference_kernel(0.5 * s, pulse.sigma)
-        envelope = _pair_envelope(s, pulse)
-        bound = -TWO_PI * 1j * envelope * w
-        # Bound term against itself: the emitter poles of the two photons
-        # convolve to 2 pi / (s^2 + 4).
-        bound_norm = float((np.abs(bound) ** 2 / (s**2 + 4.0)) @ w_s) / TWO_PI
-        # Bound term against the independent product.
-        product = envelope * kernel
-        cross = 1j / TWO_PI * complex((bound * product) @ w_s)
-        ff_norm = self.p_single**2
-        self.eta2 = ff_norm + 2.0 * cross.real + bound_norm
-        self.overlap = ff_norm + cross.conjugate()
-
-
-def _params_from_profile(pulse: PulseSpec, prof: _Profile) -> NonlinearParams:
-    eta = math.sqrt(prof.eta2)
-    p1 = prof.p_single
-    ell = 1.0 - p1 / eta
-    r = abs(prof.overlap) / (eta * p1)
+    # Transmitted single-photon norm: one minus a Voigt profile at the line.
+    z = complex(pulse.delta, 1.0) / (math.sqrt(2.0) * pulse.sigma)
+    voigt = math.sqrt(0.5 * math.pi) / pulse.sigma * faddeeva(z).real
+    p_single = 1.0 - voigt
+    # The subtraction keeps the rounding of voigt, a few units of
+    # 2**-53 * voigt: at most 6.1 units, measured against adaptive
+    # quadrature on 8e4 narrow pulses, and the check allows 16.  Near
+    # resonance a narrow pulse leaves p_single ~ sigma**2, so below
+    # sigma ~ 4e-5 that rounding is more than 1e-6 of it.
+    if not 8.0 * _EPS * voigt <= 1e-6 * p_single:
+        raise _unresolved(
+            pulse,
+            f"the single-photon norm {float(p_single)!r} loses more than 1e-6 of "
+            "itself to rounding; the pulse is too narrow this close to the line",
+        )
+    # Every integral over the frequency difference is a closed form;
+    # what is left is one integral over the total frequency s, whose
+    # panels split at s = 0 so the width-2 emitter feature resolves.
+    s, w_s = _total_frequency_grid(pulse, nodes)
+    # The kernel's Faddeeva values serve ``bound_channel_integral`` too:
+    # their arguments differ only for |s| < 2e-100, which no node hits.
+    kernel, w = _difference_kernel(0.5 * s, pulse.sigma)
+    envelope = _pair_envelope(s, pulse)
+    bound = -TWO_PI * 1j * envelope * w
+    # Bound term against itself: the emitter poles of the two photons
+    # convolve to 2 pi / (s^2 + 4).
+    bound_norm = float((np.abs(bound) ** 2 / (s**2 + 4.0)) @ w_s) / TWO_PI
+    # Bound term against the independent product.
+    product = envelope * kernel
+    cross = 1j / TWO_PI * complex((bound * product) @ w_s)
+    ff_norm = p_single**2
+    eta2 = ff_norm + 2.0 * cross.real + bound_norm
+    overlap = ff_norm + cross.conjugate()
+    eta = math.sqrt(eta2)
+    ell = 1.0 - p_single / eta
+    r = abs(overlap) / (eta * p_single)
     if pulse.delta == 0.0:
         # Im(overlap) vanishes by symmetry; its computed value is rounding noise.
-        theta = 0.0 if prof.overlap.real >= 0.0 else math.pi
+        theta = 0.0 if overlap.real >= 0.0 else math.pi
     else:
-        theta = math.atan2(prof.overlap.imag, prof.overlap.real)
-    phi_nl = math.acos(min(1.0, max(-1.0, r * math.cos(theta))))
+        theta = math.atan2(overlap.imag, overlap.real)
+    # |r cos theta| <= 1 by Cauchy-Schwarz; only rounding may pass 1.
+    folded = r * math.cos(theta)
+    if not abs(folded) <= 1.0 + 4.0 * _EPS:
+        raise _unresolved(
+            pulse, f"the folded overlap r cos(theta) = {float(folded)!r} lies outside [-1, 1]"
+        )
+    phi_nl = math.acos(min(1.0, max(-1.0, folded)))
     return NonlinearParams(
         delta=pulse.delta,
         sigma=pulse.sigma,
         eta=eta,
-        p_single=p1,
+        p_single=p_single,
         ell_nl=ell,
         r_int=r,
         theta_int=theta,
@@ -406,32 +395,12 @@ def _check_doubling(drift: float, what: str, pulse: PulseSpec) -> None:
     """Raise ``QuadratureError`` unless node doubling moved a result by at most 1e-6."""
     budget = 1e-6
     if not drift <= budget:
-        raise QuadratureError(
-            f"pulse delta={float(pulse.delta)!r}, sigma={float(pulse.sigma)!r}: "
+        raise _unresolved(
+            pulse,
             f"{what} drift {drift:.2e} under node doubling exceeds the {budget:.0e} "
             f"budget at half_width={_HALF_WIDTH}, nodes={_NODES}; "
-            "the pulse lies outside the domain this quadrature resolves"
+            "the pulse lies outside the domain this quadrature resolves",
         )
-
-
-def _checked_profile(pulse: PulseSpec) -> _Profile:
-    """The pulse profile, once its parameters settle under node doubling.
-
-    Raises ``QuadratureError`` when the extracted parameters move by
-    more than 1e-6 at doubled node count, which points at a window too
-    narrow or too coarse for the requested pulse.
-    """
-    pulse.validate()
-    prof = _Profile(pulse, _NODES)
-    base = _params_from_profile(pulse, prof)
-    fine = _params_from_profile(pulse, _Profile(pulse, 2 * _NODES))
-    drift = max(
-        abs(base.eta - fine.eta) / fine.eta,
-        abs(base.ell_nl - fine.ell_nl),
-        abs(base.phi_nl - fine.phi_nl),
-    )
-    _check_doubling(drift, "parameter", pulse)
-    return prof
 
 
 def nonlinear_params(pulse: PulseSpec) -> NonlinearParams:
@@ -441,14 +410,20 @@ def nonlinear_params(pulse: PulseSpec) -> NonlinearParams:
     1e-6 under node doubling.  They settle,
     measured, for ``sigma`` from 0.02 to 1000 at ``delta`` of 0, 5 and
     20, where they agree with an adaptive-quadrature oracle; ``sigma``
-    of 3000 and 1e4 raise.
+    of 3000 and 1e4 raise.  It also raises when rounding takes more than
+    1e-6 of the single-photon norm, which near resonance happens for
+    ``sigma`` below about 4e-5.
     """
-    return _params_from_profile(pulse, _checked_profile(pulse))
-
-
-def parameter_sweep(pulses: list[PulseSpec]) -> list[NonlinearParams]:
-    """Effective parameters for a sequence of pulses."""
-    return [nonlinear_params(pulse) for pulse in pulses]
+    pulse.validate()
+    base = _params(pulse, _NODES)
+    fine = _params(pulse, 2 * _NODES)
+    drift = max(
+        abs(base.eta - fine.eta) / fine.eta,
+        abs(base.ell_nl - fine.ell_nl),
+        abs(base.phi_nl - fine.phi_nl),
+    )
+    _check_doubling(drift, "parameter", pulse)
+    return base
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +503,15 @@ def _time_map(
     pulse.validate()
     _check_time_window(pulse, times)
     base = _time_amplitude(pulse, _NODES, times, a, b)
+    peak = np.max(np.abs(base))
+    if peak == 0.0:
+        raise _unresolved(
+            pulse,
+            "the map vanishes on the time grid; the pulse lies outside the "
+            "domain this quadrature resolves",
+        )
     fine = _time_amplitude(pulse, 2 * _NODES, times, a, b)
-    _check_doubling(float(np.max(np.abs(fine - base)) / np.max(np.abs(base))), "map", pulse)
+    _check_doubling(float(np.max(np.abs(fine - base)) / peak), "map", pulse)
     return JointTimeIntensity(times=times, intensity=_symmetric_intensity(base))
 
 
@@ -537,7 +519,9 @@ def jti(pulse: PulseSpec, times: np.ndarray | None = None) -> JointTimeIntensity
     """Joint detection-time intensity of the bare scattered pair.
 
     Raises ``QuadratureError`` when node doubling moves the pair amplitude
-    by more than 1e-6 of its peak.  With the default times
+    by more than 1e-6 of its peak, or when the map vanishes because the
+    frequency window is narrower than one ulp of twice the pulse center
+    (from ``delta`` of about 1e17 at ``sigma`` = 1).  With the default times
     the map resolves, measured, for ``sigma`` from 0.02 to 5 at ``delta``
     of 0, 1 and 5; ``sigma`` of 10 and wider raise.
     """

@@ -112,24 +112,20 @@ class TracePoint:
     p_separate: float
     p_same_left: float
     p_same_right: float
-    anharmonic: bool
 
 
 def _trace_points(
     times: np.ndarray,
     spec: MoleculeSpec,
     harmonic: bool,
-    input_mode: int,
 ) -> list[TracePoint]:
     """Occupancies at every time, from one lifted propagator.
 
     The pair amplitudes are L^H diag(exp(i theta(t))) L a0, where L is
     the pair lift of the localization unitary and a0 puts both quanta in
-    mode ``input_mode``.  Zero time is the identity, so those
+    localized mode 0.  Zero time is the identity, so those
     rows carry the input occupancy without rounding residue.
     """
-    if input_mode not in (0, 1):
-        raise ValueError(f"input_mode must be 0 or 1, got {input_mode!r}")
     spec.validate()
     if harmonic:
         spec = spec.harmonic_variant()
@@ -142,16 +138,15 @@ def _trace_points(
     lift = _pair_lift(spec.matrix)
     # einsum, not @: BLAS takes another kernel for one row than for many,
     # and each row must not depend on how many times share the call.
-    amps = np.einsum("tj,jk->tk", np.exp(1j * theta) * lift[:, input_mode], lift.conj())
+    amps = np.einsum("tj,jk->tk", np.exp(1j * theta) * lift[:, 0], lift.conj())
     weights = np.abs(amps) ** 2
-    weights[times == 0.0] = np.eye(3)[input_mode]
+    weights[times == 0.0] = (1.0, 0.0, 0.0)
     return [
         TracePoint(
             t=float(t),
             p_separate=float(separate),
             p_same_left=float(left),
             p_same_right=float(right),
-            anharmonic=not harmonic,
         )
         for t, (left, right, separate) in zip(times, weights)
     ]
@@ -161,17 +156,17 @@ def evolve(
     t: float,
     spec: MoleculeSpec,
     harmonic: bool = False,
-    input_mode: int = 0,
 ) -> TracePoint:
-    """Evolve two quanta starting in one localized mode.
+    """Evolve two quanta starting in localized mode 0.
 
-    ``input_mode`` selects which localized oscillator holds both
-    excitations at t = 0.  The evolution is lossless, so the three
-    occupancies sum to one up to rounding.
+    Both excitations sit in the left oscillator at t = 0; a start in the
+    right one is this evolution of the mirrored molecule, whose
+    localization has its columns swapped.  The evolution is lossless, so
+    the three occupancies sum to one up to rounding.
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"evolution time must be non-negative, got {t!r}")
-    return _trace_points(np.array([float(t)]), spec, harmonic, input_mode)[0]
+    return _trace_points(np.array([float(t)]), spec, harmonic)[0]
 
 
 def trace(
@@ -189,4 +184,4 @@ def trace(
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be positive, got {t_max!r}")
     times = np.linspace(0.0, t_max, n_steps)
-    return list(zip(_trace_points(times, spec, False, 0), _trace_points(times, spec, True, 0)))
+    return list(zip(_trace_points(times, spec, False), _trace_points(times, spec, True)))

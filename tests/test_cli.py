@@ -7,13 +7,18 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from nltimebin import circuit, cli, scatter
 
-FRAME = scatter.EmitterFrame()
+# Lab units as the flag parsers convert them, at the 155.5 ps emitter lifetime.
+LIFETIME_S = 155.5e-12
+ONE_GHZ = 2.0 * math.pi * 1.0 * 1e9 * LIFETIME_S
+WAVENUMBER_005 = 2.0 * math.pi * 2.99792458e10 * 0.05 * LIFETIME_S
+FWHM_100PS = math.sqrt(2.0 * math.log(2.0)) * 155.5 / 100.0
 
 
 def run(argv):
@@ -144,7 +149,7 @@ def test_config_values_pass_through_unit_parsing(tmp_path):
     cfg.write_text(json.dumps({"delta": "1GHz", "sigma": 2.0, "phi": 0.3, "grid": 16}))
     out = tmp_path / "j"
     assert run(["jti", "--config", cfg, "--sigma", "1.0", "--out", out]) == 0
-    expected = f"jti delta={FRAME.from_ghz(1.0)!r} sigma=1.0 phi=0.3 grid=16"
+    expected = f"jti delta={ONE_GHZ!r} sigma=1.0 phi=0.3 grid=16"
     assert meta_line(out / "jti.csv") == expected
 
 
@@ -161,9 +166,9 @@ def test_config_and_flag_runs_agree_bytewise(tmp_path):
 @pytest.mark.parametrize(
     "flag, quantity, numeric",
     [
-        ("--delta", "1GHz", FRAME.from_ghz(1.0)),
-        ("--delta", "0.05cm-1", FRAME.from_wavenumber(0.05)),
-        ("--sigma", "100ps", FRAME.sigma_from_fwhm_ps(100.0)),
+        ("--delta", "1GHz", ONE_GHZ),
+        ("--delta", "0.05cm-1", WAVENUMBER_005),
+        ("--sigma", "100ps", FWHM_100PS),
     ],
 )
 def test_unit_suffixes_match_plain_values(tmp_path, flag, quantity, numeric):
@@ -187,6 +192,9 @@ def test_errors_name_the_offending_flag(tmp_path, capsys):
     assert "--delta" in capsys.readouterr().err
     assert run(["jti", "--sigma", "1parsec", "--out", tmp_path / "x"]) == 2
     assert "--sigma" in capsys.readouterr().err
+    # An infinite pulse duration is a zero spectral width.
+    assert run(["jti", "--sigma", "1e999ps", "--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err.startswith("error: --sigma: spectral width must be positive")
     assert run(["fit", "--out", tmp_path / "x"]) == 2
     assert "--data" in capsys.readouterr().err
     assert run(["fringe", "--grid", 11, "--shots", 20, "--out", tmp_path / "x"]) == 2
@@ -198,11 +206,22 @@ def test_quadrature_failure_maps_to_exit_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--sigma" in err or "--delta" in err
     assert "sigma=10000.0" in err
+    # A pulse this narrow on resonance leaves p_single to rounding noise.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["characterize", "--sigma", "1e-20", "--grid", 2, "--delta-max", 1]
+        assert run(argv + ["--out", tmp_path / "x"]) == 3
+    assert "sigma=1e-20: the single-photon norm" in capsys.readouterr().err
 
 
 def test_unresolved_time_map_maps_to_exit_three(tmp_path, capsys):
     assert run(["jti", "--sigma", 10, "--out", tmp_path / "x"]) == 3
     assert "map drift" in capsys.readouterr().err
+    # The frequency window is below one ulp of twice this detuning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["jti", "--delta", "1e50", "--grid", 16, "--out", tmp_path / "x"]) == 3
+    assert "the map vanishes" in capsys.readouterr().err
 
 
 def test_far_detuned_fringe_reports_full_visibility(tmp_path):
@@ -236,6 +255,12 @@ def test_malformed_inputs_exit_with_code_two(tmp_path, capsys):
             capsys.readouterr()
             assert run([command, "--sigma", sigma, "--out", tmp_path / "x"]) == 2
             assert capsys.readouterr().err.startswith("error: sigma must be in")
+    # Detunings whose square overflows.
+    for argv in (["fringe", "--delta", "1e308"], ["jti", "--delta=-1e151"],
+                 ["characterize", "--delta-max", "1e200", "--grid", 2]):
+        capsys.readouterr()
+        assert run(argv + ["--out", tmp_path / "x"]) == 2
+        assert capsys.readouterr().err.startswith("error: delta must be in")
     assert run(["fringe", "--shots", 10**20, "--grid", 3, "--out", tmp_path / "x"]) == 2
     assert capsys.readouterr().err.startswith("error: --shots: shots must be at most 2**63 - 1")
 

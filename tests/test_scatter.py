@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import wofz
 
-from nltimebin import circuit, scatter
+from nltimebin import circuit, cli, scatter
 
 from _oracles import (
     bound_integral_quadrature,
@@ -23,6 +25,7 @@ from _oracles import (
     lorentzian_convolution_quad,
     pair_norm_faddeeva,
     pair_profile_quad,
+    single_photon_norm_quad,
     windowed_time_amplitudes,
 )
 
@@ -208,6 +211,85 @@ def test_unresolved_quadrature_is_reported():
         scatter.nonlinear_params(scatter.PulseSpec(0.0, 1e4))
 
 
+# The check on the single-photon norm allows rounding of 16 * 2**-53 times
+# the Voigt term it is subtracted from.
+ROUNDING_UNITS = 16.0
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    log_sigma=st.floats(-7.0, -2.0),
+    ratio=st.one_of(st.just(0.0), st.floats(0.01, 20.0)),
+)
+def test_single_photon_norm_resolves_to_a_millionth_or_raises(log_sigma, ratio):
+    # Near the line a narrow pulse leaves p_single ~ sigma^2 as 1 minus a
+    # Voigt term close to 1; the positive integrand of the oracle keeps
+    # every digit.
+    sigma = 10.0**log_sigma
+    delta = ratio * sigma
+    exact = single_photon_norm_quad(delta, sigma)
+    rounding = ROUNDING_UNITS * 2.0**-53 * (1.0 - exact)
+    try:
+        params = scatter._params(scatter.PulseSpec(delta, sigma), 64)
+    except scatter.QuadratureError as exc:
+        assert "single-photon norm" in str(exc)
+        assert rounding > 0.9e-6 * exact
+    else:
+        assert abs(params.p_single - exact) <= rounding
+        assert abs(params.p_single - exact) <= 1e-6 * exact
+
+
+@pytest.mark.parametrize("sigma", [1e-5, 1e-6, 1e-7, 1e-15, 1e-20, 1e-150])
+def test_narrow_resonant_pulses_raise_without_warnings(sigma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(scatter.QuadratureError, match=rf"sigma={sigma!r}: the single-photon norm"):
+            scatter.nonlinear_params(scatter.PulseSpec(0.0, sigma))
+
+
+def test_folded_overlap_beyond_one_raises_instead_of_clamping(monkeypatch):
+    # A kernel of the wrong sign and size breaks Cauchy-Schwarz: at
+    # delta = 0, sigma = 1 it folds the overlap to r cos theta = 1.04.
+    kernel = scatter._difference_kernel
+
+    def flipped(a, sigma):
+        k, w = kernel(a, sigma)
+        return -5.0 * k, w
+
+    monkeypatch.setattr(scatter, "_difference_kernel", flipped)
+    with pytest.raises(scatter.QuadratureError, match=r"r cos\(theta\) = 1\.04.* outside \[-1, 1\]"):
+        scatter.nonlinear_params(scatter.PulseSpec(0.0, 1.0))
+
+
+def test_corners_of_the_pulse_domain_return_finite_values_or_raise_typed_errors():
+    # No overflow or 0/0 warning anywhere in the (delta, sigma) box; only
+    # the window warning of long pulses is expected.
+    times = np.linspace(-8.0, 8.0, 16)
+    outcomes = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "pulse duration")
+        for delta in (0.0, 1e17, 1e150, -1e150):
+            for sigma in (1e-150, 1e-20, 1.0, 1e150):
+                pulse = scatter.PulseSpec(delta, sigma)
+                calls = {
+                    "params": lambda: dataclasses.astuple(scatter.nonlinear_params(pulse)),
+                    "jti": lambda: scatter.jti(pulse, times=times).intensity,
+                    "circuit_jti": lambda: scatter.circuit_jti(0.4, pulse, times=times).intensity,
+                }
+                for name, call in calls.items():
+                    try:
+                        values = call()
+                    except scatter.QuadratureError as exc:
+                        outcomes[delta, sigma, name] = str(exc)
+                    else:
+                        assert np.all(np.isfinite(values)), (delta, sigma, name)
+    # From delta ~ 1e17 at sigma = 1 the window is below one ulp of 2 delta.
+    assert "the map vanishes" in outcomes[1e17, 1.0, "jti"]
+    assert "the map vanishes" in outcomes[-1e150, 1.0, "circuit_jti"]
+    assert "single-photon norm" in outcomes[0.0, 1e-20, "params"]
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     log_sigma=st.floats(math.log(0.02), math.log(1000.0)),
@@ -301,15 +383,8 @@ def test_profile_evaluates_the_faddeeva_function_once_on_its_grid(monkeypatch):
     sizes = []
     evaluate = scatter.faddeeva
     monkeypatch.setattr(scatter, "faddeeva", lambda z: sizes.append(np.size(z)) or evaluate(z))
-    scatter._Profile(scatter.PulseSpec(0.3, 1.0), scatter._NODES)
+    scatter._params(scatter.PulseSpec(0.3, 1.0), scatter._NODES)
     assert sorted(sizes) == [1, scatter._NODES]
-
-
-def test_parameter_sweep_matches_single_calls(swept_params):
-    pulses = [scatter.PulseSpec(0.0, 1.0), scatter.PulseSpec(1.0, 1.0)]
-    swept = scatter.parameter_sweep(pulses)
-    assert swept[0] == swept_params[(0.0, 1.0)]
-    assert swept[1] == swept_params[(1.0, 1.0)]
 
 
 def test_invalid_pulse_and_quadrature_rejected():
@@ -321,18 +396,34 @@ def test_invalid_pulse_and_quadrature_rejected():
             scatter.PulseSpec(0.0, sigma).validate()
     scatter.PulseSpec(0.0, 1e150).validate()
     scatter.PulseSpec(0.0, 1e-150).validate()
+    # Beyond |delta| = 1e150 the squared detuning leaves the float range.
+    for delta in (2e150, -2e150, 1e308, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^delta must be in \[-1e\+150, 1e\+150\]"):
+            scatter.PulseSpec(delta, 1.0).validate()
+    scatter.PulseSpec(1e150, 1.0).validate()
+    scatter.PulseSpec(-1e150, 1.0).validate()
 
 
 def test_emitter_frame_conversions():
-    frame = scatter.EmitterFrame()
+    # Lab units meet the emitter frame only in the CLI flag parsers,
+    # anchored to the 155.5 ps emitter lifetime.
     tau_s = 155.5e-12
-    assert abs(frame.from_ghz(1.0) - 2.0 * math.pi * 1e9 * tau_s) < 1e-12
+    ghz = 2.0 * math.pi * 1e9 * tau_s
+    assert abs(cli.parse_detuning("1GHz", "--delta") - ghz) < 1e-12
+    assert abs(cli.parse_width("1GHz", "--sigma") - ghz) < 1e-12
     expected = 2.0 * math.pi * scatter.SPEED_OF_LIGHT_CM * tau_s
-    assert abs(frame.from_wavenumber(1.0) - expected) < 1e-9
+    for unit in ("cm-1", "1/cm", "cm^-1"):
+        assert abs(cli.parse_detuning(f"1 {unit}", "--delta") - expected) < 1e-9
+        assert abs(cli.parse_width(f"1 {unit}", "--sigma") - expected) < 1e-9
     fwhm = math.sqrt(2.0 * math.log(2.0)) * 155.5 / 100.0
-    assert abs(frame.sigma_from_fwhm_ps(100.0) - fwhm) < 1e-12
-    with pytest.raises(ValueError):
-        scatter.EmitterFrame(lifetime_ps=0.0).validate()
+    assert abs(cli.parse_width("100ps", "--sigma") - fwhm) < 1e-12
+    assert cli.parse_detuning("-0.5", "--delta") == -0.5
+    with pytest.raises(cli.FlagError, match="^--delta: a detuning cannot carry time units"):
+        cli.parse_detuning("100ps", "--delta")
+    # An infinite duration would be a zero width.
+    for duration in ("0ps", "1e999ps"):
+        with pytest.raises(cli.FlagError, match="^--sigma: "):
+            cli.parse_width(duration, "--sigma")
 
 
 @pytest.fixture(scope="module")
