@@ -8,9 +8,12 @@ Covers three layers of the experiment pipeline:
   that enters the recombiner;
 * normalization of raw coincidence histograms into output-pattern
   probabilities, with first-order Poisson error propagation;
-* Monte Carlo synthesis of raw 3x3 peak histograms per detector pair,
-  routed through the one detection interferometer, and the seeded
-  synthesize -> normalize sweep built on it.
+* the expected 3x3 peak cells per detector pair, routed through the one
+  detection interferometer, and the seeded synthesize -> normalize
+  sweep built on them.
+
+Like ``model_triple``, the histogram layers take a whole phase sweep at
+once: arrays of shape (phases, 6, 3, 3).
 
 The detection optics are fixed: even splitters with the phase pi/2 on
 two reflections, and lossless detectors.  Detector efficiencies scale
@@ -21,7 +24,6 @@ normalization cancels, so the model leaves them out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +40,9 @@ DETECTOR_PAIRS = (
 )
 
 PEAKS = ("E", "M", "L")
+
+# Histogram cells: (detector pair, window of the first detector, window of the second).
+_HIST_SHAPE = (len(DETECTOR_PAIRS), len(PEAKS), len(PEAKS))
 
 # Pair classes for the count normalization: both photons in port a,
 # one per port, both in port b.
@@ -58,16 +63,22 @@ def triple_coefficients(cos_nl, t, cos_perp) -> np.ndarray:
     return np.array([1.0, cos_perp**2, cos_perp**2 * u, t * cos_nl * cos_perp * u])
 
 
+def _checked_phases(phi: np.ndarray) -> np.ndarray:
+    """The phases as a float array of at least one dimension; raise unless all are finite."""
+    phis = np.atleast_1d(np.asarray(phi, dtype=float))
+    finite = np.isfinite(phis)
+    if not finite.all():
+        raise ValueError(f"phi must be finite, got {float(phis[~finite][0])!r}")
+    return phis
+
+
 def triple_basis(phi: np.ndarray) -> np.ndarray:
     """Per-phase 3x4 basis: renormalized (p20, p11, p02) = basis @ weights.
 
     For every overlap angle p20, p02 = a +- r cos phi + (q / 4) cos 2 phi
     and p11 = 1 - 2 a - (q / 2) cos 2 phi, a = (1 + s - q) / 4.
     """
-    phis = np.atleast_1d(np.asarray(phi, dtype=float))
-    finite = np.isfinite(phis)
-    if not finite.all():
-        raise ValueError(f"phi must be finite, got {float(phis[~finite][0])!r}")
+    phis = _checked_phases(phi)
     one = np.ones_like(phis)
     columns = np.stack([one, one, np.cos(2.0 * phis) - 1.0, np.cos(phis)], axis=1)
     shapes = np.array([[0.25, 0.25, 0.25, 1.0], [0.5, -0.5, -0.5, 0.0], [0.25, 0.25, 0.25, -1.0]])
@@ -106,60 +117,19 @@ def model_triple(
 
 
 # ---------------------------------------------------------------------------
-# Histograms and coincidence normalization
-
-
-@dataclass(frozen=True)
-class PeakHistogram:
-    """Coincidence counts per detector pair and 3x3 peak-window cell.
-
-    ``counts[p, i, j]`` is the number of coincidences for detector pair
-    ``DETECTOR_PAIRS[p]`` with the first detector clicking in window
-    ``PEAKS[i]`` and the second in ``PEAKS[j]``.
-    """
-
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.counts)
-        if arr.shape != (len(DETECTOR_PAIRS), 3, 3):
-            raise ValueError(f"expected counts of shape (6, 3, 3), got {arr.shape}")
-        if np.any(arr < 0):
-            raise ValueError("counts must be non-negative")
-        if not np.issubdtype(arr.dtype, np.integer):
-            if not np.all(arr == np.round(arr)):
-                raise ValueError("counts must be integer-valued")
-            arr = arr.astype(np.int64)
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "counts", arr)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def class_counts(self) -> dict[str, tuple[float, float]]:
-        """(center, side) count sums for the three pair classes."""
-        center = np.bincount(_PAIR_CLASS, self.counts[:, 1, 1], minlength=3)
-        side = np.bincount(_PAIR_CLASS, self.counts[:, 0, 2] + self.counts[:, 2, 0], minlength=3)
-        return {key: (float(c), float(s)) for key, c, s in zip(_CLASS_KEYS, center, side)}
-
-
-@dataclass(frozen=True)
-class NormalizedStats:
-    """Renormalized output-pattern probabilities with Poisson error bars."""
-
-    p20: float
-    p11: float
-    p02: float
-    uncertainties: tuple[float, float, float]
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.p20, self.p11, self.p02)
+# Coincidence normalization
 
 
 class NormalizationError(ValueError):
-    """Raised when side-peak references are missing entirely."""
+    """Raised when a histogram lacks side-peak references or center counts.
+
+    ``index`` locates the first such histogram in the leading axes of the
+    counts passed to ``normalize_counts``; it is empty for a single one.
+    """
+
+    def __init__(self, message: str, index: tuple[int, ...] = ()) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 # Center-peak prefactors relative to the side-peak reference: the
@@ -167,36 +137,63 @@ class NormalizationError(ValueError):
 # split class a quarter of the time.
 _CENTER_PREFACTOR = np.array([0.5, 0.25, 0.5])
 
+# Sums per-pair counts into the pair classes.
+_CLASS_OF_PAIR = np.eye(len(_CLASS_KEYS))[list(_PAIR_CLASS)]
 
-def normalize_counts(hist: PeakHistogram) -> NormalizedStats:
-    """Turn a raw peak histogram into renormalized output probabilities.
+
+def normalize_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Renormalized (p20, p11, p02) and their standard errors per raw histogram.
+
+    ``counts[..., p, i, j]`` is the number of coincidences for detector
+    pair ``DETECTOR_PAIRS[p]`` with the first detector clicking in window
+    ``PEAKS[i]`` and the second in ``PEAKS[j]``; leading axes stack
+    histograms, and both results, of shape (..., 3), keep them.
 
     The side peaks of each pair class measure the same efficiency
     product that scales its center peak, so the ratio center/side with
     the class prefactor removed is proportional to the underlying
     output probability; normalizing the three ratios cancels every
     efficiency.
-    """
-    center, side = np.array(list(hist.class_counts().values())).T
-    if np.any(side <= 0):
-        key = _CLASS_KEYS[int(np.argmax(side <= 0))]
-        raise NormalizationError(
-            f"no side-peak counts for pair class {key}; normalization impossible"
-        )
-    weights = center / side / _CENTER_PREFACTOR
-    total = weights.sum()
-    if total <= 0.0:
-        raise NormalizationError("no center-peak counts in any pair class")
 
+    Valid domain: non-negative, finite, integer-valued counts of shape
+    (..., 6, 3, 3); anything else raises ``ValueError``.  A histogram
+    without side-peak counts in some pair class, or without center-peak
+    counts in every class, raises ``NormalizationError``.
+    """
+    arr = np.asarray(counts)
+    if arr.shape[-3:] != _HIST_SHAPE:
+        raise ValueError(f"expected counts of shape (..., 6, 3, 3), got {arr.shape}")
+    if np.any(arr < 0):
+        raise ValueError("counts must be non-negative")
+    if not np.issubdtype(arr.dtype, np.integer):
+        if not np.all(np.isfinite(arr) & (arr == np.round(arr))):
+            raise ValueError("counts must be integer-valued")
+    # Float sums are exact below 2**53 counts and cannot wrap.
+    arr = arr.astype(float)
+    center = arr[..., 1, 1] @ _CLASS_OF_PAIR
+    side = (arr[..., 0, 2] + arr[..., 2, 0]) @ _CLASS_OF_PAIR
+
+    no_side = side <= 0.0
+    failed = no_side.any(axis=-1) | ~center.any(axis=-1)
+    if failed.any():
+        index = tuple(int(i) for i in np.unravel_index(np.argmax(failed), failed.shape))
+        if no_side[index].any():
+            key = _CLASS_KEYS[int(np.argmax(no_side[index]))]
+            message = f"no side-peak counts for pair class {key}; normalization impossible"
+        else:
+            message = "no center-peak counts in any pair class"
+        raise NormalizationError(message, index)
+
+    weights = center / side / _CENTER_PREFACTOR
+    total = weights.sum(axis=-1, keepdims=True)
     # First-order propagation over the six independent Poisson sums,
     # with d p_t / d w_k = (total [t == k] - w_t) / total^2.
     # var(w) = w^2 (1/center + 1/side) vanishes with the center count,
     # so zero-count classes contribute zero rather than NaN.
     var_w = weights**2 * (1.0 / np.maximum(center, 1.0) + 1.0 / side)
-    jacobian = (total * np.eye(3) - weights[:, None]) / (total * total)
-    sigma = np.sqrt(jacobian**2 @ var_w)
-    p20, p11, p02 = (float(w / total) for w in weights)
-    return NormalizedStats(p20=p20, p11=p11, p02=p02, uncertainties=tuple(map(float, sigma)))
+    jacobian = (total[..., None] * np.eye(3) - weights[..., :, None]) / (total * total)[..., None]
+    sigma = np.sqrt(jacobian**2 @ var_w[..., None])[..., 0]
+    return weights / total, sigma
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +225,7 @@ _SLOT_S, _SLOT_T = np.nonzero(_SLOT_DETECTOR[:, None] < _SLOT_DETECTOR[None, :])
 # DETECTOR_PAIRS lists the pairs i < j of DETECTORS in row-major order.
 _PAIR_OF_DETECTORS = np.zeros((len(DETECTORS),) * 2, dtype=int)
 _PAIR_OF_DETECTORS[np.triu_indices(len(DETECTORS), 1)] = np.arange(len(DETECTOR_PAIRS))
-_HIST_SHAPE = (len(DETECTOR_PAIRS), len(PEAKS), len(PEAKS))
+_N_CELLS = math.prod(_HIST_SHAPE)
 _SLOT_CELL = np.ravel_multi_index(
     (
         _PAIR_OF_DETECTORS[_SLOT_DETECTOR[_SLOT_S], _SLOT_DETECTOR[_SLOT_T]],
@@ -262,9 +259,10 @@ _SLOT_MAP = _build_slot_map()
 _CALIBRATION_OFFSET = math.pi / 2
 
 
-def _recombiner_pair(phi: float, phi_nl: float, ell_nl: float, theta_perp: float) -> np.ndarray:
-    """Symmetric 4x4 mode tensor psi of the pair entering the recombiner.
+def _recombiner_pair(phi, phi_nl: float, ell_nl: float, theta_perp: float) -> np.ndarray:
+    """Symmetric 4x4 mode tensors psi of the pair entering the recombiner.
 
+    One tensor per phase: the result has shape ``np.shape(phi) + (4, 4)``.
     Both photons start early.  The first splitter, the linear phase
     ``phi`` on the early bin and the nonlinear element (phase ``phi_nl``
     when both photons share a bin, amplitude t = 1 - ``ell_nl`` on each
@@ -281,23 +279,30 @@ def _recombiner_pair(phi: float, phi_nl: float, ell_nl: float, theta_perp: float
     """
     early = np.array([math.cos(theta_perp), 0.0, math.sin(theta_perp), 0.0])
     late = np.array([0.0, 1.0, 0.0, 0.0])
-    phase = np.exp(1j * phi)
-    bunched = np.exp(1j * phi_nl) * (phase * phase * np.outer(early, early) + np.outer(late, late))
+    phase = np.exp(1j * np.asarray(phi))[..., None, None]
+    # phase * phase, rounded as numpy's scalar complex product rounds it:
+    # its array loop rounds otherwise, and a last-bit change of a cell
+    # weight can change the multinomial draws of ``sample_statistics``.
+    re, im = phase.real, phase.imag
+    square = re * re - im * im + 2j * (re * im)
+    bunched = np.exp(1j * phi_nl) * (square * np.outer(early, early) + np.outer(late, late))
     split = (1.0 - ell_nl) * phase * np.outer(early, late)
-    return (bunched + split + split.T) / math.sqrt(2.0)
+    return (bunched + split + np.swapaxes(split, -1, -2)) / math.sqrt(2.0)
 
 
 def peak_cell_probabilities(
-    phi: float,
+    phi: np.ndarray,
     phi_nl: float,
     ell_nl: float,
     theta_perp: float = 0.0,
 ) -> np.ndarray:
     """Expected coincidence weight per (detector pair, window, window) cell.
 
-    Builds the two-photon state entering the recombining splitter in
-    closed form (``_recombiner_pair``), then routes both photons through
-    the detection interferometer.  Its middle window realizes the ideal
+    Evaluates an array of phases at once and returns the weights of
+    shape (len(phi), 6, 3, 3); a scalar phase counts as one.  Builds the
+    two-photon state entering the recombining splitter in closed form
+    (``_recombiner_pair``), then routes both photons through the
+    detection interferometer.  Its middle window realizes the ideal
     recombiner up to diagonal phases, which the calibration offset pi/2
     absorbs so that ``phi`` is the calibrated linear phase of the
     closed-form model.  Coincidences on a single detector are dropped
@@ -307,58 +312,27 @@ def peak_cell_probabilities(
 
     With the slot map M and the symmetric mode tensor psi of the state,
     ``M psi M^T`` holds the amplitude of every pair of distinct slots,
-    and distinct configurations interfere in it.
+    and distinct configurations interfere in it.  The phases are a
+    batch axis of that product, so row k does not depend on the other
+    phases of the sweep.
 
-    Valid domain: finite ``phi``, ``phi_nl`` and ``theta_perp``, and
-    ``ell_nl`` in [0, 1], as for ``model_triple``; anything else raises
-    ``ValueError`` naming the parameter.
+    Valid domain: finite phases, finite ``phi_nl`` and ``theta_perp``,
+    and ``ell_nl`` in [0, 1], as for ``model_triple``; anything else
+    raises ``ValueError`` naming the parameter.
     """
-    _check_model_domain(ell_nl, phi=phi, phi_nl=phi_nl, theta_perp=theta_perp)
-    state = _recombiner_pair(phi + _CALIBRATION_OFFSET, phi_nl, ell_nl, theta_perp)
-    pairs = _SLOT_MAP @ state @ _SLOT_MAP.T
-    weights = np.abs(pairs[_SLOT_S, _SLOT_T]) ** 2
-    return np.bincount(_SLOT_CELL, weights, minlength=math.prod(_HIST_SHAPE)).reshape(_HIST_SHAPE)
+    phis = _checked_phases(phi)
+    _check_model_domain(ell_nl, phi_nl=phi_nl, theta_perp=theta_perp)
+    states = _recombiner_pair(phis + _CALIBRATION_OFFSET, phi_nl, ell_nl, theta_perp)
+    pairs = _SLOT_MAP @ states @ _SLOT_MAP.T
+    weights = np.abs(pairs[..., _SLOT_S, _SLOT_T]) ** 2
+    # One bincount for the sweep: phase k owns cells [k, k + 1) * _N_CELLS.
+    cells = _SLOT_CELL + _N_CELLS * np.arange(phis.size)[:, None]
+    flat = np.bincount(cells.ravel(), weights.ravel(), minlength=_N_CELLS * phis.size)
+    return flat.reshape((phis.size,) + _HIST_SHAPE)
 
 
 # The largest count the 64-bit multinomial draw holds.
 _MAX_SHOTS = 2**63 - 1
-
-
-def _check_shots(shots: int) -> None:
-    if shots <= 0:
-        raise ValueError(f"shots must be positive, got {shots!r}")
-    if shots > _MAX_SHOTS:
-        raise ValueError(f"shots must be at most 2**63 - 1, got {shots!r}")
-
-
-def synthesize_histogram(
-    phi: float,
-    phi_nl: float,
-    ell_nl: float,
-    shots: int,
-    seed: int | np.random.SeedSequence,
-    theta_perp: float = 0.0,
-) -> PeakHistogram:
-    """Draw a raw coincidence histogram of ``shots`` recorded events.
-
-    Each shot is one recorded coincidence, distributed over the cells
-    by their conditional probabilities; the stream is a single 64-bit
-    generator seeded by ``seed`` (an integer or a ``SeedSequence``), so
-    fixed arguments give identical histograms.
-
-    Valid domain: ``1 <= shots <= 2**63 - 1`` (the generator draws
-    64-bit counts) plus the domain of ``peak_cell_probabilities``;
-    anything else raises ``ValueError`` naming the parameter.
-    """
-    _check_shots(shots)
-    weights = peak_cell_probabilities(phi, phi_nl, ell_nl, theta_perp)
-    flat = weights.reshape(-1)
-    total = flat.sum()
-    if total <= 0.0:
-        raise ValueError("all coincidence cells have zero probability")
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, flat / total).reshape(weights.shape)
-    return PeakHistogram(counts.astype(np.int64))
 
 
 def sample_statistics(
@@ -371,32 +345,39 @@ def sample_statistics(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shot-sampled, normalized (p20, p11, p02) rows and their errors over a sweep.
 
-    Phase k draws a histogram of ``shots`` coincidences from the k-th
-    child of ``np.random.SeedSequence(seed)`` and normalizes it with
-    ``normalize_counts``.  Child streams never overlap, across phases or
-    seeds, and row k depends only on ``seed``, k and its own phase, not
-    on the length of the sweep.  Returns the (len(phis), 3) triples and
-    their standard errors.
+    Phase k draws a histogram of ``shots`` coincidences, distributed over
+    the cells of ``peak_cell_probabilities`` by their conditional
+    probabilities, from the k-th child of ``np.random.SeedSequence(seed)``;
+    ``normalize_counts`` then normalizes the whole sweep.  Child streams
+    never overlap, across phases or seeds, and row k depends only on
+    ``seed``, k and its own phase, not on the length of the sweep.
+    Returns the (len(phis), 3) triples and their standard errors.
 
-    Valid domain: finite phases, ``1 <= shots <= 2**63 - 1`` and
-    ``seed >= 0``, plus the model parameters' domain (finite ``phi_nl``
-    and ``theta_perp``, ``ell_nl`` in [0, 1]); anything else raises
-    ``ValueError`` naming the parameter.  A histogram too sparse to
-    normalize raises ``NormalizationError`` naming its phase.
+    Valid domain: finite phases, ``1 <= shots <= 2**63 - 1`` (the
+    generator draws 64-bit counts) and ``seed >= 0``, plus the model
+    parameters' domain (finite ``phi_nl`` and ``theta_perp``, ``ell_nl``
+    in [0, 1]); anything else raises ``ValueError`` naming the parameter.
+    A histogram too sparse to normalize raises ``NormalizationError``
+    naming its phase.
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    _check_shots(shots)
+    if shots <= 0:
+        raise ValueError(f"shots must be positive, got {shots!r}")
+    if shots > _MAX_SHOTS:
+        raise ValueError(f"shots must be at most 2**63 - 1, got {shots!r}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed!r}")
-    triples = np.empty((phis.size, 3))
-    errors = np.empty((phis.size, 3))
+    weights = peak_cell_probabilities(phis, phi_nl, ell_nl, theta_perp).reshape(-1, _N_CELLS)
+    total = weights.sum(axis=1, keepdims=True)
+    if np.any(total <= 0.0):
+        raise ValueError("all coincidence cells have zero probability")
     streams = np.random.SeedSequence(seed).spawn(phis.size)
-    for k, (phi, stream) in enumerate(zip(phis, streams)):
-        hist = synthesize_histogram(float(phi), phi_nl, ell_nl, shots, stream, theta_perp)
-        try:
-            stats = normalize_counts(hist)
-        except NormalizationError as exc:
-            raise NormalizationError(f"histogram at phi={phi:.6g}: {exc}") from exc
-        triples[k] = stats.as_tuple()
-        errors[k] = stats.uncertainties
-    return triples, errors
+    counts = [
+        np.random.default_rng(stream).multinomial(shots, p)
+        for stream, p in zip(streams, weights / total)
+    ]
+    try:
+        return normalize_counts(np.reshape(counts, (phis.size,) + _HIST_SHAPE))
+    except NormalizationError as exc:
+        phi = phis[exc.index]
+        raise NormalizationError(f"histogram at phi={phi:.6g}: {exc}", exc.index) from exc

@@ -65,6 +65,11 @@ def _from_frequency(number: float, unit: str, flag: str) -> float:
         return scatter.TWO_PI * number * 1e9 * (_LIFETIME_PS * 1e-12)
     if unit in ("cm-1", "1/cm", "cm^-1"):
         return scatter.TWO_PI * scatter.SPEED_OF_LIGHT_CM * number * (_LIFETIME_PS * 1e-12)
+    if unit == "/cm":
+        # The number took the 1 of "0.051/cm": 0.05 1/cm and 0.051 per cm both fit.
+        raise FlagError(
+            flag, "ambiguous unit '/cm'; write the wavenumber as '0.05 1/cm' or '0.05cm-1'"
+        )
     raise FlagError(flag, f"unknown unit suffix {unit!r}")
 
 

@@ -118,13 +118,16 @@ def _trace_points(
     times: np.ndarray,
     spec: MoleculeSpec,
     harmonic: bool,
+    name: str,
 ) -> list[TracePoint]:
     """Occupancies at every time, from one lifted propagator.
 
     The pair amplitudes are L^H diag(exp(i theta(t))) L a0, where L is
     the pair lift of the localization unitary and a0 puts both quanta in
     localized mode 0.  Zero time is the identity, so those
-    rows carry the input occupancy without rounding residue.
+    rows carry the input occupancy without rounding residue.  A phase
+    that overflows raises ``ValueError`` naming the caller's time
+    argument ``name``, whose value is the last of ``times``.
     """
     spec.validate()
     if harmonic:
@@ -134,7 +137,12 @@ def _trace_points(
     # phase of (th20 + th02) / 2 - th11 on the doubly occupied entries.
     linear = 0.5 * (spec.nu20 - spec.nu02)
     kerr = 0.5 * (spec.nu20 + spec.nu02 - 2.0 * spec.nu11)
-    theta = np.multiply.outer(-_RAD_PER_PS_CM * times, (kerr + linear, kerr - linear, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = np.multiply.outer(-_RAD_PER_PS_CM * times, (kerr + linear, kerr - linear, 0.0))
+    if not np.isfinite(theta).all():
+        raise ValueError(
+            f"{name} = {float(times[-1])!r} ps is too long: an evolution phase is not finite"
+        )
     lift = _pair_lift(spec.matrix)
     # einsum, not @: BLAS takes another kernel for one row than for many,
     # and each row must not depend on how many times share the call.
@@ -163,10 +171,15 @@ def evolve(
     right one is this evolution of the mirrored molecule, whose
     localization has its columns swapped.  The evolution is lossless, so
     the three occupancies sum to one up to rounding.
+
+    The phases grow linearly in ``t`` (about 35 rad/ps for water) and
+    each carries a rounding of about |theta| * 1e-16 rad.  Valid domain:
+    finite ``t >= 0`` at which every phase is finite; anything else
+    raises ``ValueError`` naming ``t``.
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"evolution time must be non-negative, got {t!r}")
-    return _trace_points(np.array([float(t)]), spec, harmonic)[0]
+    return _trace_points(np.array([float(t)]), spec, harmonic, "t")[0]
 
 
 def trace(
@@ -178,10 +191,17 @@ def trace(
 
     Returns one (anharmonic, harmonic) pair per grid point, with the
     grid spanning [0, t_max] inclusive.
+
+    The phases grow linearly in time (about 35 rad/ps for water) and
+    each carries a rounding of about |theta| * 1e-16 rad.  Valid domain:
+    ``n_steps >= 2`` and finite ``t_max > 0`` at which every phase is
+    finite; anything else raises ``ValueError`` naming the parameter.
     """
     if n_steps < 2:
         raise ValueError(f"n_steps must be at least 2, got {n_steps!r}")
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be positive, got {t_max!r}")
     times = np.linspace(0.0, t_max, n_steps)
-    return list(zip(_trace_points(times, spec, False), _trace_points(times, spec, True)))
+    return list(
+        zip(_trace_points(times, spec, False, "t_max"), _trace_points(times, spec, True, "t_max"))
+    )

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nltimebin import circuit
 
@@ -21,15 +22,24 @@ from _oracles import (
 )
 
 
-def uniform_histogram(value: int = 100) -> circuit.PeakHistogram:
-    return circuit.PeakHistogram(np.full((6, 3, 3), value, dtype=np.int64))
+def uniform_histogram(value: int = 100) -> np.ndarray:
+    return np.full((6, 3, 3), value, dtype=np.int64)
 
 
 def _normalized_cells(phi, phi_nl, ell_nl, theta_perp=0.0):
     # Exact cell weights as counts of a 1e15-shot histogram.
-    cells = circuit.peak_cell_probabilities(phi, phi_nl, ell_nl, theta_perp)
-    hist = circuit.PeakHistogram(np.rint(cells * 1e15).astype(np.int64))
-    return np.array(circuit.normalize_counts(hist).as_tuple())
+    cells = circuit.peak_cell_probabilities(phi, phi_nl, ell_nl, theta_perp)[0]
+    triple, _ = circuit.normalize_counts(np.rint(cells * 1e15).astype(np.int64))
+    return triple
+
+
+def _draw_histogram(phi, phi_nl, ell_nl, shots, seed, theta_perp=0.0):
+    # One phase at a time: ``shots`` coincidences over the cells, from a
+    # generator seeded by ``seed`` (an integer or a SeedSequence).
+    weights = circuit.peak_cell_probabilities(phi, phi_nl, ell_nl, theta_perp)[0]
+    flat = weights.reshape(-1)
+    counts = np.random.default_rng(seed).multinomial(shots, flat / flat.sum())
+    return counts.reshape(weights.shape)
 
 
 def test_model_statistics_landmarks():
@@ -106,9 +116,8 @@ def test_raw_totals_ignore_the_phases():
     phis = np.linspace(0.0, 2.0 * math.pi, 17)
     for ell in (0.0, 0.3, 1.0):
         expected = 0.5 * (1.0 + (1.0 - ell) ** 2)
-        for phi in phis:
-            for phi_nl in (0.0, 1.1, 2.9):
-                pair = circuit._recombiner_pair(float(phi), phi_nl, ell, 0.3)
+        for phi_nl in (0.0, 1.1, 2.9):
+            for pair in circuit._recombiner_pair(phis, phi_nl, ell, 0.3):
                 raw = 0.5 * pair_tensor_click_pattern(splitter_step(pair))
                 assert abs(sum(raw) - expected) < 1e-12
 
@@ -127,17 +136,29 @@ def test_fringe_visibility_falls_with_nonlinear_phase():
 
 
 def test_histogram_input_is_guarded():
-    with pytest.raises(ValueError):
-        circuit.PeakHistogram(np.zeros((5, 3, 3)))
-    with pytest.raises(ValueError):
-        circuit.PeakHistogram(np.full((6, 3, 3), -1.0))
-    with pytest.raises(ValueError):
-        circuit.PeakHistogram(np.full((6, 3, 3), 0.5))
+    with pytest.raises(ValueError, match="^expected counts of shape"):
+        circuit.normalize_counts(np.zeros((5, 3, 3)))
+    with pytest.raises(ValueError, match="^expected counts of shape"):
+        circuit.normalize_counts(np.zeros(9))
+    with pytest.raises(ValueError, match="^counts must be non-negative"):
+        circuit.normalize_counts(np.full((6, 3, 3), -1.0))
+    for value in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^counts must be integer-valued"):
+            circuit.normalize_counts(np.full((6, 3, 3), value))
+    # One bad histogram in a stack rejects the stack.
+    stack = np.full((4, 6, 3, 3), 100.0)
+    stack[2, 3, 1, 0] = 99.5
+    with pytest.raises(ValueError, match="^counts must be integer-valued"):
+        circuit.normalize_counts(stack)
+    # Integer-valued floats count as the integers they hold.
+    exact = circuit.normalize_counts(uniform_histogram(7))
+    floats = circuit.normalize_counts(uniform_histogram(7).astype(float))
+    assert all(np.array_equal(a, b) for a, b in zip(exact, floats))
 
 
 def test_histogram_serialization():
-    hist = uniform_histogram(7)
-    assert hist.total == 6 * 9 * 7
+    cells = circuit.peak_cell_probabilities([0.3, 1.2], 0.9, 0.2)
+    assert cells.shape == (2, len(circuit.DETECTOR_PAIRS), len(circuit.PEAKS), len(circuit.PEAKS))
     assert circuit.DETECTOR_PAIRS == (
         ("a1", "a2"),
         ("a1", "b1"),
@@ -149,42 +170,55 @@ def test_histogram_serialization():
 
 
 def test_class_counts_groups_the_pairs():
-    counts = uniform_histogram().class_counts()
-    assert counts["20"] == (100.0, 200.0)
-    assert counts["11"] == (400.0, 800.0)
-    assert counts["02"] == (100.0, 200.0)
+    # Pair a1-a2 is class 20, b1-b2 class 02, and the four a-b pairs class
+    # 11; each class sums its pairs' center and side counts.
+    cells = np.zeros((6, 3, 3), dtype=np.int64)
+    cells[:, 0, 2] = cells[:, 2, 0] = (50, 20, 80, 40, 60, 100)
+    cells[:, 1, 1] = (50, 10, 20, 30, 40, 100)
+    triple, _ = circuit.normalize_counts(cells)
+    assert np.allclose(triple, 1.0 / 3.0, atol=1e-15)
 
 
 def test_uniform_counts_normalize_to_quarters():
-    stats = circuit.normalize_counts(uniform_histogram())
-    assert np.allclose(stats.as_tuple(), (0.25, 0.5, 0.25), atol=1e-12)
-    assert all(sigma > 0.0 for sigma in stats.uncertainties)
+    triple, errors = circuit.normalize_counts(uniform_histogram())
+    assert np.allclose(triple, (0.25, 0.5, 0.25), atol=1e-12)
+    assert np.all(errors > 0.0)
+    # Class sums of counts near the 64-bit limit do not wrap around.
+    for huge in (uniform_histogram(2**62), np.full((6, 3, 3), 1e19)):
+        triple, _ = circuit.normalize_counts(huge)
+        assert np.allclose(triple, (0.25, 0.5, 0.25), atol=1e-12)
 
 
 def test_missing_split_centers_give_half_half():
     cells = np.full((6, 3, 3), 100, dtype=np.int64)
     cells[1:5, 1, 1] = 0
-    stats = circuit.normalize_counts(circuit.PeakHistogram(cells))
-    assert np.allclose(stats.as_tuple(), (0.5, 0.0, 0.5), atol=1e-12)
+    triple, _ = circuit.normalize_counts(cells)
+    assert np.allclose(triple, (0.5, 0.0, 0.5), atol=1e-12)
 
 
 def test_count_scaling_shrinks_errors_only():
-    small = circuit.normalize_counts(uniform_histogram(40))
-    large = circuit.normalize_counts(uniform_histogram(400))
-    assert np.allclose(small.as_tuple(), large.as_tuple(), atol=1e-12)
-    for lo, hi in zip(large.uncertainties, small.uncertainties):
+    small, small_errors = circuit.normalize_counts(uniform_histogram(40))
+    large, large_errors = circuit.normalize_counts(uniform_histogram(400))
+    assert np.allclose(small, large, atol=1e-12)
+    for lo, hi in zip(large_errors, small_errors):
         assert abs(hi / lo - math.sqrt(10.0)) < 1e-9
 
 
 def test_empty_references_are_rejected():
     cells = np.full((6, 3, 3), 100, dtype=np.int64)
     cells[0, 0, 2] = cells[0, 2, 0] = cells[5, 0, 2] = cells[5, 2, 0] = 0
-    with pytest.raises(circuit.NormalizationError, match="side"):
-        circuit.normalize_counts(circuit.PeakHistogram(cells))
+    with pytest.raises(circuit.NormalizationError, match="side") as single:
+        circuit.normalize_counts(cells)
+    assert single.value.index == ()
     centers_only = np.full((6, 3, 3), 100, dtype=np.int64)
     centers_only[:, 1, 1] = 0
     with pytest.raises(circuit.NormalizationError, match="center"):
-        circuit.normalize_counts(circuit.PeakHistogram(centers_only))
+        circuit.normalize_counts(centers_only)
+    # In a stack the error locates the first histogram that fails.
+    stack = np.stack([uniform_histogram(), centers_only, cells, uniform_histogram()])
+    with pytest.raises(circuit.NormalizationError, match="^no center-peak counts") as first:
+        circuit.normalize_counts(stack.reshape(2, 2, 6, 3, 3))
+    assert first.value.index == (0, 1)
 
 
 @settings(deadline=None, max_examples=40)
@@ -192,8 +226,35 @@ def test_empty_references_are_rejected():
 def test_normalized_probabilities_sum_to_one(seed):
     rng = np.random.default_rng(seed)
     cells = rng.integers(1, 1000, size=(6, 3, 3))
-    stats = circuit.normalize_counts(circuit.PeakHistogram(cells))
-    assert abs(sum(stats.as_tuple()) - 1.0) < 1e-12
+    triple, _ = circuit.normalize_counts(cells)
+    assert abs(triple.sum() - 1.0) < 1e-12
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    stack=hnp.arrays(
+        np.int64,
+        hnp.array_shapes(min_dims=1, max_dims=2, max_side=5).map(lambda shape: shape + (6, 3, 3)),
+        elements=st.integers(0, 2**40),
+    )
+)
+def test_stacked_normalization_equals_row_by_row(stack):
+    try:
+        triples, errors = circuit.normalize_counts(stack)
+    except circuit.NormalizationError as exc:
+        # The located histogram fails alone, and every one before it passes.
+        with pytest.raises(circuit.NormalizationError, match=f"^{exc}$"):
+            circuit.normalize_counts(stack[exc.index])
+        for row in np.ndindex(stack.shape[:-3]):
+            if row == exc.index:
+                break
+            circuit.normalize_counts(stack[row])
+        return
+    assert triples.shape == errors.shape == stack.shape[:-3] + (3,)
+    for row in np.ndindex(stack.shape[:-3]):
+        triple, error = circuit.normalize_counts(stack[row])
+        assert np.array_equal(triples[row], triple)
+        assert np.array_equal(errors[row], error)
 
 
 def test_detector_efficiency_scaling_cancels():
@@ -201,36 +262,40 @@ def test_detector_efficiency_scaling_cancels():
     # scales the whole detector-pair block of the histogram.
     efficiency = dict(zip(circuit.DETECTORS, (0.7, 0.56, 0.45, 0.135)))
     scale = np.array([efficiency[i] * efficiency[j] for i, j in circuit.DETECTOR_PAIRS])
-    cells = circuit.peak_cell_probabilities(0.7, 0.9, 0.2, 0.0)
+    cells = circuit.peak_cell_probabilities(0.7, 0.9, 0.2, 0.0)[0]
 
     def exact_stats(weights):
-        hist = circuit.PeakHistogram(np.rint(weights * 1e12).astype(np.int64))
-        return circuit.normalize_counts(hist).as_tuple()
+        return circuit.normalize_counts(np.rint(weights * 1e12).astype(np.int64))[0]
 
     deviation = np.abs(np.subtract(exact_stats(cells), exact_stats(cells * scale[:, None, None])))
     assert np.max(deviation) < 1e-9
 
 
 def test_synthesis_is_seeded_and_counts_shots():
-    first = circuit.synthesize_histogram(0.9, 0.7, 0.2, shots=500, seed=42)
-    second = circuit.synthesize_histogram(0.9, 0.7, 0.2, shots=500, seed=42)
-    other = circuit.synthesize_histogram(0.9, 0.7, 0.2, shots=500, seed=43)
-    assert np.array_equal(first.counts, second.counts)
-    assert not np.array_equal(first.counts, other.counts)
-    assert first.total == 500
-    single = circuit.synthesize_histogram(0.9, 0.7, 0.2, shots=1, seed=0)
-    assert single.total == 1
-    with pytest.raises(ValueError):
-        circuit.synthesize_histogram(0.9, 0.7, 0.2, shots=0, seed=0)
+    phis = [0.9, 2.1]
+    first = circuit.sample_statistics(phis, 0.7, 0.2, shots=500, seed=42)
+    second = circuit.sample_statistics(phis, 0.7, 0.2, shots=500, seed=42)
+    other = circuit.sample_statistics(phis, 0.7, 0.2, shots=500, seed=43)
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    assert not np.array_equal(first[0], other[0])
+    # The bounds are inclusive: one shot is drawn (and is too few to
+    # normalize), and so is the largest 64-bit count.
+    with pytest.raises(circuit.NormalizationError):
+        circuit.sample_statistics(phis, 0.7, 0.2, shots=1, seed=0)
+    largest, _ = circuit.sample_statistics(phis, 0.7, 0.2, shots=2**63 - 1, seed=0)
+    assert np.allclose(largest, circuit.model_triple(phis, 0.7, 0.2), atol=1e-8)
+    with pytest.raises(ValueError, match="^shots must be positive"):
+        circuit.sample_statistics(phis, 0.7, 0.2, shots=0, seed=0)
     with pytest.raises(ValueError, match=r"^shots must be at most 2\*\*63 - 1"):
-        circuit.synthesize_histogram(0.9, 0.7, 0.2, shots=2**63, seed=0)
+        circuit.sample_statistics(phis, 0.7, 0.2, shots=2**63, seed=0)
 
 
 def test_million_shot_run_closes_on_the_ideal_point():
-    hist = circuit.synthesize_histogram(0.0, 0.0, 0.0, shots=1_000_000, seed=5)
-    stats = circuit.normalize_counts(hist)
-    margin = 3.0 * max(stats.uncertainties[0], 1e-6)
-    assert stats.as_tuple()[0] > 1.0 - margin
+    hist = _draw_histogram(0.0, 0.0, 0.0, shots=1_000_000, seed=5)
+    assert hist.sum() == 1_000_000
+    triple, errors = circuit.normalize_counts(hist)
+    margin = 3.0 * max(errors[0], 1e-6)
+    assert triple[0] > 1.0 - margin
 
 
 def test_round_trip_recovers_the_model():
@@ -240,12 +305,10 @@ def test_round_trip_recovers_the_model():
     scores = []
     for i, phi in enumerate(phis):
         for j, phi_nl in enumerate(phase_shifts):
-            hist = circuit.synthesize_histogram(
-                float(phi), float(phi_nl), ell, shots=100_000, seed=12000 + 5 * i + j
-            )
-            stats = circuit.normalize_counts(hist)
-            model = circuit.model_triple(float(phi), float(phi_nl), ell)[0]
-            for value, sigma, target in zip(stats.as_tuple(), stats.uncertainties, model):
+            hist = _draw_histogram(phi, phi_nl, ell, shots=100_000, seed=12000 + 5 * i + j)
+            triple, errors = circuit.normalize_counts(hist)
+            model = circuit.model_triple(phi, phi_nl, ell)[0]
+            for value, sigma, target in zip(triple, errors, model):
                 scores.append(abs(value - target) / max(sigma, 1e-6))
     # 75 independent comparisons; demand hard 4-sigma agreement on each
     # and nominal 3-sigma coverage overall so one tail draw cannot flip
@@ -270,7 +333,7 @@ def test_slot_lift_matches_dict_oracle(with_overlap):
         theta_perp = rng.uniform(0.0, 0.5 * math.pi) if with_overlap else 0.0
         # The calibration offset is the long-to-a splitter phase pi/2.
         pre = pair_tensor_before_recombiner(phi + 0.5 * math.pi, phi_nl, ell_nl, theta_perp)
-        cells = circuit.peak_cell_probabilities(phi, phi_nl, ell_nl, theta_perp)
+        cells = circuit.peak_cell_probabilities(phi, phi_nl, ell_nl, theta_perp)[0]
         reference = peak_cells_slot_dict(configuration_amplitudes(pre))
         assert np.max(np.abs(cells - reference)) < 1e-15
 
@@ -292,10 +355,11 @@ def test_sampled_statistics_follow_the_histogram_streams():
     phis = np.array([0.4, 1.3])
     triples, errors = circuit.sample_statistics(phis, 0.7, 0.1, shots=3000, seed=5, theta_perp=0.2)
     for k, stream in enumerate(np.random.SeedSequence(5).spawn(2)):
-        hist = circuit.synthesize_histogram(phis[k], 0.7, 0.1, 3000, stream, theta_perp=0.2)
-        stats = circuit.normalize_counts(hist)
-        assert triples[k].tolist() == list(stats.as_tuple())
-        assert errors[k].tolist() == list(stats.uncertainties)
+        hist = _draw_histogram(phis[k], 0.7, 0.1, 3000, stream, theta_perp=0.2)
+        assert hist.sum() == 3000
+        triple, error = circuit.normalize_counts(hist)
+        assert triples[k].tolist() == triple.tolist()
+        assert errors[k].tolist() == error.tolist()
 
 
 def test_degenerate_sampled_histogram_names_its_phase():
@@ -317,3 +381,24 @@ def test_degenerate_sampled_histogram_names_its_phase():
 def test_sampled_statistics_domain(phis, shots, seed, match):
     with pytest.raises(ValueError, match=match):
         circuit.sample_statistics(phis, 0.9, 0.2, shots=shots, seed=seed)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    phis=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=12),
+    phi_nl=st.floats(-math.pi, math.pi),
+    ell_nl=st.floats(0.0, 1.0),
+    theta_perp=st.one_of(st.just(0.0), st.floats(0.0, 0.5 * math.pi)),
+    data=st.data(),
+)
+def test_sweep_cells_equal_one_phase_cells(phis, phi_nl, ell_nl, theta_perp, data):
+    # Each phase is its own slice of the batched product, so row k does
+    # not depend on the other phases: bit for bit, not within a tolerance.
+    sweep = circuit.peak_cell_probabilities(phis, phi_nl, ell_nl, theta_perp)
+    start = data.draw(st.integers(0, len(phis) - 1))
+    stop = data.draw(st.integers(start + 1, len(phis)))
+    part = circuit.peak_cell_probabilities(phis[start:stop], phi_nl, ell_nl, theta_perp)
+    assert np.array_equal(part, sweep[start:stop])
+    for k, phi in enumerate(phis):
+        single = circuit.peak_cell_probabilities(phi, phi_nl, ell_nl, theta_perp)
+        assert np.array_equal(single[0], sweep[k])

@@ -263,6 +263,11 @@ def test_malformed_inputs_exit_with_code_two(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: delta must be in")
     assert run(["fringe", "--shots", 10**20, "--grid", 3, "--out", tmp_path / "x"]) == 2
     assert capsys.readouterr().err.startswith("error: --shots: shots must be at most 2**63 - 1")
+    # A trace so long that its phases overflow, with no numpy warning on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["water", "--tmax", "1e308", "--steps", 3, "--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err.startswith("error: t_max = 1e+308 ps is too long")
 
     with pytest.raises(SystemExit) as exc:
         run(["bogus"])

@@ -26,22 +26,30 @@ fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 def test_identity_nonlinear_layer_changes_nothing():
     # Without a nonlinearity the pair is two copies of the single-photon
     # state (e^{i phi} eps + l) / sqrt(2) of the linear interferometer.
-    for phi, theta_perp in ((0.0, 0.0), (0.7, 0.0), (2.3, 0.4), (-1.1, math.pi / 2)):
-        single = np.array(
-            [np.exp(1j * phi) * math.cos(theta_perp), 1.0, np.exp(1j * phi) * math.sin(theta_perp), 0.0]
-        ) / math.sqrt(2.0)
-        pair = circuit._recombiner_pair(phi, 0.0, 0.0, theta_perp)
-        assert np.max(np.abs(pair - math.sqrt(2.0) * np.outer(single, single))) < 1e-15
+    phis = np.array([0.0, 0.7, 2.3, -1.1])
+    for theta_perp in (0.0, 0.4, math.pi / 2):
+        pairs = circuit._recombiner_pair(phis, 0.0, 0.0, theta_perp)
+        assert pairs.shape == (phis.size, 4, 4)
+        for phi, pair in zip(phis, pairs):
+            early = np.exp(1j * phi)
+            single = np.array(
+                [early * math.cos(theta_perp), 1.0, early * math.sin(theta_perp), 0.0]
+            ) / math.sqrt(2.0)
+            assert np.max(np.abs(pair - math.sqrt(2.0) * np.outer(single, single))) < 1e-15
 
 
 def test_full_rotation_moves_pair_into_ancilla():
-    aligned = circuit._recombiner_pair(0.7, 0.4, 0.1, 0.0)
-    rotated = circuit._recombiner_pair(0.7, 0.4, 0.1, math.pi / 2)
-    assert np.max(np.abs(rotated[0])) < 1e-15
-    assert abs(rotated[2, 2] - aligned[0, 0]) < 1e-15
-    # Detectors cannot tell the ancilla copy apart, so the click
-    # pattern is unchanged.
-    assert np.max(np.abs(pair_tensor_click_pattern(rotated) - pair_tensor_click_pattern(aligned))) < 1e-15
+    phis = np.array([0.7, -2.2, 4.0])
+    for aligned, rotated in zip(
+        circuit._recombiner_pair(phis, 0.4, 0.1, 0.0),
+        circuit._recombiner_pair(phis, 0.4, 0.1, math.pi / 2),
+    ):
+        assert np.max(np.abs(rotated[0])) < 1e-15
+        assert abs(rotated[2, 2] - aligned[0, 0]) < 1e-15
+        # Detectors cannot tell the ancilla copy apart, so the click
+        # pattern is unchanged.
+        deviation = pair_tensor_click_pattern(rotated) - pair_tensor_click_pattern(aligned)
+        assert np.max(np.abs(deviation)) < 1e-15
 
 
 @pytest.mark.parametrize(
@@ -54,16 +62,35 @@ def test_full_rotation_moves_pair_into_ancilla():
     ],
 )
 def test_ideal_circuit_statistics(phi, phi_nl, expected):
-    raw = pair_tensor_click_pattern(splitter_step(circuit._recombiner_pair(phi, phi_nl, 0.0, 0.0)))
+    pair = circuit._recombiner_pair(np.array([phi]), phi_nl, 0.0, 0.0)[0]
+    raw = pair_tensor_click_pattern(splitter_step(pair))
     assert np.max(np.abs(raw / raw.sum() - expected)) < 1e-12
     assert np.max(np.abs(circuit.model_triple(phi, phi_nl, 0.0)[0] - expected)) < 1e-12
 
 
 @given(phi=angles, phi_nl=angles, ell=fractions, theta_perp=angles)
 def test_raw_norm_after_nonlinear_element(phi, phi_nl, ell, theta_perp):
-    pair = circuit._recombiner_pair(phi, phi_nl, ell, theta_perp)
+    pairs = circuit._recombiner_pair(np.array([phi, phi + 1.0, -phi]), phi_nl, ell, theta_perp)
     expected = 0.5 * (1.0 + (1.0 - ell) ** 2)
-    assert abs(0.5 * np.sum(np.abs(pair) ** 2) - expected) < 1e-9
+    assert np.max(np.abs(0.5 * np.sum(np.abs(pairs) ** 2, axis=(1, 2)) - expected)) < 1e-9
+
+
+def _one_phase_pair(phi, phi_nl, ell_nl, theta_perp):
+    # The pair built one phase at a time, with numpy scalars for the phase
+    # factors; sampled artifacts were drawn from weights rounded this way.
+    early = np.array([math.cos(theta_perp), 0.0, math.sin(theta_perp), 0.0])
+    late = np.array([0.0, 1.0, 0.0, 0.0])
+    phase = np.exp(1j * phi)
+    bunched = np.exp(1j * phi_nl) * (phase * phase * np.outer(early, early) + np.outer(late, late))
+    split = (1.0 - ell_nl) * phase * np.outer(early, late)
+    return (bunched + split + split.T) / math.sqrt(2.0)
+
+
+@given(phis=st.lists(angles, min_size=1, max_size=16), phi_nl=angles, ell=fractions, theta_perp=angles)
+def test_stacked_pairs_equal_the_one_phase_construction(phis, phi_nl, ell, theta_perp):
+    pairs = circuit._recombiner_pair(np.array(phis), phi_nl, ell, theta_perp)
+    for phi, pair in zip(phis, pairs):
+        assert np.array_equal(pair, _one_phase_pair(np.float64(phi), phi_nl, ell, theta_perp))
 
 
 def _coincidence_floor(theta_perp: float) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -149,6 +150,13 @@ def test_evolve_input_guards():
         vibsim.trace(0.5, 1, spec)
     with pytest.raises(ValueError):
         vibsim.trace(-1.0, 10, spec)
+    # A time whose phase overflows is rejected before numpy warns about it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^t_max = 1e\+308 ps is too long"):
+            vibsim.trace(1e308, 3, spec)
+        with pytest.raises(ValueError, match=r"^t = 1e\+308 ps is too long"):
+            vibsim.evolve(1e308, spec)
 
 
 def unitary(theta: float, phi1: float, phi2: float, psi: float) -> np.ndarray:
