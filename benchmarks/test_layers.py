@@ -88,27 +88,6 @@ def test_sample_statistics(benchmark):
     assert triples.shape == (25, 3)
 
 
-@pytest.mark.parametrize(
-    "qd",
-    [
-        fit.QDCharacterization(beta=0.88, sigma_sd=0.3),
-        fit.QDCharacterization(beta=0.88, gamma=7e-3, sigma_sd=1.0),
-    ],
-    ids=["sigma0.3", "narrow"],
-)
-def test_fit_rt(benchmark, qd):
-    omega = np.linspace(-6.0, 6.0, 50) * max(qd.sigma_sd, qd.gamma)
-    data = fit.rt_spectrum(omega, qd)
-    template = fit.QDCharacterization(beta=0.5, gamma=qd.gamma)
-    result = benchmark.pedantic(
-        fit.fit_rt, args=(omega, data), kwargs={"qd_template": template},
-        rounds=5, iterations=1,
-    )
-    assert result.converged
-    assert abs(result.parameters["beta"] - qd.beta) < 1e-6
-    assert abs(result.parameters["sigma_sd"] - qd.sigma_sd) < 1e-6 * qd.sigma_sd
-
-
 def test_fit_fringe(benchmark):
     phis = np.linspace(0.0, 2.0 * math.pi, 61)
     rng = np.random.default_rng(7)

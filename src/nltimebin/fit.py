@@ -1,13 +1,11 @@
-"""Model fitting for transmission spectra, fringes, and pair statistics.
+"""Transmission-dip lineshape and model fits for fringes and pair statistics.
 
-The experiment-facing fits of the transmission dip, the interference
-fringes and the nonlinear-phase parameters, on numpy alone.  Fringes
-and pair statistics are linear in a few coefficients and fitted by
-direct solves; the dip, linear in its depth, by a projected
-Levenberg-Marquardt (damped Gauss-Newton) solve on its exact Jacobian.
-Uncertainties are the delta method on the Fisher matrix at the
-optimum, infinite where the map to a reported parameter is infinitely
-steep.
+The emitter's resonant-transmission dip and the experiment-facing fits
+of the interference fringes and the nonlinear-phase parameters, on
+numpy alone.  Fringes and pair statistics are linear in a few
+coefficients and fitted by direct solves.  Uncertainties are the delta
+method on the Fisher matrix at the optimum, infinite where the map to a
+reported parameter is infinitely steep.
 """
 
 from __future__ import annotations
@@ -75,23 +73,20 @@ def _finish_fit(
     n_points: int,
     weighted: bool,
     evaluations: int = 1,
-    converged: bool = True,
 ) -> FitResult:
-    """FitResult at the optimum ``x``; errors from the Hessian ``curvature`` if converged."""
+    """Converged FitResult at the optimum ``x``; errors from the Hessian ``curvature``."""
+    dof = max(n_points - x.size, 1)
+    scale = 1.0 if weighted else residual / dof
+    cov, unidentifiable = _covariance(curvature, names, scale)
+    errors = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     std: dict[str, float] = {}
-    unidentifiable: tuple[str, ...] = ()
-    if converged:
-        dof = max(n_points - x.size, 1)
-        scale = 1.0 if weighted else residual / dof
-        cov, unidentifiable = _covariance(curvature, names, scale)
-        errors = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-        for k, name in enumerate(names):
-            std[name] = math.inf if name in unidentifiable else float(errors[k])
+    for k, name in enumerate(names):
+        std[name] = math.inf if name in unidentifiable else float(errors[k])
     return FitResult(
         parameters={name: float(x[k]) for k, name in enumerate(names)},
         std_errors=std,
         residual=residual,
-        converged=converged,
+        converged=True,
         evaluations=evaluations,
         unidentifiable=unidentifiable,
     )
@@ -142,26 +137,6 @@ class QDCharacterization:
         return (self.gamma + self.gamma_d) * math.sqrt(1.0 + self.saturation)
 
 
-def _dip_profile(omega: np.ndarray, half: float, sigma_sd: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-peak dip profile P(omega) and its derivative dP/dsigma_sd.
-
-    P is the Voigt profile Re w(z) / Re w(z0) of the Faddeeva function w
-    at z = (omega + i half) / (sqrt(2) sigma_sd) and z0 = z(omega = 0).
-    Since w'(z) = -2 z w(z) + 2i / sqrt(pi) and dz/dsigma_sd = -z /
-    sigma_sd, each Re w has the derivative Re[2 z (z w - i / sqrt(pi))] /
-    sigma_sd, from the same Faddeeva values.  Without wandering P is the
-    exact Lorentzian, flat in sigma_sd to first order.
-    """
-    if sigma_sd == 0.0:
-        return half * half / (omega * omega + half * half), np.zeros_like(omega)
-    z = np.append(omega + 1j * half, 1j * half) / (math.sqrt(2.0) * sigma_sd)
-    w = faddeeva(z)
-    slope = (2.0 * z * (z * w - 1j / math.sqrt(math.pi))).real / sigma_sd
-    norm = w.real[-1]
-    profile = w.real[:-1] / norm
-    return profile, (slope[:-1] - profile * slope[-1]) / norm
-
-
 def rt_spectrum(omega: np.ndarray | float, qd: QDCharacterization) -> np.ndarray | float:
     """Resonant-transmission spectrum of the emitter.
 
@@ -175,16 +150,18 @@ def rt_spectrum(omega: np.ndarray | float, qd: QDCharacterization) -> np.ndarray
     """
     qd.validate()
     omega = np.asarray(omega, dtype=float)
-    profile, _ = _dip_profile(np.atleast_1d(omega), qd.gamma_fwhm / 2.0, qd.sigma_sd)
+    points, half = np.atleast_1d(omega), qd.gamma_fwhm / 2.0
+    if qd.sigma_sd == 0.0:
+        profile = half * half / (points * points + half * half)
+    else:
+        w = faddeeva(np.append(points + 1j * half, 1j * half) / (math.sqrt(2.0) * qd.sigma_sd))
+        profile = w.real[:-1] / w.real[-1]
     result = 1.0 - qd.depth * profile
     return float(result[0]) if omega.ndim == 0 else result
 
 
-# ``fit_rt`` stops once a proposed step moves each parameter by at most
-# _RT_STEP_TOL of its scale, or reports no convergence after
-# _RT_MAX_EVALUATIONS model evaluations.
-_RT_STEP_TOL = 1e-12
-_RT_MAX_EVALUATIONS = 100
+# ---------------------------------------------------------------------------
+# Interference fringes
 
 
 def _checked_series(x, y, errors, names: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,97 +186,6 @@ def _checked_series(x, y, errors, names: str) -> tuple[np.ndarray, np.ndarray, n
     if not np.all(np.isfinite(errors) & (errors > 0.0)):
         raise ValueError("errors must be finite and positive")
     return x, y, 1.0 / errors
-
-
-def fit_rt(
-    omega: np.ndarray,
-    transmission: np.ndarray,
-    qd_template: QDCharacterization | None = None,
-    errors: np.ndarray | None = None,
-) -> FitResult:
-    """Fit dip depth and spectral wandering of a transmission spectrum.
-
-    ``qd_template`` fixes gamma, dephasing and saturation (default: unit
-    gamma, neither of the others); ``errors`` are optional standard
-    errors of ``transmission``.  Reports beta, sigma_sd and the derived
-    ``gamma_fwhm``, whose error is zero.
-
-    The model 1 - depth P(omega; sigma_sd) is linear in the depth and
-    dP/dsigma_sd is closed form, so the exact Jacobian drives a
-    Levenberg-Marquardt (damped Gauss-Newton) solve in (depth,
-    sigma_sd).  It starts from half the half width at half depth, with
-    the depth solved linearly there, and every step is projected onto
-    the physical box: 0 <= depth <= 1 / factor, that is 0 <= beta <= 1,
-    with factor = (1 + 2 gamma_d / gamma)(1 + saturation), and sigma_sd
-    >= 0.  No other bound applies, so every ratio of sigma_sd to gamma
-    is in the domain.  ``evaluations`` counts model evaluations.
-
-    Errors are the delta method on the Fisher matrix.  beta = 1 - sqrt(1
-    - depth factor) has slope factor / (2 sqrt(1 - depth factor)), so
-    beta pinned at 1 gets an infinite error; without a dip sigma_sd is
-    unidentifiable.  Raises ``ValueError`` for fewer than 8 points,
-    data that are not finite, or errors that are not finite and
-    positive.
-    """
-    omega, transmission, root_weights = _checked_series(
-        omega, transmission, errors, "omega and transmission"
-    )
-    qd = qd_template or QDCharacterization(beta=0.5)
-    qd.validate()
-    half = qd.gamma_fwhm / 2.0
-    factor = (1.0 + 2.0 * qd.gamma_d / qd.gamma) * (1.0 + qd.saturation)
-    upper = np.array([1.0 / factor, math.inf])
-    scale = np.array([1.0 / factor, half])
-    target = (1.0 - transmission) * root_weights
-
-    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """Chi-square, weighted residuals and their Jacobian in (depth, sigma_sd)."""
-        profile, slope = _dip_profile(omega, half, float(x[1]))
-        jac = np.column_stack([profile, x[0] * slope]) * -root_weights[:, None]
-        resid = target + x[0] * jac[:, 0]
-        return float(resid @ resid), resid, jac
-
-    above = np.abs(omega[transmission >= 0.5 * (1.0 + transmission.min())])
-    sigma = 0.5 * float(above.min()) if above.size else qd.gamma
-    sigma = max(0.05 * qd.gamma, sigma)
-    basis = _dip_profile(omega, half, sigma)[0] * root_weights
-    x = np.array([min(max(float(basis @ target / (basis @ basis)), 0.0), upper[0]), sigma])
-    chi2, resid, jac = evaluate(x)
-    evaluations, damping, converged = 2, 1e-3, False
-    while evaluations < _RT_MAX_EVALUATIONS:
-        grad = jac.T @ resid
-        # A parameter on its bound stays there while descent points outwards.
-        free = ~(((x <= 0.0) & (grad > 0.0)) | ((x >= upper) & (grad < 0.0)))
-        fisher = jac.T @ jac * np.outer(free, free)
-        step = np.linalg.lstsq(fisher + damping * np.diag(np.diag(fisher)), -grad * free,
-                               rcond=None)[0]
-        trial = np.clip(x + step, 0.0, upper)
-        if np.all(np.abs(trial - x) <= _RT_STEP_TOL * (np.abs(x) + scale)):
-            converged = True
-            break
-        trial_chi2, trial_resid, trial_jac = evaluate(trial)
-        evaluations += 1
-        if trial_chi2 < chi2:
-            x, chi2, resid, jac = trial, trial_chi2, trial_resid, trial_jac
-            damping *= 0.1
-        else:
-            damping *= 10.0
-
-    depth = float(x[0])
-    root = 0.0 if depth >= upper[0] else math.sqrt(max(0.0, 1.0 - depth * factor))
-    result = _finish_fit(("beta", "sigma_sd"), np.array([1.0 - root, x[1]]), chi2,
-                         2.0 * jac.T @ jac, omega.size, errors is not None, evaluations,
-                         converged)
-    std = dict(result.std_errors)
-    if std:
-        std["beta"] = math.inf if root == 0.0 else std["beta"] * factor / (2.0 * root)
-        std["gamma_fwhm"] = 0.0
-    params = dict(result.parameters, gamma_fwhm=qd.gamma_fwhm)
-    return replace(result, parameters=params, std_errors=std)
-
-
-# ---------------------------------------------------------------------------
-# Interference fringes
 
 
 def fit_fringe(

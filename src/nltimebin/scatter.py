@@ -437,14 +437,6 @@ class JointTimeIntensity:
     times: np.ndarray
     intensity: np.ndarray
 
-    @property
-    def step(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
-    def total(self) -> float:
-        return float(self.intensity.sum() * self.step**2)
-
 
 def _default_times() -> np.ndarray:
     return np.linspace(-8.0, 8.0, 256)

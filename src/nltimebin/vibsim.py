@@ -25,6 +25,9 @@ from .scatter import SPEED_OF_LIGHT_CM
 
 # Radians accumulated per picosecond and per wavenumber of frequency.
 _RAD_PER_PS_CM = 2.0 * math.pi * SPEED_OF_LIGHT_CM * 1e-12
+# The largest evolution phase |theta| in radians.  Its rounding, about
+# |theta| * 1e-16 rad, stays below 1e-3 rad up to this bound.
+_MAX_PHASE = 1e13
 
 
 @dataclass(frozen=True)
@@ -126,8 +129,9 @@ def _trace_points(
     the pair lift of the localization unitary and a0 puts both quanta in
     localized mode 0.  Zero time is the identity, so those
     rows carry the input occupancy without rounding residue.  A phase
-    that overflows raises ``ValueError`` naming the caller's time
-    argument ``name``, whose value is the last of ``times``.
+    beyond ``_MAX_PHASE`` in magnitude, or not finite, raises
+    ``ValueError`` naming the caller's time argument ``name``, whose
+    value is the last of ``times``.
     """
     spec.validate()
     if harmonic:
@@ -139,9 +143,10 @@ def _trace_points(
     kerr = 0.5 * (spec.nu20 + spec.nu02 - 2.0 * spec.nu11)
     with np.errstate(over="ignore", invalid="ignore"):
         theta = np.multiply.outer(-_RAD_PER_PS_CM * times, (kerr + linear, kerr - linear, 0.0))
-    if not np.isfinite(theta).all():
+    if not (np.abs(theta) <= _MAX_PHASE).all():
         raise ValueError(
-            f"{name} = {float(times[-1])!r} ps is too long: an evolution phase is not finite"
+            f"{name} = {float(times[-1])!r} ps is too long: an evolution phase exceeds "
+            f"{_MAX_PHASE:g} rad"
         )
     lift = _pair_lift(spec.matrix)
     # einsum, not @: BLAS takes another kernel for one row than for many,
@@ -174,8 +179,9 @@ def evolve(
 
     The phases grow linearly in ``t`` (about 35 rad/ps for water) and
     each carries a rounding of about |theta| * 1e-16 rad.  Valid domain:
-    finite ``t >= 0`` at which every phase is finite; anything else
-    raises ``ValueError`` naming ``t``.
+    finite ``t >= 0`` at which every phase is at most 1e13 rad in
+    magnitude, so rounds by less than 1e-3 rad; anything else raises
+    ``ValueError`` naming ``t``.
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"evolution time must be non-negative, got {t!r}")
@@ -194,8 +200,9 @@ def trace(
 
     The phases grow linearly in time (about 35 rad/ps for water) and
     each carries a rounding of about |theta| * 1e-16 rad.  Valid domain:
-    ``n_steps >= 2`` and finite ``t_max > 0`` at which every phase is
-    finite; anything else raises ``ValueError`` naming the parameter.
+    ``n_steps >= 2`` and finite ``t_max > 0`` at which every phase is at
+    most 1e13 rad in magnitude, so rounds by less than 1e-3 rad; anything
+    else raises ``ValueError`` naming the parameter.
     """
     if n_steps < 2:
         raise ValueError(f"n_steps must be at least 2, got {n_steps!r}")

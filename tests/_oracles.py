@@ -14,9 +14,7 @@ time maps from two 1D transforms; a first-quantized pair tensor,
 evolved step by step and phase by phase, where the package writes the
 pair entering the recombiner and the output statistics in closed form;
 Simpson convolution of the transmission dip, where the package uses
-the Faddeeva Voigt profile; a grid over the wandering width with the
-dip depth solved linearly and a Brent polish, where the package runs
-Levenberg-Marquardt on the exact Jacobian; dict tables of detection slots summed
+the Faddeeva Voigt profile; dict tables of detection slots summed
 pair by pair in Python, where the package lifts the state to the slots
 with one matrix product; a grid search with a simplex polish of the
 pair-statistics chi-square, where the package solves the constrained
@@ -507,38 +505,6 @@ def voigt_transmission_quadrature(omega, depth: float, fwhm: float, sigma_sd: fl
 
     profile = lorentz(omega[:, None] - xs[None, :]) @ kernel
     return 1.0 - depth * profile / float(lorentz(-xs) @ kernel)
-
-
-def reference_rt_fit(omega, data, errors, gamma: float = 1.0, gamma_d: float = 0.0,
-                     saturation: float = 0.0) -> tuple[float, float, float]:
-    """Chi-square minimum of a transmission dip: (beta, sigma_sd, chi2).
-
-    The model is 1 - depth * V with V the unit-peak Voigt profile from
-    ``wofz``.  At each sigma_sd the depth is the weighted linear
-    least-squares value clipped to its physical range [0, 1 / factor];
-    the best of 400 widths, geometric from 1e-4 to 10 times the span of
-    ``omega``, brackets a bounded Brent polish of that profile
-    chi-square.
-    """
-    omega, data = np.asarray(omega, dtype=float), np.asarray(data, dtype=float)
-    weights = 1.0 / np.asarray(errors, dtype=float) ** 2
-    half = 0.5 * (gamma + gamma_d) * math.sqrt(1.0 + saturation)
-    factor = (1.0 + 2.0 * gamma_d / gamma) * (1.0 + saturation)
-
-    def solve(sigma_sd: float) -> tuple[float, float]:
-        scale = math.sqrt(2.0) * sigma_sd
-        profile = wofz((omega + 1j * half) / scale).real / wofz(1j * half / scale).real
-        depth = np.sum(weights * profile * (1.0 - data)) / np.sum(weights * profile**2)
-        depth = min(max(float(depth), 0.0), 1.0 / factor)
-        return depth, float(np.sum(weights * (1.0 - depth * profile - data) ** 2))
-
-    grid = np.geomspace(1e-4, 10.0, 400) * float(np.ptp(omega))
-    k = int(np.argmin([solve(s)[1] for s in grid]))
-    res = optimize.minimize_scalar(lambda s: solve(s)[1], method="bounded",
-                                   bounds=(grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]),
-                                   options={"xatol": 1e-12})
-    depth, chi2 = solve(float(res.x))
-    return 1.0 - math.sqrt(max(0.0, 1.0 - depth * factor)), float(res.x), chi2
 
 
 def peak_cells_slot_dict(amplitudes):

@@ -150,13 +150,15 @@ def test_evolve_input_guards():
         vibsim.trace(0.5, 1, spec)
     with pytest.raises(ValueError):
         vibsim.trace(-1.0, 10, spec)
-    # A time whose phase overflows is rejected before numpy warns about it.
+    # A time whose phase overflows, or exceeds 1e13 rad and so rounds by
+    # more than 1e-3 rad, is rejected before numpy warns about it.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"^t_max = 1e\+308 ps is too long"):
-            vibsim.trace(1e308, 3, spec)
-        with pytest.raises(ValueError, match=r"^t = 1e\+308 ps is too long"):
-            vibsim.evolve(1e308, spec)
+        for exponent in ("308", "300"):
+            with pytest.raises(ValueError, match=rf"^t_max = 1e\+{exponent} ps is too long"):
+                vibsim.trace(float(f"1e{exponent}"), 3, spec)
+            with pytest.raises(ValueError, match=rf"^t = 1e\+{exponent} ps is too long"):
+                vibsim.evolve(float(f"1e{exponent}"), spec)
 
 
 def unitary(theta: float, phi1: float, phi2: float, psi: float) -> np.ndarray:
