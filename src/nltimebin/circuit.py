@@ -63,12 +63,12 @@ def triple_coefficients(cos_nl, t, cos_perp) -> np.ndarray:
     return np.array([1.0, cos_perp**2, cos_perp**2 * u, t * cos_nl * cos_perp * u])
 
 
-def _checked_phases(phi: np.ndarray) -> np.ndarray:
+def _checked_phases(phi: np.ndarray, name: str = "phi") -> np.ndarray:
     """The phases as a float array of at least one dimension; raise unless all are finite."""
     phis = np.atleast_1d(np.asarray(phi, dtype=float))
     finite = np.isfinite(phis)
     if not finite.all():
-        raise ValueError(f"phi must be finite, got {float(phis[~finite][0])!r}")
+        raise ValueError(f"{name} must be finite, got {float(phis[~finite][0])!r}")
     return phis
 
 
@@ -100,20 +100,28 @@ def _check_model_domain(ell_nl: float, **angles: float) -> None:
 
 def model_triple(
     phi: np.ndarray,
-    phi_nl: float,
+    phi_nl: np.ndarray | float,
     ell_nl: float,
     theta_perp: float = 0.0,
 ) -> np.ndarray:
     """Renormalized (p20, p11, p02) stacked over an array of phases.
 
     Evaluates every phase at once; the overall transmission factors out
-    and the raw total is (1 + t^2) / 2 at every phase.  Valid domain:
-    finite phases, finite ``phi_nl`` and ``theta_perp``, and ``ell_nl``
-    in [0, 1]; anything else raises ``ValueError`` naming the parameter.
+    and the raw total is (1 + t^2) / 2 at every phase.  ``phi_nl`` is one
+    nonlinear phase for every ``phi`` or one per ``phi``, and broadcasts
+    against a single ``phi``; row k equals the call at its own pair of
+    phases, bit for bit.  Valid domain: finite phases, finite ``phi_nl``
+    and ``theta_perp``, and ``ell_nl`` in [0, 1]; anything else raises
+    ``ValueError`` naming the parameter.
     """
-    _check_model_domain(ell_nl, phi_nl=phi_nl, theta_perp=theta_perp)
-    weights = triple_coefficients(math.cos(phi_nl), 1.0 - ell_nl, math.cos(theta_perp))
-    return triple_basis(phi) @ weights
+    nonlinear = _checked_phases(phi_nl, "phi_nl")
+    _check_model_domain(ell_nl, theta_perp=theta_perp)
+    basis = triple_basis(phi)
+    if len(basis) > 1 and nonlinear.size not in (1, len(basis)):
+        raise ValueError(f"phi_nl must hold one phase or {len(basis)}, got {nonlinear.size}")
+    t, cos_perp = 1.0 - ell_nl, math.cos(theta_perp)
+    weights = np.array([triple_coefficients(math.cos(p), t, cos_perp) for p in nonlinear])
+    return (basis @ weights[:, :, None])[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +361,7 @@ def sample_statistics(
     ``seed``, k and its own phase, not on the length of the sweep.
     Returns the (len(phis), 3) triples and their standard errors.
 
-    Valid domain: finite phases, ``1 <= shots <= 2**63 - 1`` (the
+    Valid domain: finite phases, whole ``1 <= shots <= 2**63 - 1`` (the
     generator draws 64-bit counts) and ``seed >= 0``, plus the model
     parameters' domain (finite ``phi_nl`` and ``theta_perp``, ``ell_nl``
     in [0, 1]); anything else raises ``ValueError`` naming the parameter.
@@ -361,10 +369,12 @@ def sample_statistics(
     naming its phase.
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    if shots <= 0:
+    if not shots > 0:
         raise ValueError(f"shots must be positive, got {shots!r}")
     if shots > _MAX_SHOTS:
         raise ValueError(f"shots must be at most 2**63 - 1, got {shots!r}")
+    if shots != int(shots):
+        raise ValueError(f"shots must be a whole number, got {shots!r}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed!r}")
     weights = peak_cell_probabilities(phis, phi_nl, ell_nl, theta_perp).reshape(-1, _N_CELLS)

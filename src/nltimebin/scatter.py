@@ -228,13 +228,10 @@ def transmission_coefficient(omega: np.ndarray | float) -> np.ndarray | complex:
     return complex(result) if result.ndim == 0 else result
 
 
-def gaussian_spectrum(omega: np.ndarray | float, pulse: PulseSpec) -> np.ndarray | float:
-    """Square-normalized Gaussian spectral amplitude of the pulse."""
-    pulse.validate()
-    omega = np.asarray(omega, dtype=float)
+def _gaussian_spectrum(omega: np.ndarray, pulse: PulseSpec) -> np.ndarray:
+    """Square-normalized Gaussian spectral amplitude g of the pulse."""
     norm = (TWO_PI * pulse.sigma**2) ** -0.25
-    result = norm * np.exp(-((omega - pulse.delta) ** 2) / (4.0 * pulse.sigma**2))
-    return float(result) if result.ndim == 0 else result
+    return norm * np.exp(-((omega - pulse.delta) ** 2) / (4.0 * pulse.sigma**2))
 
 
 def _pair_envelope(s: np.ndarray, pulse: PulseSpec) -> np.ndarray:
@@ -244,21 +241,19 @@ def _pair_envelope(s: np.ndarray, pulse: PulseSpec) -> np.ndarray:
     )
 
 
-def bound_channel_integral(s: np.ndarray | float, pulse: PulseSpec) -> np.ndarray | complex:
-    """Spectral weight of the bound pair channel at total frequency ``s``.
+def _bound_channel(envelope: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Spectral weight of the bound pair channel at total frequency s.
 
     Twice the convolution of the pulse with itself against the emitter
     pole, integrated over one constituent frequency.  Completing the
     square in the Gaussian pair product leaves a Gaussian against the
-    pole, which is the Faddeeva function at (s/2 + i)/(sqrt(2) sigma).
-    That argument lies in the upper half-plane, so the closed form holds
-    for any finite ``delta`` and any ``sigma > 0``.
+    pole: the weight is -2 pi i times the pair envelope
+    ``_pair_envelope(s)`` times the Faddeeva value ``w`` at
+    (s/2 + i)/(sqrt(2) sigma).  That argument lies in the upper
+    half-plane, so the closed form holds for any finite ``delta`` and
+    any ``sigma > 0``.
     """
-    pulse.validate()
-    s = np.asarray(s, dtype=float)
-    z = (0.5 * s + 1j) / (math.sqrt(2.0) * pulse.sigma)
-    values = -TWO_PI * 1j * _pair_envelope(s, pulse) * faddeeva(z)
-    return complex(values) if values.ndim == 0 else values
+    return -TWO_PI * 1j * envelope * w
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +345,11 @@ def _params(pulse: PulseSpec, nodes: int) -> NonlinearParams:
     # what is left is one integral over the total frequency s, whose
     # panels split at s = 0 so the width-2 emitter feature resolves.
     s, w_s = _total_frequency_grid(pulse, nodes)
-    # The kernel's Faddeeva values serve ``bound_channel_integral`` too:
-    # their arguments differ only for |s| < 2e-100, which no node hits.
+    # The kernel's Faddeeva values serve the bound channel too: their
+    # arguments differ only for |s| < 2e-100, which no node hits.
     kernel, w = _difference_kernel(0.5 * s, pulse.sigma)
     envelope = _pair_envelope(s, pulse)
-    bound = -TWO_PI * 1j * envelope * w
+    bound = _bound_channel(envelope, w)
     # Bound term against itself: the emitter poles of the two photons
     # convolve to 2 pi / (s^2 + 4).
     bound_norm = float((np.abs(bound) ** 2 / (s**2 + 4.0)) @ w_s) / TWO_PI
@@ -432,7 +427,12 @@ def nonlinear_params(pulse: PulseSpec) -> NonlinearParams:
 
 @dataclass(frozen=True)
 class JointTimeIntensity:
-    """Joint two-photon detection-time distribution on a uniform grid."""
+    """Joint two-photon detection-time distribution.
+
+    ``intensity[i, j]`` is the density at detection times
+    (``times[i]``, ``times[j]``).  The times are a 1-D array of at least
+    one finite time; nothing requires them sorted or evenly spaced.
+    """
 
     times: np.ndarray
     intensity: np.ndarray
@@ -468,9 +468,11 @@ def _time_amplitude(
     x = 0.5 * s
     # exp(-i s t) is the square of exp(-i x t): one complex exp for both kernels.
     half = np.exp(-1j * np.outer(times, x))
-    f_x = transmission_coefficient(x) * gaussian_spectrum(x, pulse)
+    f_x = transmission_coefficient(x) * _gaussian_spectrum(x, pulse)
     f_t = half @ (0.5 * w_s * f_x) / math.sqrt(TWO_PI)
-    g_t = (half * half) @ (w_s * bound_channel_integral(s, pulse) / (x + 1j)) / (2.0 * TWO_PI)
+    z = (x + 1j) / (math.sqrt(2.0) * pulse.sigma)
+    channel = _bound_channel(_pair_envelope(s, pulse), faddeeva(z))
+    g_t = (half * half) @ (w_s * channel / (x + 1j)) / (2.0 * TWO_PI)
     col, row = times[:, None], times[None, :]
     bound = np.exp(-np.abs(col - row)) * np.where(col <= row, g_t[:, None], g_t[None, :])
     return a * bound + (a + b) * np.outer(f_t, f_t)
@@ -492,6 +494,11 @@ def _time_map(
     if times is None:
         times = _default_times()
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError(f"times must be a 1-D array of at least one time, got shape {times.shape}")
+    finite = np.isfinite(times)
+    if not finite.all():
+        raise ValueError(f"times must be finite, got {float(times[~finite][0])!r}")
     pulse.validate()
     _check_time_window(pulse, times)
     base = _time_amplitude(pulse, _NODES, times, a, b)
@@ -515,7 +522,9 @@ def jti(pulse: PulseSpec, times: np.ndarray | None = None) -> JointTimeIntensity
     frequency window is narrower than one ulp of twice the pulse center
     (from ``delta`` of about 1e17 at ``sigma`` = 1).  With the default times
     the map resolves, measured, for ``sigma`` from 0.02 to 5 at ``delta``
-    of 0, 1 and 5; ``sigma`` of 10 and wider raise.
+    of 0, 1 and 5; ``sigma`` of 10 and wider raise.  ``times`` must be a
+    1-D array of at least one time, all finite; otherwise it raises
+    ``ValueError`` naming ``times``.
     """
     return _time_map(pulse, times, 1.0, 0.0)
 
@@ -526,8 +535,8 @@ def circuit_jti(
     """Joint detection-time intensity of the both-photons-one-port pattern.
 
     Its amplitude is ``a * psi + b * f(t1) f(t2)`` at the interferometer
-    phase ``phi``.  Resolves over the same domain as ``jti`` and raises
-    ``QuadratureError`` outside it.
+    phase ``phi``.  Resolves over the same domain as ``jti``, times
+    included, and raises as it does outside it.
     """
     return _time_map(pulse, times, (np.exp(2j * phi) + 1.0) / 4.0, np.exp(1j * phi) / 2.0)
 

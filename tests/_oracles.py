@@ -20,8 +20,8 @@ with one matrix product; a grid search with a simplex polish of the
 pair-statistics chi-square, where the package solves the constrained
 least-squares problem directly; and a dense two-boson unitary and a
 twelve-step splitter-and-phase pair-tensor circuit for the vibrational
-evolution, where the package lifts the localization once around a
-phase diagonal.
+evolution of water, where the package evaluates the circuit's closed-form
+output triple at the evolution's linear and nonlinear phases.
 """
 
 from __future__ import annotations
@@ -570,14 +570,20 @@ def two_boson_unitary(u: np.ndarray) -> np.ndarray:
     )
 
 
-def pair_occupancies(t_ps: float, freqs: dict, localization: np.ndarray) -> tuple[float, float, float]:
-    """Dense-matrix evolution of two quanta starting in localized mode 0.
+# Water's localized-to-eigenmode map: the OH stretches are the even and
+# odd combinations of the eigenmodes.
+_R = 1.0 / math.sqrt(2.0)
+WATER_LOCALIZATION = np.array([[_R, -_R], [_R, _R]], dtype=complex)
 
-    ``freqs`` holds nu10, nu01, nu20, nu02, nu11 in 1/cm; returns the
+
+def pair_occupancies(t_ps: float, freqs: dict) -> tuple[float, float, float]:
+    """Dense-matrix evolution of two quanta starting in water's localized mode 0.
+
+    ``freqs`` holds nu20, nu02, nu11 in 1/cm; returns the
     (same-left, same-right, separate) occupancies at ``t_ps``.
     """
     scale = -TWO_PI * 2.99792458e10 * 1e-12 * t_ps
-    lift = two_boson_unitary(localization)
+    lift = two_boson_unitary(WATER_LOCALIZATION)
     phases = np.diag(
         np.exp(1j * scale * np.array([freqs["nu20"], freqs["nu02"], freqs["nu11"]]))
     )
@@ -588,26 +594,18 @@ def pair_occupancies(t_ps: float, freqs: dict, localization: np.ndarray) -> tupl
 
 
 def mode_unitary_steps(u: np.ndarray) -> list:
-    """Decompose a 2x2 unitary into pair-tensor phase and splitter steps.
+    """Decompose a 2x2 unitary without zero entries into pair-tensor phase and splitter steps.
 
     Uses the interferometer form D1 * B * D2 * B * D3 with diagonal
     phase steps around the fixed symmetric splitter; the overall
     phase is dropped, which leaves pair probabilities unchanged.
     """
     mixing = math.atan2(abs(u[1, 0]), abs(u[0, 0]))
-    if abs(u[1, 0]) < 1e-12:
-        alpha, beta = cmath.phase(u[0, 0]), 0.0
-        gamma, delta = 0.0, cmath.phase(u[1, 1])
-    elif abs(u[0, 0]) < 1e-12:
-        beta = cmath.phase(u[1, 0]) - 0.5 * math.pi
-        alpha, gamma, delta = cmath.phase(u[0, 1]) - 0.5 * math.pi, 0.0, 0.0
-    else:
-        gamma = 0.0
-        alpha = cmath.phase(u[0, 0])
-        beta = cmath.phase(u[1, 0]) - 0.5 * math.pi
-        delta = cmath.phase(u[0, 1]) - 0.5 * math.pi - alpha
+    alpha = cmath.phase(u[0, 0])
+    beta = cmath.phase(u[1, 0]) - 0.5 * math.pi
+    delta = cmath.phase(u[0, 1]) - 0.5 * math.pi - alpha
     return [
-        phase_step(gamma - delta),
+        phase_step(-delta),
         splitter_step,
         phase_step(2.0 * mixing),
         splitter_step,
@@ -616,21 +614,21 @@ def mode_unitary_steps(u: np.ndarray) -> list:
 
 
 def evolution_steps(t_ps: float, spec, harmonic: bool = False) -> list:
-    """The localized -> eigenbasis -> localized circuit of a molecule, 12 pair-tensor steps.
+    """The localized -> eigenbasis -> localized circuit of water, 12 pair-tensor steps.
 
-    Localized modes 0 and 1 are the early and late modes.  The
-    eigenbasis phase diagonal splits into a linear phase and a
-    same-mode nonlinear phase, both from frequency differences.
+    Localized modes 0 and 1 are the early and late modes, and ``spec``
+    gives the ladder's frequencies.  The eigenbasis phase diagonal splits
+    into a linear phase and a same-mode nonlinear phase, both from
+    frequency differences.
     """
     if harmonic:
         spec = spec.harmonic_variant()
     scale = -TWO_PI * 2.99792458e10 * 1e-12 * t_ps
     linear = 0.5 * scale * (spec.nu20 - spec.nu02)
     kerr = 0.5 * scale * (spec.nu20 + spec.nu02 - 2.0 * spec.nu11)
-    u = spec.matrix
     return [
-        *mode_unitary_steps(u),
+        *mode_unitary_steps(WATER_LOCALIZATION),
         phase_step(linear),
         nonlinear_step(kerr, 0.0),
-        *mode_unitary_steps(u.conj().T),
+        *mode_unitary_steps(WATER_LOCALIZATION.conj().T),
     ]

@@ -85,6 +85,32 @@ def test_batched_model_matches_pair_tensor_oracle(phi_nl, ell_nl, theta_perp):
     assert np.max(np.abs(batched - ref)) < 1e-12
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    pairs=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=16),
+    ell_nl=st.floats(0.0, 1.0),
+    theta_perp=st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)),
+)
+def test_per_phase_nonlinear_phases_equal_one_phase_calls(pairs, ell_nl, theta_perp):
+    # An array phi_nl gives each row its own weights; row k must not
+    # depend on the other rows: bit for bit, not within a tolerance.
+    def one_phase(phi, phi_nl):
+        return circuit.model_triple(phi, float(phi_nl), ell_nl, theta_perp)[0]
+
+    phis, phi_nls = (np.array(column) for column in zip(*pairs))
+    stacked = circuit.model_triple(phis, phi_nls, ell_nl, theta_perp)
+    assert stacked.shape == (len(pairs), 3)
+    for row, phi, phi_nl in zip(stacked, phis, phi_nls):
+        assert np.array_equal(row, one_phase(phi, phi_nl))
+    # One phase against many nonlinear phases broadcasts the same way.
+    spread = circuit.model_triple(phis[0], phi_nls, ell_nl, theta_perp)
+    for row, phi_nl in zip(spread, phi_nls):
+        assert np.array_equal(row, one_phase(phis[0], phi_nl))
+    if len(pairs) > 1:
+        with pytest.raises(ValueError, match=rf"^phi_nl must hold one phase or {len(pairs)}, got"):
+            circuit.model_triple(phis, np.append(phi_nls, 0.0), ell_nl, theta_perp)
+
+
 @pytest.mark.parametrize("theta_perp", [0.0, 0.1])
 @pytest.mark.parametrize(
     "name, phi, phi_nl",
@@ -98,6 +124,8 @@ def test_batched_model_matches_pair_tensor_oracle(phi_nl, ell_nl, theta_perp):
 def test_non_finite_inputs_rejected_on_both_paths(theta_perp, name, phi, phi_nl):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         circuit.model_triple([0.3, phi], phi_nl, 0.2, theta_perp)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        circuit.model_triple([0.3, phi], [1.0, phi_nl], 0.2, theta_perp)
     with pytest.raises(ValueError, match=rf"\b{name} must be finite"):
         circuit.sample_statistics([0.3, phi], phi_nl, 0.2, 100, 0, theta_perp)
 
@@ -376,6 +404,8 @@ def test_degenerate_sampled_histogram_names_its_phase():
         ([0.1], 0, 0, "^shots must be positive"),
         ([0.1], 100, -1, "^seed must be non-negative"),
         ([0.1], 2**63, 0, "^shots must be at most"),
+        ([0.1], 1000.5, 0, "^shots must be a whole number"),
+        ([0.1], math.nan, 0, "^shots must be positive"),
     ],
 )
 def test_sampled_statistics_domain(phis, shots, seed, match):

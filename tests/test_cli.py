@@ -345,7 +345,7 @@ LOADED_MODULES = {
     "characterize": (["characterize", "--sigma", "0.5", "--grid", "3"], ["cli", "scatter"]),
     "jti": (["jti", "--delta", "0.3", "--grid", "16"], ["cli", "scatter"]),
     "fringe": (["fringe", "--delta", "0.3", "--grid", "9"], ["circuit", "cli", "scatter"]),
-    "water": (["water", "--steps", "5"], ["cli", "scatter", "vibsim"]),
+    "water": (["water", "--steps", "5"], ["circuit", "cli", "scatter", "vibsim"]),
     "fit": (["fit", "--data", "{data}"], ["circuit", "cli", "fit", "scatter"]),
 }
 

@@ -76,12 +76,12 @@ def test_transmission_coefficient_closed_form():
 
 def test_gaussian_spectrum_shape_and_norm():
     pulse = scatter.PulseSpec(delta=1.5, sigma=0.7)
-    peak = scatter.gaussian_spectrum(1.5, pulse)
+    peak = scatter._gaussian_spectrum(1.5, pulse)
     assert abs(peak - (2.0 * math.pi * 0.7**2) ** -0.25) < 1e-12
-    ratio = scatter.gaussian_spectrum(1.5 + 0.7, pulse) / peak
+    ratio = scatter._gaussian_spectrum(1.5 + 0.7, pulse) / peak
     assert abs(ratio - math.exp(-0.25)) < 1e-12
     omega = np.linspace(1.5 - 10 * 0.7, 1.5 + 10 * 0.7, 4001)
-    norm = np.trapezoid(np.abs(scatter.gaussian_spectrum(omega, pulse)) ** 2, omega)
+    norm = np.trapezoid(np.abs(scatter._gaussian_spectrum(omega, pulse)) ** 2, omega)
     assert abs(norm - 1.0) < 1e-8
 
 
@@ -89,7 +89,8 @@ def test_gaussian_spectrum_shape_and_norm():
 def test_bound_channel_integral_against_faddeeva(delta, sigma):
     pulse = scatter.PulseSpec(delta, sigma)
     s = np.linspace(2 * delta - 6 * sigma, 2 * delta + 6 * sigma, 9)
-    mine = scatter.bound_channel_integral(s, pulse)
+    w = scatter.faddeeva((0.5 * s + 1j) / (math.sqrt(2.0) * sigma))
+    mine = scatter._bound_channel(scatter._pair_envelope(s, pulse), w)
     ref = bound_integral_quadrature(s, delta, sigma, nodes=512)
     assert np.max(np.abs(mine - ref)) / np.max(np.abs(ref)) < 1e-8
 
@@ -488,6 +489,25 @@ def test_unresolved_time_map_is_reported(sigma):
         scatter.jti(pulse)
     with pytest.raises(scatter.QuadratureError):
         scatter.circuit_jti(0.4, pulse)
+
+
+@pytest.mark.parametrize(
+    "times, match",
+    [
+        ([0.0, math.nan, 1.0], r"^times must be finite, got nan"),
+        ([-math.inf, 0.0], r"^times must be finite, got -inf"),
+        ([], r"^times must be a 1-D array of at least one time, got shape \(0,\)"),
+        ([[0.0, 1.0], [2.0, 3.0]], r"^times must be a 1-D array .*got shape \(2, 2\)"),
+    ],
+)
+def test_time_maps_reject_non_finite_or_empty_times(times, match):
+    pulse = scatter.PulseSpec(0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            scatter.jti(pulse, times=times)
+        with pytest.raises(ValueError, match=match):
+            scatter.circuit_jti(0.4, pulse, times=times)
 
 
 @pytest.mark.filterwarnings("ignore:pulse duration")

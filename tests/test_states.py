@@ -1,4 +1,4 @@
-"""The two-photon state: the closed-form pair entering the recombiner and the pair lift."""
+"""The two-photon state: the closed-form pair entering the recombiner and the oracles' pair lift."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nltimebin import circuit, vibsim
+from nltimebin import circuit
 
 from _oracles import (
     pair_tensor_amplitude,
@@ -17,6 +17,7 @@ from _oracles import (
     pair_tensor_evolve,
     pair_tensor_from_configuration,
     splitter_step,
+    two_boson_unitary,
 )
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -119,7 +120,7 @@ def test_invalid_layer_parameters_rejected(call):
         call()
 
 
-# The pair basis of ``vibsim._pair_lift``: (2,0), (0,2), (1,1).
+# The pair basis of ``two_boson_unitary``: (2,0), (0,2), (1,1).
 _LIFT_PAIRS = ((0, 0), (1, 1), (0, 1))
 
 
@@ -139,4 +140,4 @@ def _oracle_transfer(u: np.ndarray) -> np.ndarray:
 def test_lift_matches_pair_tensor_oracle(seed):
     rng = np.random.default_rng(seed)
     u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    assert np.max(np.abs(vibsim._pair_lift(u) - _oracle_transfer(u))) < 1e-12
+    assert np.max(np.abs(two_boson_unitary(u) - _oracle_transfer(u))) < 1e-12
