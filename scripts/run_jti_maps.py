@@ -36,13 +36,13 @@ def main() -> int:
     far = jti(PulseSpec(delta=args.far_delta, sigma=args.sigma), times=times)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    save_map(args.out_dir / "jti_resonant.csv", times, resonant.intensity)
-    save_map(args.out_dir / "jti_far.csv", times, far.intensity)
+    save_map(args.out_dir / "jti_resonant.csv", times, resonant)
+    save_map(args.out_dir / "jti_far.csv", times, far)
 
     mask = np.eye(args.grid, dtype=bool)
-    diag = resonant.intensity[mask].mean()
-    anti = np.fliplr(resonant.intensity)[mask].mean()
-    print(f"far-detuned factorization residual: {factorization_residual(far.intensity):.3e}")
+    diag = resonant[mask].mean()
+    anti = np.fliplr(resonant)[mask].mean()
+    print(f"far-detuned factorization residual: {factorization_residual(far):.3e}")
     print(f"resonant diagonal/anti-diagonal mean ratio: {diag / anti:.2f}")
     print(f"maps written to {args.out_dir}")
     return 0

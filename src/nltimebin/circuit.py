@@ -2,10 +2,10 @@
 
 Covers three layers of the experiment pipeline:
 
-* closed-form two-photon output statistics of the balanced circuit,
-  affine in three coefficients for every degree of partial
-  distinguishability (``triple_basis``), and the closed-form pair state
-  that enters the recombiner;
+* closed-form two-photon output statistics of the balanced circuit
+  (``model_triple``), affine in three coefficients for every degree of
+  partial distinguishability, and the closed-form pair state that
+  enters the recombiner;
 * normalization of raw coincidence histograms into output-pattern
   probabilities, with first-order Poisson error propagation;
 * the expected 3x3 peak cells per detector pair, routed through the one
@@ -54,31 +54,38 @@ _CLASS_KEYS = ("20", "11", "02")
 # Closed-form output statistics
 
 
-def triple_coefficients(cos_nl, t, cos_perp) -> np.ndarray:
-    """Weights (1, s, q, r) of ``triple_basis`` at cos phi_nl, t = 1 - ell_nl, cos theta_perp.
+def _triple_coefficients(cos_nl, t, cos_perp) -> np.ndarray:
+    """Weights (1, s, q, r) of ``_triple_basis`` at cos phi_nl, t = 1 - ell_nl, cos theta_perp.
 
     s = cos^2 theta_perp, q = s u, r = t cos phi_nl cos theta_perp u, u = 1 / (1 + t^2).
+    Broadcasts to (..., 4) in r's dtype (complex steps too); entries round as scalar calls do.
     """
     u = 1.0 / (1.0 + t * t)
-    return np.array([1.0, cos_perp**2, cos_perp**2 * u, t * cos_nl * cos_perp * u])
+    r = np.asarray(t * cos_nl * cos_perp * u)
+    weights = np.empty(r.shape + (4,), r.dtype)
+    weights[..., 0] = 1.0
+    weights[..., 1] = cos_perp**2
+    weights[..., 2] = cos_perp**2 * u
+    weights[..., 3] = r
+    return weights
 
 
-def _checked_phases(phi: np.ndarray, name: str = "phi") -> np.ndarray:
-    """The phases as a float array of at least one dimension; raise unless all are finite."""
-    phis = np.atleast_1d(np.asarray(phi, dtype=float))
-    finite = np.isfinite(phis)
+def _checked_finite(values: np.ndarray, name: str = "phi") -> np.ndarray:
+    """The values as a float array of at least one dimension; raise unless all are finite."""
+    array = np.atleast_1d(np.asarray(values, dtype=float))
+    finite = np.isfinite(array)
     if not finite.all():
-        raise ValueError(f"{name} must be finite, got {float(phis[~finite][0])!r}")
-    return phis
+        raise ValueError(f"{name} must be finite, got {float(array[~finite][0])!r}")
+    return array
 
 
-def triple_basis(phi: np.ndarray) -> np.ndarray:
+def _triple_basis(phi: np.ndarray) -> np.ndarray:
     """Per-phase 3x4 basis: renormalized (p20, p11, p02) = basis @ weights.
 
     For every overlap angle p20, p02 = a +- r cos phi + (q / 4) cos 2 phi
     and p11 = 1 - 2 a - (q / 2) cos 2 phi, a = (1 + s - q) / 4.
     """
-    phis = _checked_phases(phi)
+    phis = _checked_finite(phi)
     one = np.ones_like(phis)
     columns = np.stack([one, one, np.cos(2.0 * phis) - 1.0, np.cos(phis)], axis=1)
     shapes = np.array([[0.25, 0.25, 0.25, 1.0], [0.5, -0.5, -0.5, 0.0], [0.25, 0.25, 0.25, -1.0]])
@@ -114,13 +121,14 @@ def model_triple(
     and ``theta_perp``, and ``ell_nl`` in [0, 1]; anything else raises
     ``ValueError`` naming the parameter.
     """
-    nonlinear = _checked_phases(phi_nl, "phi_nl")
+    nonlinear = _checked_finite(phi_nl, "phi_nl")
     _check_model_domain(ell_nl, theta_perp=theta_perp)
-    basis = triple_basis(phi)
+    basis = _triple_basis(phi)
     if len(basis) > 1 and nonlinear.size not in (1, len(basis)):
         raise ValueError(f"phi_nl must hold one phase or {len(basis)}, got {nonlinear.size}")
-    t, cos_perp = 1.0 - ell_nl, math.cos(theta_perp)
-    weights = np.array([triple_coefficients(math.cos(p), t, cos_perp) for p in nonlinear])
+    # math.cos, not np.cos, whose SIMD loops need not round as libm does.
+    cos_nl = np.array([math.cos(p) for p in nonlinear])
+    weights = _triple_coefficients(cos_nl, 1.0 - ell_nl, math.cos(theta_perp))
     return (basis @ weights[:, :, None])[:, :, 0]
 
 
@@ -328,7 +336,7 @@ def peak_cell_probabilities(
     and ``ell_nl`` in [0, 1], as for ``model_triple``; anything else
     raises ``ValueError`` naming the parameter.
     """
-    phis = _checked_phases(phi)
+    phis = _checked_finite(phi)
     _check_model_domain(ell_nl, phi_nl=phi_nl, theta_perp=theta_perp)
     states = _recombiner_pair(phis + _CALIBRATION_OFFSET, phi_nl, ell_nl, theta_perp)
     pairs = _SLOT_MAP @ states @ _SLOT_MAP.T

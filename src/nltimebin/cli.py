@@ -212,8 +212,8 @@ def cmd_jti(args: argparse.Namespace) -> None:
 
     pulse = scatter.PulseSpec(delta=delta, sigma=sigma)
     times = np.linspace(-8.0, 8.0, grid)
-    result = scatter.circuit_jti(phi, pulse, times=times)
-    intensity = result.intensity / result.intensity.max()
+    intensity = scatter.circuit_jti(phi, pulse, times=times)
+    intensity = intensity / intensity.max()
 
     path = out / "jti.csv"
     meta = f"jti delta={delta!r} sigma={sigma!r} phi={phi!r} grid={grid}"

@@ -104,6 +104,7 @@ class QDCharacterization:
     rates, ``sigma_sd`` the RMS of slow Gaussian spectral wandering,
     all in the same frequency units as the spectrum axis;
     ``saturation`` is the ratio of non-coupled to coupled excitation.
+    Construction raises ``ValueError`` naming a field outside its domain.
     """
 
     beta: float
@@ -112,7 +113,7 @@ class QDCharacterization:
     sigma_sd: float = 0.0
     saturation: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {self.beta!r}")
         if not (math.isfinite(self.gamma) and self.gamma > 0.0):
@@ -146,11 +147,11 @@ def rt_spectrum(omega: np.ndarray | float, qd: QDCharacterization) -> np.ndarray
     (sqrt(2) sigma_sd))`` of the Faddeeva function w, divided by its
     value at omega = 0 so the on-resonance value stays ``1 - depth``
     for any wandering width.  Without wandering the Lorentzian is
-    evaluated exactly.
+    evaluated exactly.  ``omega`` must be finite; otherwise it raises
+    ``ValueError`` naming it.
     """
-    qd.validate()
     omega = np.asarray(omega, dtype=float)
-    points, half = np.atleast_1d(omega), qd.gamma_fwhm / 2.0
+    points, half = circuit._checked_finite(omega, "omega"), qd.gamma_fwhm / 2.0
     if qd.sigma_sd == 0.0:
         profile = half * half / (points * points + half * half)
     else:
@@ -297,7 +298,7 @@ def _slice_minimum(fisher, best, shift, s: float) -> tuple[float, float, float]:
         for tau in np.clip(roots.real, -1.0, 1.0):
             cos_nl.append(-1.0 if tau < 0.0 else 1.0)
             ts.append(abs(float(tau)))
-    d = np.array([circuit.triple_coefficients(cn, t, c)[1:] for cn, t in zip(cos_nl, ts)]) - best
+    d = circuit._triple_coefficients(np.array(cos_nl), np.array(ts), c)[:, 1:] - best
     excess = np.einsum("ka,ab,kb->k", d, fisher, d)
     k = int(np.argmin(excess))
     return cos_nl[k], ts[k], float(excess[k])
@@ -312,15 +313,18 @@ def fit_nl(
     """Fit the nonlinear phase and pair loss to normalized statistics.
 
     ``triples`` holds one renormalized (p20, p11, p02) row per phase and
-    ``errors`` optional matching standard errors.  A renormalized row
-    sums to one, so each phase's covariance C is rebuilt from its three
-    marginal errors and the objective is the chi-square ``r^T C^+ r``;
-    directions C does not span, such as a class with zero error, carry
-    no weight.  Without errors it is the plain sum of squares with two
-    degrees of freedom per phase.  ``fit_distinguishability`` frees the
-    overlap rotation angle and reports the distinguishable fraction.
+    ``errors`` optional matching standard errors.  A row must sum to one
+    within 1e-5, which admits rows written to six decimals (off by up to
+    1.5e-6); a row off by more raises ``ValueError`` naming its phase.
+    Each phase's covariance C is rebuilt from its three marginal errors,
+    which fix it for a row that sums to one, and the objective is the
+    chi-square ``r^T C^+ r``; directions C does not span, such as a class
+    with zero error, carry no weight.  Without errors it is the plain sum
+    of squares with two degrees of freedom per phase.
+    ``fit_distinguishability`` frees the overlap rotation angle and
+    reports the distinguishable fraction.
 
-    The model is affine in the weights (s, q, r) of ``circuit.triple_basis``,
+    The model, ``circuit.model_triple``, is affine in three weights (s, q, r)
     whose physical values form a convex set: one generalized-least-squares
     solve, then the exact minimum at s = cos^2 theta_perp = 1, or over s
     by golden section (s = 1 included).  ``evaluations`` counts those
@@ -338,6 +342,10 @@ def fit_nl(
         raise ValueError("need at least 8 phase points")
     if not np.all(np.isfinite(triples)):
         raise ValueError("triples must be finite")
+    off = np.abs(triples.sum(axis=1) - 1.0) > 1e-5
+    if np.any(off):
+        k = int(np.argmax(off))
+        raise ValueError(f"triples at phi={phi[k]:.6g} sum to {float(triples[k].sum())!r}, not 1")
     precision = np.broadcast_to(np.eye(3), (phi.size, 3, 3))
     if errors is not None:
         errors = np.asarray(errors, dtype=float)
@@ -347,7 +355,7 @@ def fit_nl(
             raise ValueError("errors must be finite and non-negative")
         precision = np.linalg.pinv(_row_covariance(phi, errors), hermitian=True)
 
-    basis = circuit.triple_basis(phi)
+    basis = circuit._triple_basis(phi)
     design = basis[:, :, 1:]
     fisher = np.einsum("kia,kij,kjb->ab", design, precision, design)
     target = np.einsum("kia,kij,kj->a", design, precision, triples - basis[:, :, 0])
@@ -368,12 +376,12 @@ def fit_nl(
         s, optimum = min([(s, optimum), left, right], key=lambda p: p[1][2])
     (cos_nl, t, _), cos_perp = optimum, math.sqrt(s)
 
-    resid = basis @ circuit.triple_coefficients(cos_nl, t, cos_perp) - triples
+    resid = basis @ circuit._triple_coefficients(cos_nl, t, cos_perp) - triples
     residual = float(np.einsum("ki,kij,kj->", resid, precision, resid))
     # Errors in (cos phi_nl, t, cos theta_perp), carried to the angles by
     # acos; d(s, q, r) / d(those) by complex steps, exact to rounding.
     point = np.array([cos_nl, t, cos_perp])
-    steps = [circuit.triple_coefficients(*(point + 1e-30j * e))[1:] for e in np.eye(3)]
+    steps = [circuit._triple_coefficients(*(point + 1e-30j * e))[1:] for e in np.eye(3)]
     jac = np.array(steps).imag.T / 1e-30
     if not fit_distinguishability:
         jac, fisher = jac[1:, :2], fisher[1:, 1:]

@@ -48,7 +48,7 @@ _DELTA_MAX = 1e150
 class PulseSpec:
     """Gaussian pulse: center detuning and spectral width, natural units.
 
-    ``validate`` accepts ``delta`` in [-1e150, 1e150] and ``sigma`` in
+    Construction accepts ``delta`` in [-1e150, 1e150] and ``sigma`` in
     [1e-150, 1e150]; outside that range their squares leave the float
     range, and it raises ``ValueError`` naming ``delta`` or ``sigma``.
     The effective parameters resolve, measured, for ``sigma`` from 0.02
@@ -61,7 +61,7 @@ class PulseSpec:
     delta: float
     sigma: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not abs(self.delta) <= _DELTA_MAX:
             raise ValueError(
                 f"delta must be in [-{_DELTA_MAX:.0e}, {_DELTA_MAX:.0e}], got {self.delta!r}"
@@ -221,11 +221,9 @@ def faddeeva(z: np.ndarray | complex) -> np.ndarray | np.complex128:
     return (2.0 * poly / denom + 1.0 / math.sqrt(math.pi)) / denom
 
 
-def transmission_coefficient(omega: np.ndarray | float) -> np.ndarray | complex:
-    """Single-photon transmission amplitude of the emitter line."""
-    omega = np.asarray(omega, dtype=float)
-    result = omega / (omega + 1j)
-    return complex(result) if result.ndim == 0 else result
+def _transmission(omega: np.ndarray) -> np.ndarray:
+    """Single-photon transmission amplitude of the emitter line at the frequencies ``omega``."""
+    return omega / (omega + 1j)
 
 
 def _gaussian_spectrum(omega: np.ndarray, pulse: PulseSpec) -> np.ndarray:
@@ -409,7 +407,6 @@ def nonlinear_params(pulse: PulseSpec) -> NonlinearParams:
     1e-6 of the single-photon norm, which near resonance happens for
     ``sigma`` below about 4e-5.
     """
-    pulse.validate()
     base = _params(pulse, _NODES)
     fine = _params(pulse, 2 * _NODES)
     drift = max(
@@ -423,23 +420,6 @@ def nonlinear_params(pulse: PulseSpec) -> NonlinearParams:
 
 # ---------------------------------------------------------------------------
 # Joint detection-time intensities
-
-
-@dataclass(frozen=True)
-class JointTimeIntensity:
-    """Joint two-photon detection-time distribution.
-
-    ``intensity[i, j]`` is the density at detection times
-    (``times[i]``, ``times[j]``).  The times are a 1-D array of at least
-    one finite time; nothing requires them sorted or evenly spaced.
-    """
-
-    times: np.ndarray
-    intensity: np.ndarray
-
-
-def _default_times() -> np.ndarray:
-    return np.linspace(-8.0, 8.0, 256)
 
 
 def _check_time_window(pulse: PulseSpec, times: np.ndarray) -> None:
@@ -468,7 +448,7 @@ def _time_amplitude(
     x = 0.5 * s
     # exp(-i s t) is the square of exp(-i x t): one complex exp for both kernels.
     half = np.exp(-1j * np.outer(times, x))
-    f_x = transmission_coefficient(x) * _gaussian_spectrum(x, pulse)
+    f_x = _transmission(x) * _gaussian_spectrum(x, pulse)
     f_t = half @ (0.5 * w_s * f_x) / math.sqrt(TWO_PI)
     z = (x + 1j) / (math.sqrt(2.0) * pulse.sigma)
     channel = _bound_channel(_pair_envelope(s, pulse), faddeeva(z))
@@ -487,19 +467,14 @@ def _symmetric_intensity(amplitude: np.ndarray) -> np.ndarray:
     return np.abs(0.5 * (amplitude + amplitude.T)) ** 2
 
 
-def _time_map(
-    pulse: PulseSpec, times: np.ndarray | None, a: complex, b: complex
-) -> JointTimeIntensity:
+def _time_map(pulse: PulseSpec, times: np.ndarray | None, a: complex, b: complex) -> np.ndarray:
     """Intensity of ``_time_amplitude``, once it settles under node doubling."""
-    if times is None:
-        times = _default_times()
-    times = np.asarray(times, dtype=float)
+    times = np.linspace(-8.0, 8.0, 256) if times is None else np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError(f"times must be a 1-D array of at least one time, got shape {times.shape}")
     finite = np.isfinite(times)
     if not finite.all():
         raise ValueError(f"times must be finite, got {float(times[~finite][0])!r}")
-    pulse.validate()
     _check_time_window(pulse, times)
     base = _time_amplitude(pulse, _NODES, times, a, b)
     peak = np.max(np.abs(base))
@@ -511,33 +486,36 @@ def _time_map(
         )
     fine = _time_amplitude(pulse, 2 * _NODES, times, a, b)
     _check_doubling(float(np.max(np.abs(fine - base)) / peak), "map", pulse)
-    return JointTimeIntensity(times=times, intensity=_symmetric_intensity(base))
+    return _symmetric_intensity(base)
 
 
-def jti(pulse: PulseSpec, times: np.ndarray | None = None) -> JointTimeIntensity:
+def jti(pulse: PulseSpec, times: np.ndarray | None = None) -> np.ndarray:
     """Joint detection-time intensity of the bare scattered pair.
 
-    Raises ``QuadratureError`` when node doubling moves the pair amplitude
-    by more than 1e-6 of its peak, or when the map vanishes because the
+    Returns the (n, n) density at detection times (``times[i]``,
+    ``times[j]``), by default on ``np.linspace(-8, 8, 256)``.  Raises
+    ``QuadratureError`` when node doubling moves the pair amplitude by
+    more than 1e-6 of its peak, or when the map vanishes because the
     frequency window is narrower than one ulp of twice the pulse center
     (from ``delta`` of about 1e17 at ``sigma`` = 1).  With the default times
     the map resolves, measured, for ``sigma`` from 0.02 to 5 at ``delta``
     of 0, 1 and 5; ``sigma`` of 10 and wider raise.  ``times`` must be a
-    1-D array of at least one time, all finite; otherwise it raises
-    ``ValueError`` naming ``times``.
+    1-D array of at least one time, all finite, in any order and spacing;
+    otherwise it raises ``ValueError`` naming ``times``.
     """
     return _time_map(pulse, times, 1.0, 0.0)
 
 
-def circuit_jti(
-    phi: float, pulse: PulseSpec, times: np.ndarray | None = None
-) -> JointTimeIntensity:
+def circuit_jti(phi: float, pulse: PulseSpec, times: np.ndarray | None = None) -> np.ndarray:
     """Joint detection-time intensity of the both-photons-one-port pattern.
 
-    Its amplitude is ``a * psi + b * f(t1) f(t2)`` at the interferometer
-    phase ``phi``.  Resolves over the same domain as ``jti``, times
-    included, and raises as it does outside it.
+    Its amplitude is ``a * psi + b * f(t1) f(t2)`` at the finite
+    interferometer phase ``phi`` (else ``ValueError`` naming ``phi``).
+    Takes the times of ``jti``, default included, returns the same
+    (n, n) map, resolves over its domain and raises as it does outside it.
     """
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {float(phi)!r}")
     return _time_map(pulse, times, (np.exp(2j * phi) + 1.0) / 4.0, np.exp(1j * phi) / 2.0)
 
 
@@ -545,9 +523,14 @@ def factorization_residual(intensity: np.ndarray) -> float:
     """Largest deviation from a product of marginals, relative to the peak.
 
     Zero for a separable intensity; order one when detection times are
-    strongly correlated.
+    strongly correlated.  ``intensity`` must be a finite 2-D map of
+    positive total weight; otherwise it raises ``ValueError`` naming it.
     """
     intensity = np.asarray(intensity, dtype=float)
+    if intensity.ndim != 2:
+        raise ValueError(f"intensity must be a 2-D map, got shape {intensity.shape}")
+    if not np.all(np.isfinite(intensity)):
+        raise ValueError("intensity must be finite")
     total = intensity.sum()
     if total <= 0.0:
         raise ValueError("intensity must have positive total weight")

@@ -40,7 +40,8 @@ class MoleculeSpec:
     ``nu10``/``nu01`` are the single-excitation eigenmode frequencies,
     ``nu20``/``nu02``/``nu11`` the two-excitation ones, all in inverse
     centimeters.  The localized modes are the even and odd combinations
-    of the two eigenmodes, as for water's two OH stretches.
+    of the two eigenmodes, as for water's two OH stretches.  Construction
+    rejects a frequency that is not finite and positive.
     """
 
     nu10: float
@@ -49,7 +50,7 @@ class MoleculeSpec:
     nu02: float
     nu11: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("nu10", "nu01", "nu20", "nu02", "nu11"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -134,6 +135,5 @@ def trace(
         raise ValueError(f"n_steps must be at least 2, got {n_steps!r}")
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be positive, got {t_max!r}")
-    spec.validate()
     times = np.linspace(0.0, t_max, n_steps)
     return list(zip(_trace_points(times, spec), _trace_points(times, spec.harmonic_variant())))

@@ -387,7 +387,7 @@ def test_package_attributes_load_their_submodules():
     assert proc.stdout.splitlines() == ["[]", "nltimebin.fit"]
 
 
-def test_only_the_simplex_fits_load_the_optimizer():
+def test_no_fit_loads_scipy():
     # No fit is a simplex fit any more, so none may load scipy.
     code = (
         "import sys\n"

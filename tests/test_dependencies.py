@@ -42,8 +42,8 @@ def test_numpy_is_the_only_declared_runtime_dependency():
 # removed must show up here.
 PUBLIC_NAMES = {
     "circuit": [
-        "triple_coefficients", "triple_basis", "model_triple", "NormalizationError",
-        "normalize_counts", "peak_cell_probabilities", "sample_statistics",
+        "model_triple", "NormalizationError", "normalize_counts", "peak_cell_probabilities",
+        "sample_statistics",
     ],
     "cli": [
         "FlagError", "parse_detuning", "parse_width", "parse_time_ps", "parse_angle",
@@ -52,9 +52,8 @@ PUBLIC_NAMES = {
     ],
     "fit": ["FitResult", "QDCharacterization", "rt_spectrum", "fit_fringe", "fit_nl"],
     "scatter": [
-        "PulseSpec", "QuadratureError", "faddeeva", "transmission_coefficient",
-        "NonlinearParams", "nonlinear_params", "JointTimeIntensity", "jti", "circuit_jti",
-        "factorization_residual",
+        "PulseSpec", "QuadratureError", "faddeeva", "NonlinearParams", "nonlinear_params",
+        "jti", "circuit_jti", "factorization_residual",
     ],
     "vibsim": ["MoleculeSpec", "water_spec", "TracePoint", "trace"],
 }

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from nltimebin import circuit, fit, scatter
+from nltimebin import circuit, cli, fit, scatter
 
 from _oracles import reference_nl_fit, voigt_transmission_quadrature
 
@@ -60,11 +60,11 @@ def test_characterization_validation_and_derived_widths():
     assert abs(qd.depth - 0.88 * 1.12 / 4.0) < 1e-12
     assert abs(qd.gamma_fwhm - 1.5 * math.sqrt(2.0)) < 1e-12
     with pytest.raises(ValueError):
-        fit.QDCharacterization(beta=1.2).validate()
+        fit.QDCharacterization(beta=1.2)
     with pytest.raises(ValueError):
-        fit.QDCharacterization(beta=0.5, gamma=0.0).validate()
+        fit.QDCharacterization(beta=0.5, gamma=0.0)
     with pytest.raises(ValueError):
-        fit.QDCharacterization(beta=0.5, sigma_sd=-0.1).validate()
+        fit.QDCharacterization(beta=0.5, sigma_sd=-0.1)
 
 
 def test_flat_spectrum_fits_to_uncoupled():
@@ -300,6 +300,40 @@ def test_nl_fit_rejects_errors_that_break_the_triangle_inequality():
     errors[4] = (0.01, -0.01, 0.01)
     with pytest.raises(ValueError, match="non-negative"):
         fit.fit_nl(phi, triples, errors)
+
+
+def test_nl_fit_rejects_rows_that_do_not_sum_to_one(tmp_path, capsys):
+    phi = np.linspace(0.15, 2.95, 9)
+    triples = circuit.model_triple(phi, 0.9, 0.2)
+    # Rows written to six decimals are off by up to 1.5e-6 and still fit.
+    fit.fit_nl(phi, np.round(triples, 6))
+    fit.fit_nl(phi, triples + 0.5e-6)
+    triples[4] *= 15.0
+    with pytest.raises(ValueError, match=rf"^triples at phi={phi[4]:.6g} sum to 15"):
+        fit.fit_nl(phi, triples)
+    # The CLI reports the row as a bad --data file.
+    path = tmp_path / "rows.csv"
+    np.savetxt(path, np.column_stack([phi, triples]), delimiter=",", header="phi,p20,p11,p02",
+               comments="")
+    assert cli.main(["fit", "--data", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --data: triples at phi={phi[4]:.6g}")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("phi", lambda: scatter.circuit_jti(math.inf, scatter.PulseSpec(0.0, 1.0))),
+        ("intensity", lambda: scatter.factorization_residual(np.full((4, 4), math.nan))),
+        ("intensity", lambda: scatter.factorization_residual(np.ones(4))),
+        ("omega", lambda: fit.rt_spectrum(math.nan, fit.QDCharacterization(beta=0.5))),
+        ("omega", lambda: fit.rt_spectrum(math.nan, fit.QDCharacterization(0.5, sigma_sd=0.3))),
+    ],
+    ids=["circuit_jti-inf", "residual-nan", "residual-1d", "rt-nan", "rt-nan-wandering"],
+)
+def test_non_finite_or_misshapen_inputs_raise_value_errors_naming_them(name, call):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        call()
 
 
 def test_fits_demand_enough_points():

@@ -67,11 +67,11 @@ def swept_params():
 
 
 def test_transmission_coefficient_closed_form():
-    assert abs(scatter.transmission_coefficient(0.0)) < 1e-15
-    assert abs(scatter.transmission_coefficient(1.0) - (1.0 - 1j) / 2.0) < 1e-15
-    assert abs(abs(scatter.transmission_coefficient(1e6)) - 1.0) < 1e-5
+    assert abs(scatter._transmission(np.array(0.0))) < 1e-15
+    assert abs(scatter._transmission(np.array(1.0)) - (1.0 - 1j) / 2.0) < 1e-15
+    assert abs(abs(scatter._transmission(np.array(1e6))) - 1.0) < 1e-5
     grid = np.array([-2.0, 0.5, 3.0])
-    assert np.allclose(scatter.transmission_coefficient(grid), grid / (grid + 1j))
+    assert np.allclose(scatter._transmission(grid), grid / (grid + 1j))
 
 
 def test_gaussian_spectrum_shape_and_norm():
@@ -167,7 +167,7 @@ def test_pair_norm_against_independent_quadrature(swept_params):
 
 
 @pytest.mark.parametrize("delta, sigma", [(0.0, 1.0), (1.0, 0.5), (3.0, 2.0)])
-def test_full_statistics_matches_per_phase_oracle(delta, sigma):
+def test_model_fringe_matches_the_per_phase_grid_oracle(delta, sigma):
     # The package's fringe is the closed form at the effective parameters;
     # its raw total is eta^2 (1 + t^2) / 2 with t = 1 - ell_nl.
     params = scatter.nonlinear_params(scatter.PulseSpec(delta, sigma))
@@ -275,8 +275,8 @@ def test_corners_of_the_pulse_domain_return_finite_values_or_raise_typed_errors(
                 pulse = scatter.PulseSpec(delta, sigma)
                 calls = {
                     "params": lambda: dataclasses.astuple(scatter.nonlinear_params(pulse)),
-                    "jti": lambda: scatter.jti(pulse, times=times).intensity,
-                    "circuit_jti": lambda: scatter.circuit_jti(0.4, pulse, times=times).intensity,
+                    "jti": lambda: scatter.jti(pulse, times=times),
+                    "circuit_jti": lambda: scatter.circuit_jti(0.4, pulse, times=times),
                 }
                 for name, call in calls.items():
                     try:
@@ -390,19 +390,19 @@ def test_profile_evaluates_the_faddeeva_function_once_on_its_grid(monkeypatch):
 
 def test_invalid_pulse_and_quadrature_rejected():
     with pytest.raises(ValueError):
-        scatter.PulseSpec(0.0, -1.0).validate()
+        scatter.PulseSpec(0.0, -1.0)
     # Outside [1e-150, 1e150] the squared width leaves the float range.
     for sigma in (1e200, 2e150, 5e-151, 1e-200):
         with pytest.raises(ValueError, match=r"^sigma must be in \[1e-150, 1e\+150\]"):
-            scatter.PulseSpec(0.0, sigma).validate()
-    scatter.PulseSpec(0.0, 1e150).validate()
-    scatter.PulseSpec(0.0, 1e-150).validate()
+            scatter.PulseSpec(0.0, sigma)
+    scatter.PulseSpec(0.0, 1e150)
+    scatter.PulseSpec(0.0, 1e-150)
     # Beyond |delta| = 1e150 the squared detuning leaves the float range.
     for delta in (2e150, -2e150, 1e308, math.inf, math.nan):
         with pytest.raises(ValueError, match=r"^delta must be in \[-1e\+150, 1e\+150\]"):
-            scatter.PulseSpec(delta, 1.0).validate()
-    scatter.PulseSpec(1e150, 1.0).validate()
-    scatter.PulseSpec(-1e150, 1.0).validate()
+            scatter.PulseSpec(delta, 1.0)
+    scatter.PulseSpec(1e150, 1.0)
+    scatter.PulseSpec(-1e150, 1.0)
 
 
 def test_emitter_frame_conversions(tmp_path):
@@ -440,7 +440,7 @@ def resonant_jti():
 
 
 def test_jti_is_exactly_symmetric(resonant_jti):
-    assert np.array_equal(resonant_jti.intensity, resonant_jti.intensity.T)
+    assert np.array_equal(resonant_jti, resonant_jti.T)
     # Detuned pulses round the single-photon product f_i f_j differently
     # in the two orders, which only symmetrizing the squared amplitude
     # removes.
@@ -448,16 +448,17 @@ def test_jti_is_exactly_symmetric(resonant_jti):
         circuit_map = scatter.circuit_jti(
             0.7, scatter.PulseSpec(delta, 1.0), times=np.linspace(-8.0, 8.0, 96)
         )
-        assert np.array_equal(circuit_map.intensity, circuit_map.intensity.T), delta
+        assert np.array_equal(circuit_map, circuit_map.T), delta
 
 
-def _rectangle_total(result: scatter.JointTimeIntensity) -> float:
-    return float(result.intensity.sum() * (result.times[1] - result.times[0]) ** 2)
+def _rectangle_total(intensity: np.ndarray, times: np.ndarray) -> float:
+    return float(intensity.sum() * (times[1] - times[0]) ** 2)
 
 
 def test_jti_total_matches_pair_norm(resonant_jti, swept_params):
     eta2 = swept_params[(0.0, 1.0)].eta ** 2
-    assert abs(_rectangle_total(resonant_jti) - eta2) / eta2 < 5e-3
+    total = _rectangle_total(resonant_jti, np.linspace(-8.0, 8.0, 96))
+    assert abs(total - eta2) / eta2 < 5e-3
 
 
 def test_narrow_pulse_jti_total_matches_pair_norm():
@@ -466,19 +467,19 @@ def test_narrow_pulse_jti_total_matches_pair_norm():
     # is 1e-2 off).
     pulse = scatter.PulseSpec(0.0, 0.3)
     eta2 = scatter.nonlinear_params(pulse).eta ** 2
-    assert abs(_rectangle_total(scatter.jti(pulse)) - eta2) / eta2 < 5e-3
+    total = _rectangle_total(scatter.jti(pulse), np.linspace(-8.0, 8.0, 256))
+    assert abs(total - eta2) / eta2 < 5e-3
 
 
 def test_far_detuned_jti_factorizes():
     times = np.linspace(-8.0, 8.0, 96)
     result = scatter.jti(scatter.PulseSpec(1000.0, 1.0), times=times)
-    assert scatter.factorization_residual(result.intensity) < 1e-4
+    assert scatter.factorization_residual(result) < 1e-4
 
 
 def test_resonant_jti_diagonal_enhanced(resonant_jti):
-    intensity = resonant_jti.intensity
-    diagonal = float(np.mean(np.diag(intensity)))
-    anti = float(np.mean(np.diag(np.fliplr(intensity))))
+    diagonal = float(np.mean(np.diag(resonant_jti)))
+    anti = float(np.mean(np.diag(np.fliplr(resonant_jti))))
     assert diagonal > anti
 
 
@@ -515,7 +516,7 @@ def test_time_maps_reject_non_finite_or_empty_times(times, match):
 @pytest.mark.parametrize("sigma", [0.02, 5.0])
 def test_time_map_resolves_across_the_stated_width_domain(delta, sigma):
     result = scatter.jti(scatter.PulseSpec(delta, sigma))
-    assert np.all(np.isfinite(result.intensity)) and result.intensity.max() > 0.0
+    assert np.all(np.isfinite(result)) and result.max() > 0.0
 
 
 def _time_terms(delta, sigma, times, nodes=scatter._NODES):

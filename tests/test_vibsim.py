@@ -50,7 +50,7 @@ def test_molecule_spec_validation_and_serialization():
             nu20=spec.nu20,
             nu02=spec.nu02,
             nu11=spec.nu11,
-        ).validate()
+        )
 
 
 def test_evolution_uses_twelve_layers():
