@@ -5,8 +5,10 @@ emitter (``scatter``), the interferometer measurement model and its
 two-photon statistics (``circuit``), estimation routines
 (``fit``), vibrational dynamics mapped onto the same circuit
 (``vibsim``), and a command-line artifact generator (``cli``).
-Submodules load on first attribute access, so a CLI subcommand imports
-only the modules it uses.
+Submodules load on first attribute access.  The CLI imports only the
+standard library up front and loads numpy and the modules a subcommand
+uses once its flags are checked, so ``--help`` and flag errors run
+without numpy.
 """
 
 from __future__ import annotations

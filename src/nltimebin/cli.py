@@ -17,11 +17,9 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
-# The flag parsers need ``scatter``; every other module loads inside the
-# subcommand that uses it, so a process imports only what it runs.
-from . import scatter
+# Standard library only at module level: each subcommand checks all its
+# flags first and then imports numpy and the physics modules it runs, so
+# ``--help`` and a flag error (exit 2) never load them.
 
 # Laboratory-to-dimensionless conversions are anchored to the emitter
 # lifetime once, here; the physics modules never see lab units.
@@ -62,9 +60,11 @@ def _from_frequency(number: float, unit: str, flag: str) -> float:
     if unit == "":
         return number
     if unit == "ghz":
-        return scatter.TWO_PI * number * 1e9 * (_LIFETIME_PS * 1e-12)
+        return math.tau * number * 1e9 * (_LIFETIME_PS * 1e-12)
     if unit in ("cm-1", "1/cm", "cm^-1"):
-        return scatter.TWO_PI * scatter.SPEED_OF_LIGHT_CM * number * (_LIFETIME_PS * 1e-12)
+        from .scatter import SPEED_OF_LIGHT_CM
+
+        return math.tau * SPEED_OF_LIGHT_CM * number * (_LIFETIME_PS * 1e-12)
     if unit == "/cm":
         # The number took the 1 of "0.051/cm": 0.05 1/cm and 0.051 per cm both fit.
         raise FlagError(
@@ -193,7 +193,7 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write("\n")
 
 
-def _peak_to_trough(values: np.ndarray) -> float:
+def _peak_to_trough(values) -> float:
     top, bottom = float(values.max()), float(values.min())
     return (top - bottom) / (top + bottom) if top + bottom > 0.0 else 0.0
 
@@ -210,9 +210,17 @@ def cmd_jti(args: argparse.Namespace) -> None:
     grid = parse_count(_setting(args, config, "grid", 256), "--grid", 16)
     out = _out_dir(args, config)
 
+    import numpy as np
+
+    from . import scatter
+
     pulse = scatter.PulseSpec(delta=delta, sigma=sigma)
     times = np.linspace(-8.0, 8.0, grid)
-    intensity = scatter.circuit_jti(phi, pulse, times=times)
+    try:
+        intensity = scatter.circuit_jti(phi, pulse, times=times)
+    except ValueError as exc:
+        # The other flags are checked above; only the grid's length can be refused.
+        raise FlagError("--grid", str(exc)) from exc
     intensity = intensity / intensity.max()
 
     path = out / "jti.csv"
@@ -223,8 +231,6 @@ def cmd_jti(args: argparse.Namespace) -> None:
 
 
 def cmd_fringe(args: argparse.Namespace) -> None:
-    from . import circuit
-
     config = _load_config(args)
     delta = parse_detuning(_setting(args, config, "delta", 0.0), "--delta")
     sigma = parse_width(_setting(args, config, "sigma", 1.0), "--sigma")
@@ -232,6 +238,10 @@ def cmd_fringe(args: argparse.Namespace) -> None:
     shots = parse_count(_setting(args, config, "shots", 0), "--shots", 0)
     seed = parse_count(_setting(args, config, "seed", 0), "--seed", 0)
     out = _out_dir(args, config)
+
+    import numpy as np
+
+    from . import circuit, scatter
 
     params = scatter.nonlinear_params(scatter.PulseSpec(delta=delta, sigma=sigma))
     phis = np.linspace(0.0, 2.0 * math.pi, grid)
@@ -295,6 +305,10 @@ def cmd_characterize(args: argparse.Namespace) -> None:
     grid = parse_count(_setting(args, config, "grid", 21), "--grid", 2)
     out = _out_dir(args, config)
 
+    import numpy as np
+
+    from . import scatter
+
     deltas = np.linspace(0.0, delta_max, grid)
     rows = []
     for sigma in sigmas:
@@ -338,7 +352,8 @@ def cmd_characterize(args: argparse.Namespace) -> None:
     print(path)
 
 
-def _read_statistics_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _read_statistics_csv(path: str) -> tuple[list, list, list | None]:
+    """Phases, (p20, p11, p02) rows and, if the file has them, their errors."""
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             lines = [line for line in handle if not line.startswith("#")]
@@ -361,16 +376,10 @@ def _read_statistics_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray 
         raise FlagError("--data", f"non-numeric entry in {path!r}: {exc}") from exc
     if not phis:
         raise FlagError("--data", f"{path!r} holds no data rows")
-    return (
-        np.asarray(phis),
-        np.asarray(triples),
-        np.asarray(errors) if has_errors else None,
-    )
+    return phis, triples, errors if has_errors else None
 
 
 def cmd_fit(args: argparse.Namespace) -> None:
-    from . import fit
-
     config = _load_config(args)
     data = _setting(args, config, "data", None)
     if data is None:
@@ -381,6 +390,9 @@ def cmd_fit(args: argparse.Namespace) -> None:
     out = _out_dir(args, config)
 
     phis, triples, errors = _read_statistics_csv(str(data))
+
+    from . import fit
+
     try:
         result = fit.fit_nl(phis, triples, errors, fit_distinguishability=free_overlap)
     except ValueError as exc:
@@ -392,12 +404,12 @@ def cmd_fit(args: argparse.Namespace) -> None:
 
 
 def cmd_water(args: argparse.Namespace) -> None:
-    from . import vibsim
-
     config = _load_config(args)
     tmax = parse_time_ps(_setting(args, config, "tmax", 0.5), "--tmax")
     steps = parse_count(_setting(args, config, "steps", 51), "--steps", 2)
     out = _out_dir(args, config)
+
+    from . import vibsim
 
     points = vibsim.trace(tmax, steps, vibsim.water_spec())
     rows = [
@@ -496,7 +508,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except scatter.QuadratureError as exc:
+    except RuntimeError as exc:
+        # Only a loaded ``scatter`` raises its QuadratureError.
+        from .scatter import QuadratureError
+
+        if not isinstance(exc, QuadratureError):
+            raise
         print(f"error: --delta/--sigma: {exc}", file=sys.stderr)
         return 3
     return 0

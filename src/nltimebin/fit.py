@@ -279,29 +279,37 @@ def _slice_minimum(fisher, best, shift, s: float) -> tuple[float, float, float]:
     The physical (q, r) fill the half-disk (q - s/2)^2 + s r^2 <= s^2/4,
     q >= s/2.  Its minimum is the unconstrained point if inside, else the
     best of the edge t = 1 and the stationary points on the arc (s, sqrt(s)
-    tau) / (1 + tau^2), where t = |tau| and cos phi_nl = sign(tau).
+    tau) / (1 + tau^2), where t = |tau| and cos phi_nl = sign(tau).  Each
+    candidate (cos phi_nl, t, q, r) is scored at its closed-form (q, r).
     """
     c, half = math.sqrt(s), 0.5 * s
-    q, r = best[1:] - shift * (s - best[0])
+    q, r = (best[1:] - shift * (s - best[0])).tolist()
     if q >= half and (q - half) ** 2 + s * r * r < half * half:
         t = math.sqrt((s - q) / q)
-        cos_nl, ts = [min(max(r * c / (t * q), -1.0), 1.0)], [t]
+        candidates = [(min(max(r * c / (t * q), -1.0), 1.0), t, q, r)]
     else:
         m = fisher[1:, 1:]
-        edge_r = r - m[0, 1] * (half - q) / m[1, 1] if m[1, 1] > 0.0 else 0.0
-        cos_nl, ts = [min(max(2.0 * edge_r / c, -1.0), 1.0)], [1.0]
-        hq, hr = m @ np.array([half - q, -r])
+        edge_r = float(r - m[0, 1] * (half - q) / m[1, 1]) if m[1, 1] > 0.0 else 0.0
         b = 0.5 * c
+        candidates = [(min(max(2.0 * edge_r / c, -1.0), 1.0), 1.0, half, min(max(edge_r, -b), b))]
+        hq, hr = m @ np.array([half - q, -r])
         diag, off = m[1, 1] * b * b - m[0, 0] * half * half, m[0, 1] * half * b
         roots = np.roots([off - b * hr, -2.0 * (half * hq + diag), -6.0 * off,
                           2.0 * (diag - half * hq), b * hr + off])
-        for tau in np.clip(roots.real, -1.0, 1.0):
-            cos_nl.append(-1.0 if tau < 0.0 else 1.0)
-            ts.append(abs(float(tau)))
-    d = circuit._triple_coefficients(np.array(cos_nl), np.array(ts), c)[:, 1:] - best
-    excess = np.einsum("ka,ab,kb->k", d, fisher, d)
-    k = int(np.argmin(excess))
-    return cos_nl[k], ts[k], float(excess[k])
+        for tau in np.clip(roots.real, -1.0, 1.0).tolist():
+            u = 1.0 / (1.0 + tau * tau)
+            candidates.append((-1.0 if tau < 0.0 else 1.0, abs(tau), s * u, c * tau * u))
+    (f00, f01, f02), (_, f11, f12), (_, _, f22) = fisher.tolist()
+    s0, q0, r0 = best.tolist()
+    ds = s - s0
+
+    def excess(candidate) -> float:
+        dq, dr = candidate[2] - q0, candidate[3] - r0
+        return (f00 * ds * ds + 2.0 * ds * (f01 * dq + f02 * dr)
+                + f11 * dq * dq + 2.0 * f12 * dq * dr + f22 * dr * dr)
+
+    optimum = min(candidates, key=excess)
+    return optimum[0], optimum[1], excess(optimum)
 
 
 def fit_nl(

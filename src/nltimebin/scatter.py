@@ -43,6 +43,10 @@ SPEED_OF_LIGHT_CM = 2.99792458e10
 _SIGMA_MIN, _SIGMA_MAX = 1e-150, 1e150
 _DELTA_MAX = 1e150
 
+# Time points per map axis: peak memory grows by about 100 B per map
+# cell (135 MB measured at 1024), so longer grids are refused up front.
+_MAX_TIMES = 1024
+
 
 @dataclass(frozen=True)
 class PulseSpec:
@@ -472,6 +476,8 @@ def _time_map(pulse: PulseSpec, times: np.ndarray | None, a: complex, b: complex
     times = np.linspace(-8.0, 8.0, 256) if times is None else np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError(f"times must be a 1-D array of at least one time, got shape {times.shape}")
+    if times.size > _MAX_TIMES:
+        raise ValueError(f"times must hold at most {_MAX_TIMES} points, got {times.size}")
     finite = np.isfinite(times)
     if not finite.all():
         raise ValueError(f"times must be finite, got {float(times[~finite][0])!r}")
@@ -500,8 +506,9 @@ def jti(pulse: PulseSpec, times: np.ndarray | None = None) -> np.ndarray:
     (from ``delta`` of about 1e17 at ``sigma`` = 1).  With the default times
     the map resolves, measured, for ``sigma`` from 0.02 to 5 at ``delta``
     of 0, 1 and 5; ``sigma`` of 10 and wider raise.  ``times`` must be a
-    1-D array of at least one time, all finite, in any order and spacing;
-    otherwise it raises ``ValueError`` naming ``times``.
+    1-D array of 1 to 1024 times, all finite, in any order and spacing;
+    otherwise it raises ``ValueError`` naming ``times`` before the map is
+    allocated (its peak memory is about 100 B per cell).
     """
     return _time_map(pulse, times, 1.0, 0.0)
 
@@ -511,8 +518,9 @@ def circuit_jti(phi: float, pulse: PulseSpec, times: np.ndarray | None = None) -
 
     Its amplitude is ``a * psi + b * f(t1) f(t2)`` at the finite
     interferometer phase ``phi`` (else ``ValueError`` naming ``phi``).
-    Takes the times of ``jti``, default included, returns the same
-    (n, n) map, resolves over its domain and raises as it does outside it.
+    Takes the times of ``jti``, default included, at most 1024 of them,
+    returns the same (n, n) map, resolves over its domain and raises as
+    it does outside it.
     """
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {float(phi)!r}")

@@ -199,6 +199,10 @@ def test_errors_name_the_offending_flag(tmp_path, capsys):
     assert "--data" in capsys.readouterr().err
     assert run(["fringe", "--grid", 11, "--shots", 20, "--out", tmp_path / "x"]) == 2
     assert "--shots" in capsys.readouterr().err
+    # Refused before any map is allocated.
+    assert run(["jti", "--grid", 1025, "--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: --grid: times must hold at most 1024 points, got 1025")
 
 
 def test_quadrature_failure_maps_to_exit_three(tmp_path, capsys):
@@ -373,6 +377,42 @@ def test_each_subcommand_loads_only_the_modules_it_uses(name, tmp_path):
     logged = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
               if line.startswith("import time:")}
     assert {m for m in logged if m.startswith("nltimebin.")} == {f"nltimebin.{m}" for m in expected}
+
+
+# One flag error per subcommand, each raised before the run computes anything.
+FLAG_ERRORS = {
+    "characterize": ["characterize", "--grid", "1"],
+    "jti": ["jti", "--grid", "1"],
+    "fringe": ["fringe", "--grid", "1"],
+    "water": ["water", "--steps", "1"],
+    "fit": ["fit"],
+}
+
+
+@pytest.mark.parametrize("kind", ["help", "flag_error"])
+@pytest.mark.parametrize("name", list(FLAG_ERRORS))
+def test_help_and_flag_errors_load_no_numpy(name, kind, tmp_path):
+    if kind == "help":
+        argv, expected_code = [name, "--help"], 0
+    else:
+        argv, expected_code = FLAG_ERRORS[name] + ["--out", str(tmp_path / "out")], 2
+    code = (
+        "import json, sys\n"
+        "from nltimebin import cli\n"
+        "try:\n"
+        f"    code = cli.main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "heavy = {'numpy', 'nltimebin.scatter', 'nltimebin.circuit', 'nltimebin.fit',"
+        " 'nltimebin.vibsim'}\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in heavy or m in heavy)\n"
+        "print(json.dumps([code, loaded]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [expected_code, []], proc.stderr
+    if kind == "flag_error":
+        assert proc.stderr.startswith("error: --"), proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_package_attributes_load_their_submodules():

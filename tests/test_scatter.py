@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from functools import lru_cache
 
@@ -509,6 +510,22 @@ def test_time_maps_reject_non_finite_or_empty_times(times, match):
             scatter.jti(pulse, times=times)
         with pytest.raises(ValueError, match=match):
             scatter.circuit_jti(0.4, pulse, times=times)
+
+
+def test_time_maps_refuse_more_times_than_their_bound():
+    # Refused before the map is built: the check allocates next to nothing.
+    pulse = scatter.PulseSpec(0.0, 1.0)
+    times = np.linspace(-8.0, 8.0, 1025)
+    for time_map in (lambda: scatter.jti(pulse, times=times),
+                     lambda: scatter.circuit_jti(0.4, pulse, times=times)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^times must hold at most 1024 points, got 1025$"):
+                time_map()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
 
 
 @pytest.mark.filterwarnings("ignore:pulse duration")
