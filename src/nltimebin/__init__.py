@@ -3,18 +3,21 @@
 The package splits into spectral scattering of pulses on a two-level
 emitter (``scatter``), the interferometer measurement model and its
 two-photon statistics (``circuit``), estimation routines
-(``fit``), vibrational dynamics mapped onto the same circuit
-(``vibsim``), and a command-line artifact generator (``cli``).
-Submodules load on first attribute access.  The CLI imports only the
-standard library up front and loads numpy and the modules a subcommand
+(``fit``, on the standard library), vibrational dynamics mapped onto
+the same circuit (``vibsim``), and a command-line artifact generator
+(``cli``).  Submodules load on first attribute access.  The CLI imports
+only the standard library up front and loads the modules a subcommand
 uses once its flags are checked, so ``--help`` and flag errors run
-without numpy.
+without numpy, and so does ``fit``.
 """
 
 from __future__ import annotations
 
 __all__ = ["circuit", "fit", "scatter", "vibsim"]
 __version__ = "0.1.0"
+
+# Speed of light in cm/s: converts wavenumbers (cm^-1) to frequencies.
+SPEED_OF_LIGHT_CM = 2.99792458e10
 
 
 def __getattr__(name: str):

@@ -17,6 +17,8 @@ import re
 import sys
 from pathlib import Path
 
+from . import SPEED_OF_LIGHT_CM
+
 # Standard library only at module level: each subcommand checks all its
 # flags first and then imports numpy and the physics modules it runs, so
 # ``--help`` and a flag error (exit 2) never load them.
@@ -62,8 +64,6 @@ def _from_frequency(number: float, unit: str, flag: str) -> float:
     if unit == "ghz":
         return math.tau * number * 1e9 * (_LIFETIME_PS * 1e-12)
     if unit in ("cm-1", "1/cm", "cm^-1"):
-        from .scatter import SPEED_OF_LIGHT_CM
-
         return math.tau * SPEED_OF_LIGHT_CM * number * (_LIFETIME_PS * 1e-12)
     if unit == "/cm":
         # The number took the 1 of "0.051/cm": 0.05 1/cm and 0.051 per cm both fit.

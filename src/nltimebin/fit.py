@@ -1,45 +1,184 @@
 """Transmission-dip lineshape and model fits for fringes and pair statistics.
 
 The emitter's resonant-transmission dip and the experiment-facing fits
-of the interference fringes and the nonlinear-phase parameters, on
-numpy alone.  Fringes and pair statistics are linear in a few
-coefficients and fitted by direct solves.  Uncertainties are the delta
-method on the Fisher matrix at the optimum, infinite where the map to a
-reported parameter is infinitely steep.
+of the interference fringes and the nonlinear-phase parameters.  Fringes
+and pair statistics are linear in at most three coefficients and fitted
+by direct solves written on the standard library, so a fit never loads
+numpy; only ``rt_spectrum`` imports numpy and ``scatter``, inside its
+body.  Every solve goes through one small symmetric eigen-solve.
+Uncertainties are the delta method on the Fisher matrix at the optimum,
+infinite where the map to a reported parameter is infinitely steep.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
-import numpy as np
+_EPS = sys.float_info.epsilon
 
-from . import circuit
-from .scatter import faddeeva
+
+# ---------------------------------------------------------------------------
+# Small dense linear algebra
+
+
+def _eigh(matrix) -> tuple[list[float], list[list[float]]]:
+    """Ascending eigenvalues and unit eigenvectors (columns) of a small symmetric matrix.
+
+    Cyclic Jacobi rotations (Golub and Van Loan, *Matrix Computations*,
+    section 8.5), each of which zeroes one off-diagonal entry, until every
+    off-diagonal entry is negligible next to its two diagonal ones.  A
+    2x2 matrix takes one rotation.
+    """
+    n = len(matrix)
+    # The lower triangle only, as np.linalg.eigh reads it.
+    a = [[float(matrix[max(i, j)][min(i, j)]) for j in range(n)] for i in range(n)]
+    vectors = [[float(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(30):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if apq == 0.0 or abs(apq) <= 1e-18 * (abs(a[p][p]) + abs(a[q][q])):
+                    continue
+                rotated = True
+                tau = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = math.copysign(1.0 / (abs(tau) + math.hypot(1.0, tau)), tau)
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                for row in a + vectors:
+                    rp, rq = row[p], row[q]
+                    row[p], row[q] = c * rp - s * rq, s * rp + c * rq
+                a[p], a[q] = ([c * x - s * y for x, y in zip(a[p], a[q])],
+                              [s * x + c * y for x, y in zip(a[p], a[q])])
+                a[p][q] = a[q][p] = 0.0
+        if not rotated:
+            break
+    order = sorted(range(n), key=lambda k: a[k][k])
+    return [a[k][k] for k in order], [[row[k] for k in order] for row in vectors]
+
+
+def _inverse(values, vectors, keep) -> list[list[float]]:
+    """``sum v v^T / w`` over the eigenpairs (w, v) that ``keep`` marks."""
+    inverse = [1.0 / w if k else 0.0 for w, k in zip(values, keep)]
+    return [[sum(vi * w * vj for vi, w, vj in zip(row_i, inverse, row_j)) for row_j in vectors]
+            for row_i in vectors]
+
+
+def _pinv(matrix, rcond: float) -> list[list[float]]:
+    """Pseudo-inverse of a small symmetric matrix.
+
+    Eigenvalues of magnitude at most ``rcond`` times the largest one
+    count as zero, as in ``np.linalg.pinv(..., hermitian=True)``.
+    """
+    values, vectors = _eigh(matrix)
+    cutoff = rcond * max(abs(w) for w in values)
+    return _inverse(values, vectors, [abs(w) > cutoff for w in values])
+
+
+def _apply(matrix, vector) -> list[float]:
+    return [sum(m * v for m, v in zip(row, vector)) for row in matrix]
+
+
+def _curvature(jac, fisher) -> list[list[float]]:
+    """Hessian ``2 J^T F J`` of a chi-square whose linear weights move by ``J``."""
+    columns = list(zip(*jac))
+    fj = [_apply(fisher, col) for col in columns]
+    return [[2.0 * sum(a * b for a, b in zip(col, f)) for f in fj] for col in columns]
+
+
+def _roots(coefficients) -> list[complex]:
+    """All complex roots of a polynomial given highest power first, as ``np.roots`` has them.
+
+    Leading zeros are dropped and each trailing zero is a root at 0; no
+    nonzero coefficient gives no roots.  The rest are Aberth-Ehrlich
+    iterates, the cubically convergent form of Durand-Kerner's
+    simultaneous Newton steps, started on a circle of the Fujiwara root
+    bound.  A root stops moving once the polynomial there is within its
+    own rounding error, and the iteration ends when no root moves.
+    """
+    coeffs = [float(c) for c in coefficients]
+    while coeffs and coeffs[0] == 0.0:
+        coeffs.pop(0)
+    zeros = 0
+    while coeffs and coeffs[-1] == 0.0:
+        coeffs.pop()
+        zeros += 1
+    monic = [c / coeffs[0] for c in coeffs[1:]]
+    n = len(monic)
+    radius = 2.0 * max((abs(c) ** (1.0 / k) for k, c in enumerate(monic, 1)), default=0.0)
+    z = [radius * cmath.exp(1j * (0.4 + math.tau * k / n)) for k in range(n)]
+    for _ in range(500):
+        moved = False
+        for j, zj in enumerate(z):
+            value, slope, bound, size = 1.0, 0.0, 1.0, abs(zj)
+            for c in monic:
+                slope = slope * zj + value
+                value = value * zj + c
+                bound = bound * size + abs(c)
+            if abs(value) <= 8.0 * _EPS * bound:
+                continue
+            try:
+                newton = value / slope
+                repulsion = sum(1.0 / (zj - zk) for k, zk in enumerate(z) if k != j)
+                z[j] = zj - newton / (1.0 - newton * repulsion)
+            except ZeroDivisionError:
+                continue
+            moved = True
+        if not moved:
+            break
+    return z + [0j] * zeros
+
+
+def _normal_equations(rows) -> tuple[list[list[float]], list[float]]:
+    """``sum w a a^T`` and ``sum w v a`` over weighted rows (a, v, w) of a linear model."""
+    n = len(rows[0][0])
+    matrix = [[0.0] * n for _ in range(n)]
+    moment = [0.0] * n
+    for a, v, w in rows:
+        for i in range(n):
+            wa = w * a[i]
+            moment[i] += wa * v
+            row = matrix[i]
+            for j in range(i, n):
+                row[j] += wa * a[j]
+    for i in range(n):
+        for j in range(i):
+            matrix[i][j] = matrix[j][i]
+    return matrix, moment
+
+
+def _chi_square(rows, x) -> float:
+    """``sum w (a . x - v)^2`` over weighted rows (a, v, w)."""
+    return sum(w * (sum(ai * xi for ai, xi in zip(a, x)) - v) ** 2 for a, v, w in rows)
+
+
+def _floats(values) -> list[float]:
+    """The entries of a flat sequence of numbers, or a lone number, as floats."""
+    try:
+        return [float(v) for v in values]
+    except TypeError:
+        return [float(values)]
 
 
 def _covariance(
-    curvature: np.ndarray,
+    curvature,
     names: tuple[str, ...],
     scale: float,
-) -> tuple[np.ndarray, tuple[str, ...]]:
+) -> tuple[list[list[float]], tuple[str, ...]]:
     """Covariance ``2 * scale * H^-1`` from the Hessian H, flat directions flagged.
 
     ``scale`` is one for a variance-weighted objective and the residual
     variance estimate for a plain sum of squares.
     """
-    eigvals, eigvecs = np.linalg.eigh(curvature)
-    floor = 1e-10 * max(1.0, float(np.max(np.abs(eigvals))))
-    flat = eigvals <= floor
-    unidentifiable: list[str] = []
-    for k in np.nonzero(flat)[0]:
-        unidentifiable.append(names[int(np.argmax(np.abs(eigvecs[:, k])))])
-    inv = np.zeros_like(curvature)
-    keep = ~flat
-    if np.any(keep):
-        inv = eigvecs[:, keep] @ np.diag(1.0 / eigvals[keep]) @ eigvecs[:, keep].T
-    cov = 2.0 * scale * inv
+    eigvals, eigvecs = _eigh(curvature)
+    floor = 1e-10 * max(1.0, max(abs(w) for w in eigvals))
+    keep = [w > floor for w in eigvals]
+    unidentifiable = [names[max(range(len(names)), key=lambda i: abs(eigvecs[i][k]))]
+                      for k, kept in enumerate(keep) if not kept]
+    cov = [[2.0 * scale * v for v in row] for row in _inverse(eigvals, eigvecs, keep)]
     return cov, tuple(dict.fromkeys(unidentifiable))
 
 
@@ -67,21 +206,20 @@ class FitResult:
 
 def _finish_fit(
     names: tuple[str, ...],
-    x: np.ndarray,
+    x: list[float],
     residual: float,
-    curvature: np.ndarray,
+    curvature,
     n_points: int,
     weighted: bool,
     evaluations: int = 1,
 ) -> FitResult:
     """Converged FitResult at the optimum ``x``; errors from the Hessian ``curvature``."""
-    dof = max(n_points - x.size, 1)
+    dof = max(n_points - len(x), 1)
     scale = 1.0 if weighted else residual / dof
     cov, unidentifiable = _covariance(curvature, names, scale)
-    errors = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     std: dict[str, float] = {}
     for k, name in enumerate(names):
-        std[name] = math.inf if name in unidentifiable else float(errors[k])
+        std[name] = math.inf if name in unidentifiable else math.sqrt(max(cov[k][k], 0.0))
     return FitResult(
         parameters={name: float(x[k]) for k, name in enumerate(names)},
         std_errors=std,
@@ -138,7 +276,7 @@ class QDCharacterization:
         return (self.gamma + self.gamma_d) * math.sqrt(1.0 + self.saturation)
 
 
-def rt_spectrum(omega: np.ndarray | float, qd: QDCharacterization) -> np.ndarray | float:
+def rt_spectrum(omega, qd: QDCharacterization):
     """Resonant-transmission spectrum of the emitter.
 
     A Lorentzian dip of fractional depth ``qd.depth`` and half width
@@ -148,8 +286,14 @@ def rt_spectrum(omega: np.ndarray | float, qd: QDCharacterization) -> np.ndarray
     value at omega = 0 so the on-resonance value stays ``1 - depth``
     for any wandering width.  Without wandering the Lorentzian is
     evaluated exactly.  ``omega`` must be finite; otherwise it raises
-    ``ValueError`` naming it.
+    ``ValueError`` naming it.  Returns a float for a scalar ``omega``
+    and a numpy array otherwise.
     """
+    import numpy as np
+
+    from . import circuit
+    from .scatter import faddeeva
+
     omega = np.asarray(omega, dtype=float)
     points, half = circuit._checked_finite(omega, "omega"), qd.gamma_fwhm / 2.0
     if qd.sigma_sd == 0.0:
@@ -165,35 +309,34 @@ def rt_spectrum(omega: np.ndarray | float, qd: QDCharacterization) -> np.ndarray
 # Interference fringes
 
 
-def _checked_series(x, y, errors, names: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Float arrays ``x`` and ``y`` and the root weights 1 / ``errors``.
+def _checked_series(x, y, errors, names: str) -> tuple[list[float], list[float], list[float]]:
+    """Float lists ``x`` and ``y`` and the weights 1 / ``errors``^2.
 
     The weights are ones when ``errors`` is None.  Raises ``ValueError``
-    unless ``x`` and ``y`` (together ``names``) have one shape with at
-    least 8 finite points, and ``errors``, if given, broadcast to that
-    shape and are finite and positive.
+    unless ``x`` and ``y`` (together ``names``) have one length with at
+    least 8 finite points, and ``errors``, if given, is one number or
+    one per point, finite and positive.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
+    x, y = _floats(x), _floats(y)
+    if len(x) != len(y):
         raise ValueError(f"{names} must have matching shapes")
-    if x.size < 8:
-        raise ValueError(f"need at least 8 points, got {x.size}")
-    if not np.all(np.isfinite(x) & np.isfinite(y)):
+    if len(x) < 8:
+        raise ValueError(f"need at least 8 points, got {len(x)}")
+    if not all(map(math.isfinite, x + y)):
         raise ValueError(f"{names} must be finite")
     if errors is None:
-        return x, y, np.ones_like(x)
-    errors = np.broadcast_to(np.asarray(errors, dtype=float), x.shape)
-    if not np.all(np.isfinite(errors) & (errors > 0.0)):
+        return x, y, [1.0] * len(x)
+    errors = _floats(errors)
+    if len(errors) == 1:
+        errors *= len(x)
+    if len(errors) != len(x):
+        raise ValueError(f"errors of length {len(errors)} do not broadcast to {len(x)} points")
+    if not all(math.isfinite(e) and e > 0.0 for e in errors):
         raise ValueError("errors must be finite and positive")
-    return x, y, 1.0 / errors
+    return x, y, [1.0 / (e * e) for e in errors]
 
 
-def fit_fringe(
-    phi: np.ndarray,
-    values: np.ndarray,
-    errors: np.ndarray | None = None,
-) -> FitResult:
+def fit_fringe(phi, values, errors=None) -> FitResult:
     """Fit ``offset + amplitude * cos(2 phi - 2 phi0)`` to fringe data.
 
     One weighted linear least-squares solve in (offset, amplitude cos 2
@@ -205,27 +348,28 @@ def fit_fringe(
     fringe period (pi), and ``errors``, if given, finite and positive;
     anything else raises ``ValueError``.
     """
-    phi, values, root_weights = _checked_series(phi, values, errors, "phi and values")
-    if float(phi.max() - phi.min()) < math.pi - 1e-9:
+    phi, values, weights = _checked_series(phi, values, errors, "phi and values")
+    if max(phi) - min(phi) < math.pi - 1e-9:
         raise ValueError("phase sweep must cover at least one full fringe period")
 
-    design = np.column_stack([np.ones_like(phi), np.cos(2.0 * phi), np.sin(2.0 * phi)])
-    scaled = design * root_weights[:, None]
-    coeff, *_ = np.linalg.lstsq(scaled, values * root_weights, rcond=None)
-    offset, a, b = (float(c) for c in coeff)
+    rows = [((1.0, math.cos(2.0 * p), math.sin(2.0 * p)), v, w)
+            for p, v, w in zip(phi, values, weights)]
+    normal, moment = _normal_equations(rows)
+    # The singular-value cutoff of np.linalg.lstsq(rcond=None), squared for the normal matrix.
+    coeff = _apply(_pinv(normal, (_EPS * max(len(phi), 3)) ** 2), moment)
+    offset, a, b = coeff
     amplitude = math.hypot(a, b)
     phi0 = 0.5 * math.atan2(b, a)
-    residual = float(np.sum((scaled @ coeff - values * root_weights) ** 2))
+    residual = _chi_square(rows, coeff)
 
     names = ("amplitude", "phi0", "offset")
     # d(offset, a, b) / d(amplitude, phi0, offset) through the Fisher matrix.
     cos2, sin2 = math.cos(2.0 * phi0), math.sin(2.0 * phi0)
-    jac = np.array([[0.0, 0.0, 1.0], [cos2, -2.0 * amplitude * sin2, 0.0],
-                    [sin2, 2.0 * amplitude * cos2, 0.0]])
-    curvature = jac.T @ (2.0 * scaled.T @ scaled) @ jac
+    jac = [[0.0, 0.0, 1.0], [cos2, -2.0 * amplitude * sin2, 0.0],
+           [sin2, 2.0 * amplitude * cos2, 0.0]]
+    curvature = _curvature(jac, normal)
     weighted = errors is not None
-    result = _finish_fit(names, np.array([amplitude, phi0, offset]), residual, curvature,
-                         phi.size, weighted)
+    result = _finish_fit(names, [amplitude, phi0, offset], residual, curvature, len(phi), weighted)
 
     params = dict(result.parameters)
     std = dict(result.std_errors)
@@ -234,10 +378,11 @@ def fit_fringe(
     if offset == 0.0:
         std["visibility"] = math.inf
     else:
-        scale = 1.0 if weighted else residual / max(phi.size - 3, 1)
+        scale = 1.0 if weighted else residual / max(len(phi) - 3, 1)
         cov, _ = _covariance(curvature, names, scale)
-        grad = np.array([1.0 / offset, 0.0, -amplitude / offset**2])
-        std["visibility"] = float(math.sqrt(max(0.0, grad @ cov @ grad)))
+        grad = (1.0 / offset, 0.0, -amplitude / offset**2)
+        variance = sum(g * c for g, c in zip(grad, _apply(cov, grad)))
+        std["visibility"] = math.sqrt(max(0.0, variance))
     if amplitude <= 1e-12 * max(1.0, abs(offset)) and "phi0" not in unident:
         unident = unident + ("phi0",)
         std["phi0"] = math.inf
@@ -247,8 +392,36 @@ def fit_fringe(
 # ---------------------------------------------------------------------------
 # Nonlinear-phase statistics
 
+# The (p20, p11, p02) the model gives at s = q = r = 0: the weight-1
+# column of ``circuit._triple_basis``.
+_OFFSET = (0.25, 0.5, 0.25)
+# An orthonormal basis of the plane normal to (1, 1, 1), where every
+# row covariance lives.
+_PLANE = ((math.sqrt(0.5), -math.sqrt(0.5), 0.0),
+          (1.0 / math.sqrt(6.0), 1.0 / math.sqrt(6.0), -2.0 / math.sqrt(6.0)))
 
-def _row_covariance(phi: np.ndarray, errors: np.ndarray) -> np.ndarray:
+
+def _design(phi: float) -> tuple[tuple[float, float, float], ...]:
+    """Per-class rows d(p20, p11, p02) / d(s, q, r): ``circuit._triple_basis(phi)[:, 1:]``."""
+    c1, c2 = math.cos(phi), 0.25 * (math.cos(2.0 * phi) - 1.0)
+    return (0.25, c2, c1), (-0.5, -2.0 * c2, 0.0), (0.25, c2, -c1)
+
+
+def _coefficient_jacobian(cos_nl: float, t: float, cos_perp: float) -> list[list[float]]:
+    """d(s, q, r) / d(cos phi_nl, t, cos theta_perp) of ``circuit._triple_coefficients``.
+
+    s = c^2, q = c^2 u and r = t cos phi_nl c u with c = cos theta_perp
+    and u = 1 / (1 + t^2), so du/dt = -2 t u^2.
+    """
+    u = 1.0 / (1.0 + t * t)
+    return [
+        [0.0, 0.0, 2.0 * cos_perp],
+        [0.0, -2.0 * t * u * u * cos_perp * cos_perp, 2.0 * cos_perp * u],
+        [t * cos_perp * u, cos_nl * cos_perp * u * u * (1.0 - t * t), t * cos_nl * u],
+    ]
+
+
+def _row_covariance(phi, errors) -> list[list[list[float]]]:
     """Per-phase 3x3 covariance of a renormalized triple from its marginal errors.
 
     The three entries of a row sum to one, so the row's covariance is
@@ -259,18 +432,35 @@ def _row_covariance(phi: np.ndarray, errors: np.ndarray) -> np.ndarray:
     triangle inequality; a row that breaks it by more than rounding
     raises ``ValueError`` naming its phase.
     """
-    total = errors.sum(axis=1)
-    # The slack is far above rounding and far below a real inconsistency.
-    broken = 2.0 * errors.max(axis=1) - total > 1e-9 * total
-    if np.any(broken):
-        k = int(np.argmax(broken))
-        raise ValueError(f"errors {errors[k].tolist()} at phi={phi[k]:.6g} break the triangle "
-                         "inequality of a normalized row")
-    var = errors**2
-    cov = var.sum(axis=1)[:, None, None] / 2.0 - var[:, :, None] - var[:, None, :]
-    diagonal = np.arange(3)
-    cov[:, diagonal, diagonal] = var
-    return cov
+    covariances = []
+    for p, row in zip(_floats(phi), errors):
+        row = _floats(row)
+        total = row[0] + row[1] + row[2]
+        # The slack is far above rounding and far below a real inconsistency.
+        if 2.0 * max(row) - total > 1e-9 * total:
+            raise ValueError(f"errors {row} at phi={p:.6g} break the triangle "
+                             "inequality of a normalized row")
+        var = [e * e for e in row]
+        half = (var[0] + var[1] + var[2]) / 2.0
+        covariances.append([[vi if i == j else half - vi - vj for j, vj in enumerate(var)]
+                            for i, vi in enumerate(var)])
+    return covariances
+
+
+def _row_precision(covariance) -> list[tuple[tuple[float, float, float], float]]:
+    """The pseudo-inverse of a row covariance as directions u and weights w: ``sum w u u^T``.
+
+    A covariance C has C (1, 1, 1) = 0, so C^+ is the inverse of its 2x2
+    block in ``_PLANE``.  Eigenvalues of magnitude at most 1e-15 times
+    the largest one count as zero, as in ``np.linalg.pinv``: a direction
+    without error carries no weight.
+    """
+    block = [[sum(ei * sum(c * fj for c, fj in zip(row, f)) for ei, row in zip(e, covariance))
+              for f in _PLANE] for e in _PLANE]
+    values, vectors = _eigh(block)
+    cutoff = 1e-15 * max(abs(w) for w in values)
+    return [(tuple(vectors[0][k] * x + vectors[1][k] * y for x, y in zip(*_PLANE)), 1.0 / w)
+            for k, w in enumerate(values) if abs(w) > cutoff]
 
 
 def _slice_minimum(fisher, best, shift, s: float) -> tuple[float, float, float]:
@@ -283,24 +473,24 @@ def _slice_minimum(fisher, best, shift, s: float) -> tuple[float, float, float]:
     candidate (cos phi_nl, t, q, r) is scored at its closed-form (q, r).
     """
     c, half = math.sqrt(s), 0.5 * s
-    q, r = (best[1:] - shift * (s - best[0])).tolist()
+    (f00, f01, f02), (_, f11, f12), (_, _, f22) = fisher
+    s0, q0, r0 = best
+    q, r = q0 - shift[0] * (s - s0), r0 - shift[1] * (s - s0)
     if q >= half and (q - half) ** 2 + s * r * r < half * half:
         t = math.sqrt((s - q) / q)
         candidates = [(min(max(r * c / (t * q), -1.0), 1.0), t, q, r)]
     else:
-        m = fisher[1:, 1:]
-        edge_r = float(r - m[0, 1] * (half - q) / m[1, 1]) if m[1, 1] > 0.0 else 0.0
+        edge_r = r - f12 * (half - q) / f22 if f22 > 0.0 else 0.0
         b = 0.5 * c
         candidates = [(min(max(2.0 * edge_r / c, -1.0), 1.0), 1.0, half, min(max(edge_r, -b), b))]
-        hq, hr = m @ np.array([half - q, -r])
-        diag, off = m[1, 1] * b * b - m[0, 0] * half * half, m[0, 1] * half * b
-        roots = np.roots([off - b * hr, -2.0 * (half * hq + diag), -6.0 * off,
-                          2.0 * (diag - half * hq), b * hr + off])
-        for tau in np.clip(roots.real, -1.0, 1.0).tolist():
+        hq, hr = f11 * (half - q) + f12 * -r, f12 * (half - q) + f22 * -r
+        diag, off = f22 * b * b - f11 * half * half, f12 * half * b
+        roots = _roots([off - b * hr, -2.0 * (half * hq + diag), -6.0 * off,
+                        2.0 * (diag - half * hq), b * hr + off])
+        for root in roots:
+            tau = min(max(root.real, -1.0), 1.0)
             u = 1.0 / (1.0 + tau * tau)
             candidates.append((-1.0 if tau < 0.0 else 1.0, abs(tau), s * u, c * tau * u))
-    (f00, f01, f02), (_, f11, f12), (_, _, f22) = fisher.tolist()
-    s0, q0, r0 = best.tolist()
     ds = s - s0
 
     def excess(candidate) -> float:
@@ -312,12 +502,7 @@ def _slice_minimum(fisher, best, shift, s: float) -> tuple[float, float, float]:
     return optimum[0], optimum[1], excess(optimum)
 
 
-def fit_nl(
-    phi: np.ndarray,
-    triples: np.ndarray,
-    errors: np.ndarray | None = None,
-    fit_distinguishability: bool = False,
-) -> FitResult:
+def fit_nl(phi, triples, errors=None, fit_distinguishability: bool = False) -> FitResult:
     """Fit the nonlinear phase and pair loss to normalized statistics.
 
     ``triples`` holds one renormalized (p20, p11, p02) row per phase and
@@ -342,34 +527,44 @@ def fit_nl(
     ell_nl at 1) gets an infinite one.  ``unidentifiable`` names
     parameters the data leave flat, such as phi_nl as ell_nl nears 1.
     """
-    phi = np.asarray(phi, dtype=float)
-    triples = np.asarray(triples, dtype=float)
-    if triples.shape != (phi.size, 3):
+    phi = _floats(phi)
+    triples = [_floats(row) for row in triples]
+    if len(triples) != len(phi) or any(len(row) != 3 for row in triples):
         raise ValueError("triples must have shape (len(phi), 3)")
-    if phi.size < 8:
+    if len(phi) < 8:
         raise ValueError("need at least 8 phase points")
-    if not np.all(np.isfinite(triples)):
+    if not all(math.isfinite(v) for row in triples for v in row):
         raise ValueError("triples must be finite")
-    off = np.abs(triples.sum(axis=1) - 1.0) > 1e-5
-    if np.any(off):
-        k = int(np.argmax(off))
-        raise ValueError(f"triples at phi={phi[k]:.6g} sum to {float(triples[k].sum())!r}, not 1")
-    precision = np.broadcast_to(np.eye(3), (phi.size, 3, 3))
+    for p, row in zip(phi, triples):
+        total = row[0] + row[1] + row[2]
+        if abs(total - 1.0) > 1e-5:
+            raise ValueError(f"triples at phi={p:.6g} sum to {total!r}, not 1")
+    unit = [((1.0, 0.0, 0.0), 1.0), ((0.0, 1.0, 0.0), 1.0), ((0.0, 0.0, 1.0), 1.0)]
+    precisions = [unit] * len(phi)
     if errors is not None:
-        errors = np.asarray(errors, dtype=float)
-        if errors.shape != triples.shape:
+        errors = [_floats(row) for row in errors]
+        if len(errors) != len(phi) or any(len(row) != 3 for row in errors):
             raise ValueError("errors must match the shape of triples")
-        if not np.all(np.isfinite(errors) & (errors >= 0.0)):
+        if not all(math.isfinite(e) and e >= 0.0 for row in errors for e in row):
             raise ValueError("errors must be finite and non-negative")
-        precision = np.linalg.pinv(_row_covariance(phi, errors), hermitian=True)
+        precisions = [_row_precision(c) for c in _row_covariance(phi, errors)]
+    for p in phi:
+        if not math.isfinite(p):
+            raise ValueError(f"phi must be finite, got {p!r}")
 
-    basis = circuit._triple_basis(phi)
-    design = basis[:, :, 1:]
-    fisher = np.einsum("kia,kij,kjb->ab", design, precision, design)
-    target = np.einsum("kia,kij,kj->a", design, precision, triples - basis[:, :, 0])
-    best = np.linalg.lstsq(fisher, target, rcond=None)[0]
+    # The chi-square as weighted rows over (s, q, r): one per precision direction u.
+    rows = []
+    for p, y, precision in zip(phi, triples, precisions):
+        design = _design(p)
+        data = [yi - oi for yi, oi in zip(y, _OFFSET)]
+        for u, w in precision:
+            rows.append((tuple(sum(ui * d[k] for ui, d in zip(u, design)) for k in range(3)),
+                         sum(ui * di for ui, di in zip(u, data)), w))
+    fisher, target = _normal_equations(rows)
+    # The cutoff of np.linalg.lstsq(rcond=None) on a 3x3 matrix.
+    best = _apply(_pinv(fisher, 3.0 * _EPS), target)
     # How the unconstrained (q, r) at fixed s move with s.
-    shift = np.linalg.pinv(fisher[1:, 1:], hermitian=True) @ fisher[1:, 0]
+    shift = _apply(_pinv([row[1:] for row in fisher[1:]], 1e-15), [fisher[1][0], fisher[2][0]])
 
     names = ("phi_nl", "ell_nl", "theta_perp")[: 3 if fit_distinguishability else 2]
     s, optimum, evaluations = 1.0, _slice_minimum(fisher, best, shift, 1.0), 1
@@ -384,23 +579,22 @@ def fit_nl(
         s, optimum = min([(s, optimum), left, right], key=lambda p: p[1][2])
     (cos_nl, t, _), cos_perp = optimum, math.sqrt(s)
 
-    resid = basis @ circuit._triple_coefficients(cos_nl, t, cos_perp) - triples
-    residual = float(np.einsum("ki,kij,kj->", resid, precision, resid))
-    # Errors in (cos phi_nl, t, cos theta_perp), carried to the angles by
-    # acos; d(s, q, r) / d(those) by complex steps, exact to rounding.
-    point = np.array([cos_nl, t, cos_perp])
-    steps = [circuit._triple_coefficients(*(point + 1e-30j * e))[1:] for e in np.eye(3)]
-    jac = np.array(steps).imag.T / 1e-30
+    u = 1.0 / (1.0 + t * t)
+    weights = (cos_perp * cos_perp, cos_perp * cos_perp * u, t * cos_nl * cos_perp * u)
+    residual = _chi_square(rows, weights)
+    # Errors in (cos phi_nl, t, cos theta_perp), carried to the angles by acos.
+    jac = _coefficient_jacobian(cos_nl, t, cos_perp)
     if not fit_distinguishability:
-        jac, fisher = jac[1:, :2], fisher[1:, 1:]
-    x = np.array([math.acos(cos_nl), 1.0 - t, math.acos(cos_perp)])[: len(names)]
-    result = _finish_fit(names, x, residual, jac.T @ (2.0 * fisher) @ jac, 2 * phi.size,
+        jac, fisher = [row[:2] for row in jac[1:]], [row[1:] for row in fisher[1:]]
+    x = [math.acos(cos_nl), 1.0 - t, math.acos(cos_perp)][: len(names)]
+    result = _finish_fit(names, x, residual, _curvature(jac, fisher), 2 * len(phi),
                          errors is not None, evaluations)
     # |d angle / d cosine|; ell_nl = 1 - t has slope 1, taken as infinite at t = 0.
-    with np.errstate(divide="ignore"):
-        slopes = 1.0 / np.sqrt(1.0 - np.array([cos_nl, float(t == 0.0), cos_perp]) ** 2)
-    std = {name: math.inf if math.isinf(slope) else result.std_errors[name] * float(slope)
-           for name, slope in zip(names, slopes)}
+    std = {}
+    for name, cosine in zip(names, (cos_nl, float(t == 0.0), cos_perp)):
+        sine_sq = 1.0 - cosine * cosine
+        std[name] = (result.std_errors[name] * (1.0 / math.sqrt(sine_sq)) if sine_sq > 0.0
+                     else math.inf)
     params = dict(result.parameters)
     if fit_distinguishability:
         theta, err = params["theta_perp"], std["theta_perp"]

@@ -34,9 +34,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Speed of light in cm/s, for wavenumber conversions.
-SPEED_OF_LIGHT_CM = 2.99792458e10
-
 
 # Widths and detunings whose squares, times the constants they meet,
 # stay normal floats.

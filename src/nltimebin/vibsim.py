@@ -23,8 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import circuit
-from .scatter import SPEED_OF_LIGHT_CM
+from . import SPEED_OF_LIGHT_CM, circuit
 
 # Radians accumulated per picosecond and per wavenumber of frequency.
 _RAD_PER_PS_CM = 2.0 * math.pi * SPEED_OF_LIGHT_CM * 1e-12

@@ -320,8 +320,8 @@ def test_module_execution_entry_point(tmp_path):
 
 
 def test_subcommands_load_no_scipy(tmp_path):
-    # Every Faddeeva evaluation and every fit is numpy; scipy is a test
-    # oracle only.
+    # Every Faddeeva evaluation is numpy and every fit the standard
+    # library; scipy is a test oracle only.
     sampled = str(tmp_path / "2" / "fringe.csv")
     runs = [
         ["characterize", "--sigma", "0.5,1", "--grid", "3"],
@@ -349,8 +349,10 @@ LOADED_MODULES = {
     "characterize": (["characterize", "--sigma", "0.5", "--grid", "3"], ["cli", "scatter"]),
     "jti": (["jti", "--delta", "0.3", "--grid", "16"], ["cli", "scatter"]),
     "fringe": (["fringe", "--delta", "0.3", "--grid", "9"], ["circuit", "cli", "scatter"]),
-    "water": (["water", "--steps", "5"], ["circuit", "cli", "scatter", "vibsim"]),
-    "fit": (["fit", "--data", "{data}"], ["circuit", "cli", "fit", "scatter"]),
+    "water": (["water", "--steps", "5"], ["circuit", "cli", "vibsim"]),
+    "fit": (["fit", "--data", "{data}"], ["cli", "fit"]),
+    "fit_distinguishability": (["fit", "--data", "{data}", "--distinguishability"],
+                               ["cli", "fit"]),
 }
 
 
@@ -367,25 +369,30 @@ def test_each_subcommand_loads_only_the_modules_it_uses(name, tmp_path):
         "from nltimebin import cli\n"
         f"assert cli.main({argv!r}) == 0\n"
         "print(json.dumps([sorted(m.split('.', 1)[1] for m in sys.modules"
-        " if m.startswith('nltimebin.')), 'numpy.polynomial' in sys.modules]))\n"
+        " if m.startswith('nltimebin.')), 'numpy' in sys.modules,"
+        " 'numpy.polynomial' in sys.modules]))\n"
     )
     proc = subprocess.run([sys.executable, "-X", "importtime", "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [expected, False]
+    # The fits run on the standard library alone; every other run needs numpy.
+    assert json.loads(proc.stdout.splitlines()[-1]) == [expected, expected != ["cli", "fit"],
+                                                        False]
     # perfbench times imports from this log, lazy ones included.
     logged = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
               if line.startswith("import time:")}
     assert {m for m in logged if m.startswith("nltimebin.")} == {f"nltimebin.{m}" for m in expected}
 
 
-# One flag error per subcommand, each raised before the run computes anything.
+# Flag errors per subcommand, each raised before the run computes anything.
+# A cm-1 value parses with the standard library too.
 FLAG_ERRORS = {
-    "characterize": ["characterize", "--grid", "1"],
-    "jti": ["jti", "--grid", "1"],
-    "fringe": ["fringe", "--grid", "1"],
-    "water": ["water", "--steps", "1"],
-    "fit": ["fit"],
+    "characterize": [["characterize", "--grid", "1"],
+                     ["characterize", "--delta-max", "40cm-1", "--grid", "1"]],
+    "jti": [["jti", "--grid", "1"]],
+    "fringe": [["fringe", "--grid", "1"]],
+    "water": [["water", "--steps", "1"]],
+    "fit": [["fit"]],
 }
 
 
@@ -393,26 +400,28 @@ FLAG_ERRORS = {
 @pytest.mark.parametrize("name", list(FLAG_ERRORS))
 def test_help_and_flag_errors_load_no_numpy(name, kind, tmp_path):
     if kind == "help":
-        argv, expected_code = [name, "--help"], 0
+        runs, expected_code = [[name, "--help"]], 0
     else:
-        argv, expected_code = FLAG_ERRORS[name] + ["--out", str(tmp_path / "out")], 2
-    code = (
-        "import json, sys\n"
-        "from nltimebin import cli\n"
-        "try:\n"
-        f"    code = cli.main({argv!r})\n"
-        "except SystemExit as exc:\n"
-        "    code = exc.code\n"
-        "heavy = {'numpy', 'nltimebin.scatter', 'nltimebin.circuit', 'nltimebin.fit',"
-        " 'nltimebin.vibsim'}\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in heavy or m in heavy)\n"
-        "print(json.dumps([code, loaded]))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert json.loads(proc.stdout.splitlines()[-1]) == [expected_code, []], proc.stderr
-    if kind == "flag_error":
-        assert proc.stderr.startswith("error: --"), proc.stderr
-    assert not (tmp_path / "out").exists()
+        runs = [argv + ["--out", str(tmp_path / "out")] for argv in FLAG_ERRORS[name]]
+        expected_code = 2
+    for argv in runs:
+        code = (
+            "import json, sys\n"
+            "from nltimebin import cli\n"
+            "try:\n"
+            f"    code = cli.main({argv!r})\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "heavy = {'numpy', 'nltimebin.scatter', 'nltimebin.circuit', 'nltimebin.fit',"
+            " 'nltimebin.vibsim'}\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] in heavy or m in heavy)\n"
+            "print(json.dumps([code, loaded]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert json.loads(proc.stdout.splitlines()[-1]) == [expected_code, []], proc.stderr
+        if kind == "flag_error":
+            assert proc.stderr.startswith("error: --"), proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 def test_package_attributes_load_their_submodules():

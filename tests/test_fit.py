@@ -341,3 +341,103 @@ def test_fits_demand_enough_points():
         fit.fit_fringe(np.linspace(0.0, 2.0 * math.pi, 5), np.ones(5))
     with pytest.raises(ValueError, match="8"):
         fit.fit_nl(np.linspace(0.2, 2.8, 5), np.full((5, 3), 1.0 / 3.0))
+
+
+def test_a_fit_pinned_at_phi_nl_pi_reports_an_infinite_error():
+    phi = np.linspace(0.15, 2.95, 9)
+    triples, errors = circuit.sample_statistics(phi, math.pi, 0.3, 100_000, 4)
+    result = fit.fit_nl(phi, triples, errors)
+    assert result.parameters["phi_nl"] == math.pi and math.isinf(result.std_errors["phi_nl"])
+    assert math.isfinite(result.std_errors["ell_nl"]) and result.unidentifiable == ()
+
+
+# ---------------------------------------------------------------------------
+# The fits' standard-library solves against numpy and against ``circuit``
+
+
+def _symmetric(rng, n, rank):
+    """A random symmetric PSD n x n matrix of the given rank; low ranks are exact integers."""
+    if rank == n:
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        return (q * 10.0 ** rng.uniform(0.0, 3.0, n)) @ q.T
+    factor = rng.integers(-3, 4, size=(n, rank)).astype(float)
+    return factor @ factor.T * 2.0 ** int(rng.integers(-20, 20))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_eigen_solve_matches_numpy(n):
+    rng = np.random.default_rng(n)
+    for rank in range(1, n + 1):
+        for _ in range(40):
+            matrix = _symmetric(rng, n, rank)
+            values, vectors = fit._eigh(matrix.tolist())
+            scale = np.abs(matrix).max()
+            assert np.all(np.diff(values) >= 0.0)
+            assert np.max(np.abs(np.array(values) - np.linalg.eigvalsh(matrix))) <= 1e-14 * scale
+            v = np.array(vectors)
+            assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-14
+            assert np.max(np.abs(v @ np.diag(values) @ v.T - matrix)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pseudo_inverse_and_least_squares_match_numpy(n):
+    rng = np.random.default_rng(10 + n)
+    for rank in range(1, n + 1):
+        for _ in range(40):
+            matrix = _symmetric(rng, n, rank)
+            expected = np.linalg.pinv(matrix, hermitian=True)
+            mine = np.array(fit._pinv(matrix.tolist(), 1e-15))
+            assert np.max(np.abs(mine - expected)) <= 1e-10 * np.abs(expected).max()
+            rhs = matrix @ rng.normal(size=n)
+            expected = np.linalg.lstsq(matrix, rhs, rcond=None)[0]
+            mine = np.array(fit._apply(fit._pinv(matrix.tolist(), 3.0 * fit._EPS), rhs.tolist()))
+            assert np.max(np.abs(mine - expected)) <= 1e-10 * np.abs(expected).max()
+    assert fit._pinv([[0.0, 0.0], [0.0, 0.0]], 1e-15) == [[0.0, 0.0], [0.0, 0.0]]
+
+
+def test_polynomial_roots_match_numpy():
+    rng = np.random.default_rng(3)
+    for k in range(200):
+        coefficients = rng.normal(size=5) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if k % 3 == 0:
+            coefficients[0] = 0.0
+        if k % 5 == 0:
+            coefficients[-1] = 0.0
+        expected = np.roots(coefficients)
+        mine = np.array(fit._roots(coefficients.tolist()))
+        assert mine.shape == expected.shape
+        for root in expected:
+            assert np.min(np.abs(mine - root)) <= 1e-10 * max(1.0, abs(root))
+    assert fit._roots([0.0, 0.0, 0.0]) == [] and np.roots([0.0, 0.0, 0.0]).size == 0
+    assert fit._roots([0.0, 2.0, 0.0]) == [0j]
+
+
+def test_design_rows_are_the_circuit_basis():
+    phi = np.random.default_rng(4).uniform(-10.0, 10.0, 200)
+    basis = circuit._triple_basis(phi)
+    mine = np.array([fit._design(p) for p in phi.tolist()])
+    # The two routes may differ by the last bit of a cosine, no more.
+    assert np.max(np.abs(mine - basis[:, :, 1:])) <= np.spacing(1.0)
+    assert np.all(basis[:, :, 0] == fit._OFFSET)
+
+
+def test_coefficient_jacobian_is_the_complex_step_of_the_circuit_weights():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        point = np.array([rng.uniform(-1.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)])
+        steps = [circuit._triple_coefficients(*(point + 1e-30j * e))[1:] for e in np.eye(3)]
+        expected = np.array(steps).imag.T / 1e-30
+        assert np.max(np.abs(np.array(fit._coefficient_jacobian(*point)) - expected)) <= 1e-15
+
+
+def test_row_precision_is_the_pseudo_inverse_of_the_row_covariance():
+    phi = np.linspace(0.2, 2.8, 30)
+    probs = circuit.model_triple(phi, 0.9, 0.2)
+    errors = np.sqrt(probs * (1.0 - probs) / 1000.0)
+    # A class without error, and a row without any, carry no weight.
+    errors[0] = (0.0, 0.01, 0.01)
+    errors[1] = 0.0
+    for cov in fit._row_covariance(phi, errors):
+        mine = sum(w * np.outer(u, u) for u, w in fit._row_precision(cov)) + np.zeros((3, 3))
+        expected = np.linalg.pinv(np.array(cov), hermitian=True)
+        assert np.max(np.abs(mine - expected)) <= 1e-12 * max(1.0, np.abs(expected).max())

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import wofz
 
+import nltimebin
 from nltimebin import circuit, cli, scatter
 
 from _oracles import (
@@ -413,7 +414,7 @@ def test_emitter_frame_conversions(tmp_path):
     ghz = 2.0 * math.pi * 1e9 * tau_s
     assert abs(cli.parse_detuning("1GHz", "--delta") - ghz) < 1e-12
     assert abs(cli.parse_width("1GHz", "--sigma") - ghz) < 1e-12
-    expected = 2.0 * math.pi * scatter.SPEED_OF_LIGHT_CM * tau_s
+    expected = 2.0 * math.pi * nltimebin.SPEED_OF_LIGHT_CM * tau_s
     for unit in ("cm-1", "1/cm", "cm^-1"):
         assert abs(cli.parse_detuning(f"1 {unit}", "--delta") - expected) < 1e-9
         assert abs(cli.parse_width(f"1 {unit}", "--sigma") - expected) < 1e-9
