@@ -56,6 +56,15 @@ def test_fit_nl_distinguishability(benchmark):
     assert result.converged
 
 
+def test_fit_nl_distinguishability_null(benchmark):
+    # Linear-circuit data (phi_nl = ell_nl = 0): the optimum sits at the
+    # corner of the physical region, where the arc meets the edge t = 1.
+    phis = np.linspace(0.0, 2.0 * math.pi, 25)
+    triples, errors = circuit.sample_statistics(phis, 0.0, 0.0, 100_000, 3)
+    result = benchmark(fit.fit_nl, phis, triples, errors, fit_distinguishability=True)
+    assert result.converged
+
+
 def test_vibsim_trace(benchmark):
     points = benchmark(vibsim.trace, 0.5, 51, vibsim.water_spec())
     assert len(points) == 51

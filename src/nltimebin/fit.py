@@ -12,7 +12,6 @@ infinite where the map to a reported parameter is infinitely steep.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -87,49 +86,6 @@ def _curvature(jac, fisher) -> list[list[float]]:
     columns = list(zip(*jac))
     fj = [_apply(fisher, col) for col in columns]
     return [[2.0 * sum(a * b for a, b in zip(col, f)) for f in fj] for col in columns]
-
-
-def _roots(coefficients) -> list[complex]:
-    """All complex roots of a polynomial given highest power first, as ``np.roots`` has them.
-
-    Leading zeros are dropped and each trailing zero is a root at 0; no
-    nonzero coefficient gives no roots.  The rest are Aberth-Ehrlich
-    iterates, the cubically convergent form of Durand-Kerner's
-    simultaneous Newton steps, started on a circle of the Fujiwara root
-    bound.  A root stops moving once the polynomial there is within its
-    own rounding error, and the iteration ends when no root moves.
-    """
-    coeffs = [float(c) for c in coefficients]
-    while coeffs and coeffs[0] == 0.0:
-        coeffs.pop(0)
-    zeros = 0
-    while coeffs and coeffs[-1] == 0.0:
-        coeffs.pop()
-        zeros += 1
-    monic = [c / coeffs[0] for c in coeffs[1:]]
-    n = len(monic)
-    radius = 2.0 * max((abs(c) ** (1.0 / k) for k, c in enumerate(monic, 1)), default=0.0)
-    z = [radius * cmath.exp(1j * (0.4 + math.tau * k / n)) for k in range(n)]
-    for _ in range(500):
-        moved = False
-        for j, zj in enumerate(z):
-            value, slope, bound, size = 1.0, 0.0, 1.0, abs(zj)
-            for c in monic:
-                slope = slope * zj + value
-                value = value * zj + c
-                bound = bound * size + abs(c)
-            if abs(value) <= 8.0 * _EPS * bound:
-                continue
-            try:
-                newton = value / slope
-                repulsion = sum(1.0 / (zj - zk) for k, zk in enumerate(z) if k != j)
-                z[j] = zj - newton / (1.0 - newton * repulsion)
-            except ZeroDivisionError:
-                continue
-            moved = True
-        if not moved:
-            break
-    return z + [0j] * zeros
 
 
 def _normal_equations(rows) -> tuple[list[list[float]], list[float]]:
@@ -212,8 +168,8 @@ def _finish_fit(
     n_points: int,
     weighted: bool,
     evaluations: int = 1,
-) -> FitResult:
-    """Converged FitResult at the optimum ``x``; errors from the Hessian ``curvature``."""
+) -> tuple[FitResult, list[list[float]]]:
+    """Converged FitResult at the optimum ``x`` and the covariance its errors come from."""
     dof = max(n_points - len(x), 1)
     scale = 1.0 if weighted else residual / dof
     cov, unidentifiable = _covariance(curvature, names, scale)
@@ -227,7 +183,7 @@ def _finish_fit(
         converged=True,
         evaluations=evaluations,
         unidentifiable=unidentifiable,
-    )
+    ), cov
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +323,8 @@ def fit_fringe(phi, values, errors=None) -> FitResult:
     cos2, sin2 = math.cos(2.0 * phi0), math.sin(2.0 * phi0)
     jac = [[0.0, 0.0, 1.0], [cos2, -2.0 * amplitude * sin2, 0.0],
            [sin2, 2.0 * amplitude * cos2, 0.0]]
-    curvature = _curvature(jac, normal)
-    weighted = errors is not None
-    result = _finish_fit(names, [amplitude, phi0, offset], residual, curvature, len(phi), weighted)
+    result, cov = _finish_fit(names, [amplitude, phi0, offset], residual,
+                              _curvature(jac, normal), len(phi), errors is not None)
 
     params = dict(result.parameters)
     std = dict(result.std_errors)
@@ -378,8 +333,6 @@ def fit_fringe(phi, values, errors=None) -> FitResult:
     if offset == 0.0:
         std["visibility"] = math.inf
     else:
-        scale = 1.0 if weighted else residual / max(len(phi) - 3, 1)
-        cov, _ = _covariance(curvature, names, scale)
         grad = (1.0 / offset, 0.0, -amplitude / offset**2)
         variance = sum(g * c for g, c in zip(grad, _apply(cov, grad)))
         std["visibility"] = math.sqrt(max(0.0, variance))
@@ -451,55 +404,72 @@ def _row_precision(covariance) -> list[tuple[tuple[float, float, float], float]]
     """The pseudo-inverse of a row covariance as directions u and weights w: ``sum w u u^T``.
 
     A covariance C has C (1, 1, 1) = 0, so C^+ is the inverse of its 2x2
-    block in ``_PLANE``.  Eigenvalues of magnitude at most 1e-15 times
-    the largest one count as zero, as in ``np.linalg.pinv``: a direction
-    without error carries no weight.
+    block in ``_PLANE``.  Eigenvalues at most 1e-15 times the largest
+    magnitude count as zero, as small ones do in ``np.linalg.pinv``: a
+    direction without error carries no weight, and neither does a
+    negative eigenvalue, which a row inside the triangle-inequality slack
+    of ``_row_covariance`` can have.
     """
     block = [[sum(ei * sum(c * fj for c, fj in zip(row, f)) for ei, row in zip(e, covariance))
               for f in _PLANE] for e in _PLANE]
     values, vectors = _eigh(block)
     cutoff = 1e-15 * max(abs(w) for w in values)
     return [(tuple(vectors[0][k] * x + vectors[1][k] * y for x, y in zip(*_PLANE)), 1.0 / w)
-            for k, w in enumerate(values) if abs(w) > cutoff]
+            for k, w in enumerate(values) if w > cutoff]
 
 
-def _slice_minimum(fisher, best, shift, s: float) -> tuple[float, float, float]:
-    """(cos phi_nl, t, chi-square above its unconstrained minimum) at fixed s.
+def _slice(fisher, best, s: float) -> tuple[float, float, float]:
+    """(cos phi_nl, t, m'(s)) at the chi-square minimum m(s) over the slice at fixed s.
 
-    The physical (q, r) fill the half-disk (q - s/2)^2 + s r^2 <= s^2/4,
-    q >= s/2.  Its minimum is the unconstrained point if inside, else the
-    best of the edge t = 1 and the stationary points on the arc (s, sqrt(s)
-    tau) / (1 + tau^2), where t = |tau| and cos phi_nl = sign(tau).  Each
-    candidate (cos phi_nl, t, q, r) is scored at its closed-form (q, r).
+    With q = s u and r = sqrt(s) rho the physical (u, rho) fill the fixed
+    half-disk (u - 1/2)^2 + rho^2 <= 1/4, u >= 1/2, and the excess over
+    the unconstrained minimum ``best`` is a quadratic in z = (u - 1/2, rho)
+    with Hessian G = S F_qr S, S = diag(s, sqrt(s)).  Its minimum over the
+    disk is z(mu) = (G + mu)^+ g: the pseudo-inverse point mu = 0 if
+    inside, else the mu > 0 with |z(mu)| = 1/2 (More and Sorensen 1983),
+    reached by Newton steps on 1/|z(mu)|, which is concave, so they climb
+    from mu = 0 without overshooting.  A minimum with u < 1/2 moves to
+    the chord u = 1/2.  The constraints do not depend on s, so m'(s) is
+    the chi-square's own derivative along (1, u, rho / 2 sqrt(s)).
     """
-    c, half = math.sqrt(s), 0.5 * s
-    (f00, f01, f02), (_, f11, f12), (_, _, f22) = fisher
-    s0, q0, r0 = best
-    q, r = q0 - shift[0] * (s - s0), r0 - shift[1] * (s - s0)
-    if q >= half and (q - half) ** 2 + s * r * r < half * half:
-        t = math.sqrt((s - q) / q)
-        candidates = [(min(max(r * c / (t * q), -1.0), 1.0), t, q, r)]
+    c = math.sqrt(s)
+    g_uu, g_ur, g_rr = s * s * fisher[1][1], s * c * fisher[1][2], s * fisher[2][2]
+    # -1/2 the excess's gradient at the disk's centre z = 0.
+    centre = _apply(fisher, [s - best[0], 0.5 * s - best[1], -best[2]])
+    g = [-s * centre[1], -c * centre[2]]
+    values, vectors = _eigh([[g_uu, g_ur], [g_ur, g_rr]])
+    gamma = [vectors[0][k] * g[0] + vectors[1][k] * g[1] for k in range(2)]
+    mu, cutoff = 0.0, 1e-15 * values[1]
+    for _ in range(100):
+        z = [y / (w + mu) if w + mu > cutoff else 0.0 for y, w in zip(gamma, values)]
+        norm = math.hypot(*z)
+        if norm <= 0.5 and mu == 0.0:
+            break
+        step = (2.0 * norm - 1.0) * norm * norm / sum(
+            zk * zk / (w + mu) for zk, w in zip(z, values) if zk)
+        if mu + step <= mu:
+            break
+        mu += step
+    if mu > 0.0:
+        z = [0.5 * zk / norm for zk in z]
+    u = min(0.5 + vectors[0][0] * z[0] + vectors[0][1] * z[1], 1.0)
+    rho = vectors[1][0] * z[0] + vectors[1][1] * z[1]
+    if u < 0.5:
+        # The chord, where t = 1 and cos phi_nl = 2 rho.
+        u, mu, rho = 0.5, 0.0, min(max(g[1] / g_rr, -0.5), 0.5) if g_rr > 0.0 else 0.0
+    if mu > 0.0:
+        # On the arc rho^2 = u (1 - u): |cos phi_nl| = 1 and t = |rho| / u.
+        cos_nl, t = (1.0 if rho >= 0.0 else -1.0), abs(rho) / u
     else:
-        edge_r = r - f12 * (half - q) / f22 if f22 > 0.0 else 0.0
-        b = 0.5 * c
-        candidates = [(min(max(2.0 * edge_r / c, -1.0), 1.0), 1.0, half, min(max(edge_r, -b), b))]
-        hq, hr = f11 * (half - q) + f12 * -r, f12 * (half - q) + f22 * -r
-        diag, off = f22 * b * b - f11 * half * half, f12 * half * b
-        roots = _roots([off - b * hr, -2.0 * (half * hq + diag), -6.0 * off,
-                        2.0 * (diag - half * hq), b * hr + off])
-        for root in roots:
-            tau = min(max(root.real, -1.0), 1.0)
-            u = 1.0 / (1.0 + tau * tau)
-            candidates.append((-1.0 if tau < 0.0 else 1.0, abs(tau), s * u, c * tau * u))
-    ds = s - s0
-
-    def excess(candidate) -> float:
-        dq, dr = candidate[2] - q0, candidate[3] - r0
-        return (f00 * ds * ds + 2.0 * ds * (f01 * dq + f02 * dr)
-                + f11 * dq * dq + 2.0 * f12 * dq * dr + f22 * dr * dr)
-
-    optimum = min(candidates, key=excess)
-    return optimum[0], optimum[1], excess(optimum)
+        t = math.sqrt((1.0 - u) / u)
+        cos_nl = min(max(rho / (t * u), -1.0), 1.0) if t > 0.0 else 1.0
+    x, along = (s, s * u, c * rho), (1.0, u, 0.5 * rho / c)
+    grad = _apply(fisher, [xi - bi for xi, bi in zip(x, best)])
+    slope = 2.0 * sum(d * a for d, a in zip(grad, along))
+    # A slope within the rounding of x and best is zero, as on noiseless data at s = 1.
+    noise = 8.0 * _EPS * sum(abs(a) * sum(abs(f) * (abs(xi) + abs(bi)) for f, xi, bi
+                                          in zip(row, x, best)) for a, row in zip(along, fisher))
+    return cos_nl, t, slope if abs(slope) > noise else 0.0
 
 
 def fit_nl(phi, triples, errors=None, fit_distinguishability: bool = False) -> FitResult:
@@ -519,9 +489,13 @@ def fit_nl(phi, triples, errors=None, fit_distinguishability: bool = False) -> F
 
     The model, ``circuit.model_triple``, is affine in three weights (s, q, r)
     whose physical values form a convex set: one generalized-least-squares
-    solve, then the exact minimum at s = cos^2 theta_perp = 1, or over s
-    by golden section (s = 1 included).  ``evaluations`` counts those
-    slice solves; ``converged`` is always true.  Errors are the delta
+    solve, then the exact minimum over the slice at s = cos^2 theta_perp
+    (``_slice``).  The plain fit is the slice s = 1.  The slice minimum
+    m(s) is convex, so the free fit keeps s = 1 if m'(1) <= 0 and else
+    bisects on the sign of m' down to a bracket one ulp of 1 wide.
+    ``evaluations`` counts slice solves: 1 for the plain fit, 1 plus the
+    bisection steps (0 or 52) for the free fit; ``converged`` is always
+    true.  Errors are the delta
     method on the inverse Fisher matrix; a parameter pinned where the
     inverse map is infinitely steep (phi_nl at 0 or pi, theta_perp at 0,
     ell_nl at 1) gets an infinite one.  ``unidentifiable`` names
@@ -563,21 +537,22 @@ def fit_nl(phi, triples, errors=None, fit_distinguishability: bool = False) -> F
     fisher, target = _normal_equations(rows)
     # The cutoff of np.linalg.lstsq(rcond=None) on a 3x3 matrix.
     best = _apply(_pinv(fisher, 3.0 * _EPS), target)
-    # How the unconstrained (q, r) at fixed s move with s.
-    shift = _apply(_pinv([row[1:] for row in fisher[1:]], 1e-15), [fisher[1][0], fisher[2][0]])
 
     names = ("phi_nl", "ell_nl", "theta_perp")[: 3 if fit_distinguishability else 2]
-    s, optimum, evaluations = 1.0, _slice_minimum(fisher, best, shift, 1.0), 1
-    if fit_distinguishability:
-        lo, hi, ratio = 0.0, 1.0, 0.5 * (math.sqrt(5.0) - 1.0)
-        for _ in range(60):  # the bracket ends 0.618^60 < 1e-12 wide
-            left, right = [(x, _slice_minimum(fisher, best, shift, x))
-                           for x in (hi - ratio * (hi - lo), lo + ratio * (hi - lo))]
-            lo, hi = (lo, right[0]) if left[1][2] <= right[1][2] else (left[0], hi)
-        evaluations += 120
-        # Ties go to the endpoint theta_perp = 0.
-        s, optimum = min([(s, optimum), left, right], key=lambda p: p[1][2])
-    (cos_nl, t, _), cos_perp = optimum, math.sqrt(s)
+    s, (cos_nl, t, slope), evaluations = 1.0, _slice(fisher, best, 1.0), 1
+    if fit_distinguishability and slope > 0.0:
+        # m(s) is convex: bisect on the sign of its slope, s staying the
+        # bracket's upper end, until the bracket is one ulp of 1 wide.
+        lo = 0.0
+        while s - lo > _EPS:
+            mid = 0.5 * (lo + s)
+            trial, evaluations = _slice(fisher, best, mid), evaluations + 1
+            # A zero slope goes to the end theta_perp = 0.
+            if trial[2] <= 0.0:
+                lo = mid
+            else:
+                s, (cos_nl, t, _) = mid, trial
+    cos_perp = math.sqrt(s)
 
     u = 1.0 / (1.0 + t * t)
     weights = (cos_perp * cos_perp, cos_perp * cos_perp * u, t * cos_nl * cos_perp * u)
@@ -587,8 +562,8 @@ def fit_nl(phi, triples, errors=None, fit_distinguishability: bool = False) -> F
     if not fit_distinguishability:
         jac, fisher = [row[:2] for row in jac[1:]], [row[1:] for row in fisher[1:]]
     x = [math.acos(cos_nl), 1.0 - t, math.acos(cos_perp)][: len(names)]
-    result = _finish_fit(names, x, residual, _curvature(jac, fisher), 2 * len(phi),
-                         errors is not None, evaluations)
+    result, _ = _finish_fit(names, x, residual, _curvature(jac, fisher), 2 * len(phi),
+                            errors is not None, evaluations)
     # |d angle / d cosine|; ell_nl = 1 - t has slope 1, taken as infinite at t = 0.
     std = {}
     for name, cosine in zip(names, (cos_nl, float(t == 0.0), cos_perp)):
