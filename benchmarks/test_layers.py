@@ -66,8 +66,9 @@ def test_fit_nl_distinguishability_null(benchmark):
 
 
 def test_vibsim_trace(benchmark):
-    points = benchmark(vibsim.trace, 0.5, 51, vibsim.water_spec())
-    assert len(points) == 51
+    times, anharmonic, harmonic = benchmark(vibsim.trace, 0.5, 51, vibsim.water_spec())
+    assert times.shape == (51,)
+    assert anharmonic.shape == harmonic.shape == (51, 3)
 
 
 @pytest.mark.parametrize("delta, sigma", [(0.0, 1.0), (6.0, 0.3)])

@@ -10,6 +10,8 @@ import argparse
 import csv
 from pathlib import Path
 
+import numpy as np
+
 from nltimebin.vibsim import SPEED_OF_LIGHT_CM, trace, water_spec
 
 
@@ -21,22 +23,20 @@ def main() -> int:
     args = parser.parse_args()
 
     spec = water_spec()
-    points = trace(args.tmax, args.steps, spec)
+    times, anharmonic, harmonic = trace(args.tmax, args.steps, spec)
 
+    # The trace's rows are (same-left, separate, same-right).
+    order = [0, 2, 1]
     with args.out.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["t_ps", "p_same_left", "p_same_right", "p_separate",
                          "p_same_left_harmonic", "p_same_right_harmonic",
                          "p_separate_harmonic"])
-        for anh, harm in points:
-            writer.writerow([anh.t, anh.p_same_left, anh.p_same_right,
-                             anh.p_separate, harm.p_same_left,
-                             harm.p_same_right, harm.p_separate])
+        writer.writerows(np.column_stack([times, anharmonic[:, order],
+                                          harmonic[:, order]]).tolist())
 
-    split_t, split = max(
-        ((anh.t, abs(anh.p_same_left - harm.p_same_left)) for anh, harm in points),
-        key=lambda pair: pair[1],
-    )
+    splits = np.abs(anharmonic[:, 0] - harmonic[:, 0])
+    split_t, split = times[np.argmax(splits)], splits.max()
     period = 1.0 / (SPEED_OF_LIGHT_CM * 1e-12 * abs(spec.nu10 - spec.nu01))
     print(f"largest model split: {split:.3f} at t={split_t:.4f} ps")
     print(f"harmonic revival period: {period:.4f} ps")

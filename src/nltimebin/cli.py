@@ -30,7 +30,7 @@ _LIFETIME_PS = 155.5
 _SCHEMA_LINE = "# schema=1"
 
 
-class FlagError(Exception):
+class FlagError(ValueError):
     """Invalid value for a specific command-line flag."""
 
     def __init__(self, flag: str, message: str) -> None:
@@ -409,21 +409,13 @@ def cmd_water(args: argparse.Namespace) -> None:
     steps = parse_count(_setting(args, config, "steps", 51), "--steps", 2)
     out = _out_dir(args, config)
 
+    import numpy as np
+
     from . import vibsim
 
-    points = vibsim.trace(tmax, steps, vibsim.water_spec())
-    rows = [
-        (
-            anh.t,
-            anh.p_separate,
-            anh.p_same_left,
-            anh.p_same_right,
-            harm.p_separate,
-            harm.p_same_left,
-            harm.p_same_right,
-        )
-        for anh, harm in points
-    ]
+    times, anharmonic, harmonic = vibsim.trace(tmax, steps, vibsim.water_spec())
+    # The trace's (same-left, separate, same-right) rows, separate first.
+    rows = np.column_stack([times, anharmonic[:, [1, 0, 2]], harmonic[:, [1, 0, 2]]])
     columns = [
         "t_ps",
         "p_separate",
@@ -502,9 +494,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except FlagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

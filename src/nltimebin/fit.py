@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 _EPS = sys.float_info.epsilon
 
@@ -123,19 +123,23 @@ def _covariance(
     curvature,
     names: tuple[str, ...],
     scale: float,
-) -> tuple[list[list[float]], tuple[str, ...]]:
-    """Covariance ``2 * scale * H^-1`` from the Hessian H, flat directions flagged.
+) -> tuple[list[list[float]], list[float], tuple[str, ...]]:
+    """Covariance ``2 * scale * H^-1`` from the Hessian H, its errors, flat directions flagged.
 
     ``scale`` is one for a variance-weighted objective and the residual
-    variance estimate for a plain sum of squares.
+    variance estimate for a plain sum of squares.  A flagged parameter's
+    standard error is infinite.
     """
     eigvals, eigvecs = _eigh(curvature)
     floor = 1e-10 * max(1.0, max(abs(w) for w in eigvals))
     keep = [w > floor for w in eigvals]
-    unidentifiable = [names[max(range(len(names)), key=lambda i: abs(eigvecs[i][k]))]
-                      for k, kept in enumerate(keep) if not kept]
+    unidentifiable = tuple(dict.fromkeys(
+        names[max(range(len(names)), key=lambda i: abs(eigvecs[i][k]))]
+        for k, kept in enumerate(keep) if not kept))
     cov = [[2.0 * scale * v for v in row] for row in _inverse(eigvals, eigvecs, keep)]
-    return cov, tuple(dict.fromkeys(unidentifiable))
+    std = [math.inf if name in unidentifiable else math.sqrt(max(cov[k][k], 0.0))
+           for k, name in enumerate(names)]
+    return cov, std, unidentifiable
 
 
 @dataclass(frozen=True)
@@ -158,32 +162,6 @@ class FitResult:
             "evaluations": self.evaluations,
             "unidentifiable": list(self.unidentifiable),
         }
-
-
-def _finish_fit(
-    names: tuple[str, ...],
-    x: list[float],
-    residual: float,
-    curvature,
-    n_points: int,
-    weighted: bool,
-    evaluations: int = 1,
-) -> tuple[FitResult, list[list[float]]]:
-    """Converged FitResult at the optimum ``x`` and the covariance its errors come from."""
-    dof = max(n_points - len(x), 1)
-    scale = 1.0 if weighted else residual / dof
-    cov, unidentifiable = _covariance(curvature, names, scale)
-    std: dict[str, float] = {}
-    for k, name in enumerate(names):
-        std[name] = math.inf if name in unidentifiable else math.sqrt(max(cov[k][k], 0.0))
-    return FitResult(
-        parameters={name: float(x[k]) for k, name in enumerate(names)},
-        std_errors=std,
-        residual=residual,
-        converged=True,
-        evaluations=evaluations,
-        unidentifiable=unidentifiable,
-    ), cov
 
 
 # ---------------------------------------------------------------------------
@@ -323,23 +301,20 @@ def fit_fringe(phi, values, errors=None) -> FitResult:
     cos2, sin2 = math.cos(2.0 * phi0), math.sin(2.0 * phi0)
     jac = [[0.0, 0.0, 1.0], [cos2, -2.0 * amplitude * sin2, 0.0],
            [sin2, 2.0 * amplitude * cos2, 0.0]]
-    result, cov = _finish_fit(names, [amplitude, phi0, offset], residual,
-                              _curvature(jac, normal), len(phi), errors is not None)
-
-    params = dict(result.parameters)
-    std = dict(result.std_errors)
-    params["visibility"] = math.inf if offset == 0.0 else amplitude / offset
-    unident = result.unidentifiable
+    scale = 1.0 if errors is not None else residual / max(len(phi) - 3, 1)
+    cov, std, unidentifiable = _covariance(_curvature(jac, normal), names, scale)
+    if amplitude <= 1e-12 * max(1.0, abs(offset)) and "phi0" not in unidentifiable:
+        unidentifiable, std[1] = unidentifiable + ("phi0",), math.inf
     if offset == 0.0:
-        std["visibility"] = math.inf
+        visibility = visibility_error = math.inf
     else:
         grad = (1.0 / offset, 0.0, -amplitude / offset**2)
+        visibility = amplitude / offset
         variance = sum(g * c for g, c in zip(grad, _apply(cov, grad)))
-        std["visibility"] = math.sqrt(max(0.0, variance))
-    if amplitude <= 1e-12 * max(1.0, abs(offset)) and "phi0" not in unident:
-        unident = unident + ("phi0",)
-        std["phi0"] = math.inf
-    return replace(result, parameters=params, std_errors=std, unidentifiable=unident)
+        visibility_error = math.sqrt(max(0.0, variance))
+    return FitResult(dict(zip(names, (amplitude, phi0, offset)), visibility=visibility),
+                     dict(zip(names, std), visibility=visibility_error), residual,
+                     converged=True, evaluations=1, unidentifiable=unidentifiable)
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +470,13 @@ def fit_nl(phi, triples, errors=None, fit_distinguishability: bool = False) -> F
     bisects on the sign of m' down to a bracket one ulp of 1 wide.
     ``evaluations`` counts slice solves: 1 for the plain fit, 1 plus the
     bisection steps (0 or 52) for the free fit; ``converged`` is always
-    true.  Errors are the delta
-    method on the inverse Fisher matrix; a parameter pinned where the
-    inverse map is infinitely steep (phi_nl at 0 or pi, theta_perp at 0,
-    ell_nl at 1) gets an infinite one.  ``unidentifiable`` names
-    parameters the data leave flat, such as phi_nl as ell_nl nears 1.
+    true.  When every slope is positive the fit takes the bound s = 0,
+    theta_perp = pi/2, where phi_nl and ell_nl are unidentifiable.
+    Errors are the delta method on the inverse Fisher matrix; a parameter
+    pinned where the inverse map is infinitely steep (phi_nl at 0 or pi,
+    theta_perp at 0 or pi/2, ell_nl at 1) gets an infinite one.
+    ``unidentifiable`` names parameters the data leave flat, such as
+    phi_nl as ell_nl nears 1.
     """
     phi = _floats(phi)
     triples = [_floats(row) for row in triples]
@@ -552,6 +529,10 @@ def fit_nl(phi, triples, errors=None, fit_distinguishability: bool = False) -> F
                 lo = mid
             else:
                 s, (cos_nl, t, _) = mid, trial
+        if lo == 0.0:
+            # Every slope was positive: the minimum is at the bound s = 0,
+            # where the rows carry no information on phi_nl or ell_nl.
+            s = 0.0
     cos_perp = math.sqrt(s)
 
     u = 1.0 / (1.0 + t * t)
@@ -561,19 +542,21 @@ def fit_nl(phi, triples, errors=None, fit_distinguishability: bool = False) -> F
     jac = _coefficient_jacobian(cos_nl, t, cos_perp)
     if not fit_distinguishability:
         jac, fisher = [row[:2] for row in jac[1:]], [row[1:] for row in fisher[1:]]
-    x = [math.acos(cos_nl), 1.0 - t, math.acos(cos_perp)][: len(names)]
-    result, _ = _finish_fit(names, x, residual, _curvature(jac, fisher), 2 * len(phi),
-                            errors is not None, evaluations)
-    # |d angle / d cosine|; ell_nl = 1 - t has slope 1, taken as infinite at t = 0.
-    std = {}
-    for name, cosine in zip(names, (cos_nl, float(t == 0.0), cos_perp)):
+    scale = 1.0 if errors is not None else residual / max(2 * len(phi) - len(names), 1)
+    _, cosine_errors, unidentifiable = _covariance(_curvature(jac, fisher), names, scale)
+    # |d angle / d cosine| = 1 / sine, and ell_nl = 1 - t has slope 1; each is
+    # taken as infinite at its steep bound: t = 0 for ell_nl, s = 0 for theta_perp.
+    cosines = (cos_nl, float(t == 0.0), cos_perp if s > 0.0 else 1.0)
+    parameters, std_errors = {}, {}
+    for name, value, error, cosine in zip(
+            names, (math.acos(cos_nl), 1.0 - t, math.acos(cos_perp)), cosine_errors, cosines):
         sine_sq = 1.0 - cosine * cosine
-        std[name] = (result.std_errors[name] * (1.0 / math.sqrt(sine_sq)) if sine_sq > 0.0
-                     else math.inf)
-    params = dict(result.parameters)
+        parameters[name] = value
+        std_errors[name] = error * (1.0 / math.sqrt(sine_sq)) if sine_sq > 0.0 else math.inf
     if fit_distinguishability:
-        theta, err = params["theta_perp"], std["theta_perp"]
-        params["distinguishable_fraction"] = math.sin(theta) ** 2
-        std["distinguishable_fraction"] = (
+        theta, err = parameters["theta_perp"], std_errors["theta_perp"]
+        parameters["distinguishable_fraction"] = math.sin(theta) ** 2
+        std_errors["distinguishable_fraction"] = (
             abs(math.sin(2.0 * theta)) * err if err < math.inf else err)
-    return replace(result, parameters=params, std_errors=std)
+    return FitResult(parameters, std_errors, residual, converged=True,
+                     evaluations=evaluations, unidentifiable=unidentifiable)

@@ -70,18 +70,8 @@ def water_spec() -> MoleculeSpec:
     return MoleculeSpec(nu10=3740.05, nu01=3619.68, nu20=7391.43, nu02=7154.35, nu11=7206.46)
 
 
-@dataclass(frozen=True)
-class TracePoint:
-    """Localized-basis occupancies after one evolution time."""
-
-    t: float
-    p_separate: float
-    p_same_left: float
-    p_same_right: float
-
-
-def _trace_points(times: np.ndarray, spec: MoleculeSpec) -> list[TracePoint]:
-    """Occupancies at every time, both quanta starting in the left mode.
+def _occupancies(times: np.ndarray, spec: MoleculeSpec) -> np.ndarray:
+    """(same-left, separate, same-right) rows at every time, both quanta starting in the left mode.
 
     The pair phases are theta20 = phi_K + phi and theta02 = phi_K - phi
     up to the global phase theta11.  One of them beyond ``_MAX_PHASE``
@@ -99,30 +89,22 @@ def _trace_points(times: np.ndarray, spec: MoleculeSpec) -> list[TracePoint]:
             f"t_max = {float(times[-1])!r} ps is too long: an evolution phase exceeds "
             f"{_MAX_PHASE:g} rad"
         )
-    weights = circuit.model_triple(phi, phi_nl, 0.0)
-    return [
-        TracePoint(
-            t=float(t),
-            p_separate=float(separate),
-            p_same_left=float(left),
-            p_same_right=float(right),
-        )
-        for t, (left, separate, right) in zip(times, weights)
-    ]
+    return circuit.model_triple(phi, phi_nl, 0.0)
 
 
 def trace(
     t_max: float,
     n_steps: int,
     spec: MoleculeSpec,
-) -> list[tuple[TracePoint, TracePoint]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Anharmonic and harmonic traces on a uniform time grid.
 
-    Returns one (anharmonic, harmonic) pair per grid point, with the
-    grid spanning [0, t_max] inclusive.  Both quanta sit in the left
-    oscillator at t = 0, where the occupancies are exactly (1, 0, 0).
-    The evolution is lossless, so the three occupancies sum to one up
-    to rounding.
+    Returns ``(times, anharmonic, harmonic)``: ``n_steps`` times spanning
+    [0, t_max] inclusive and, per model, an (n_steps, 3) array of
+    ``circuit.model_triple`` rows, the occupancies (same-left, separate,
+    same-right).  Both quanta sit in the left oscillator at t = 0, where
+    a row is exactly (1, 0, 0); the evolution is lossless, so each row
+    sums to one up to rounding.
 
     The phases grow linearly in time (about 35 rad/ps for water) and
     each carries a rounding of about |theta| * 1e-16 rad.  Valid domain:
@@ -135,4 +117,4 @@ def trace(
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be positive, got {t_max!r}")
     times = np.linspace(0.0, t_max, n_steps)
-    return list(zip(_trace_points(times, spec), _trace_points(times, spec.harmonic_variant())))
+    return times, _occupancies(times, spec), _occupancies(times, spec.harmonic_variant())

@@ -185,23 +185,20 @@ def test_08_fringe_visibility_calibration():
 def test_09_water_dynamics_trace():
     start = time.perf_counter()
     spec = vibsim.water_spec()
-    points = vibsim.trace(0.5, 51, spec)
-    t0_exact = points[0][0].p_same_left == 1.0 and points[0][1].p_same_left == 1.0
-    divergence = max(abs(a.p_same_left - h.p_same_left) for a, h in points)
+    _, anharmonic, harmonic = vibsim.trace(0.5, 51, spec)
+    # Rows are (same-left, separate, same-right).
+    t0_exact = bool(anharmonic[0, 0] == 1.0 and harmonic[0, 0] == 1.0)
+    divergence = float(np.max(np.abs(anharmonic[:, 0] - harmonic[:, 0])))
     sum_dev = max(
-        abs(p.p_same_left + p.p_same_right + p.p_separate - 1.0)
-        for pair in points
-        for p in pair
+        abs(left + right + separate - 1.0)
+        for rows in (anharmonic, harmonic)
+        for left, separate, right in rows
     )
     period = 1.0 / (vibsim.SPEED_OF_LIGHT_CM * 1e-12 * abs(spec.nu10 - spec.nu01))
     # ``linspace`` ends a trace exactly on its last time.
-    base = vibsim.trace(0.17, 2, spec)[-1][1]
-    shifted = vibsim.trace(0.17 + period, 2, spec)[-1][1]
-    period_dev = max(
-        abs(base.p_same_left - shifted.p_same_left),
-        abs(base.p_same_right - shifted.p_same_right),
-        abs(base.p_separate - shifted.p_separate),
-    )
+    base = vibsim.trace(0.17, 2, spec)[2][-1]
+    shifted = vibsim.trace(0.17 + period, 2, spec)[2][-1]
+    period_dev = float(np.max(np.abs(base - shifted)))
     elapsed = time.perf_counter() - start
     ok = (
         t0_exact

@@ -55,7 +55,7 @@ PUBLIC_NAMES = {
         "PulseSpec", "QuadratureError", "faddeeva", "NonlinearParams", "nonlinear_params",
         "jti", "circuit_jti", "factorization_residual",
     ],
-    "vibsim": ["MoleculeSpec", "water_spec", "TracePoint", "trace"],
+    "vibsim": ["MoleculeSpec", "water_spec", "trace"],
 }
 
 

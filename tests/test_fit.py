@@ -218,8 +218,10 @@ def test_distinguishability_fit_reaches_the_reference_minimum(k, truth):
 
 def test_distinguishability_fit_of_flat_rows_reaches_the_reference_minimum():
     # Fully distinguishable photons leave every row at (1/4, 1/2, 1/4): the
-    # minimum sits at s = cos^2 theta_perp -> 0, where the slice Hessian
-    # diag(s, sqrt(s)) F_qr diag(s, sqrt(s)) turns singular.
+    # minimum sits at the bound s = cos^2 theta_perp = 0, where the slice
+    # Hessian diag(s, sqrt(s)) F_qr diag(s, sqrt(s)) turns singular.  There
+    # the rows carry no information on phi_nl or ell_nl, and theta_perp is
+    # pinned where acos(sqrt(s)) is infinitely steep.
     phi = np.linspace(0.0, 2.0 * math.pi, 13)
     flat = circuit.model_triple(phi, 0.9, 0.2, 0.5 * math.pi)
     result = _assert_reaches_reference_minimum(phi, flat, np.full(flat.shape, 0.003), True)
@@ -228,6 +230,8 @@ def test_distinguishability_fit_of_flat_rows_reaches_the_reference_minimum():
     assert abs(result.parameters["theta_perp"] - 0.5 * math.pi) < 1e-7
     assert result.parameters["distinguishable_fraction"] > 1.0 - 1e-12
     assert result.evaluations == 53
+    assert {"phi_nl", "ell_nl"} <= set(result.unidentifiable)
+    assert all(result.std_errors[name] == math.inf for name in ("phi_nl", "ell_nl", "theta_perp"))
 
 
 def test_noiseless_indistinguishable_data_pins_theta_perp_at_zero():

@@ -23,13 +23,18 @@ from _oracles import (
 WATER_PERIOD_PS = 1.0 / (2.99792458e10 * 1e-12 * (3740.05 - 3619.68))
 
 
-def at_time(t: float, harmonic: bool = False) -> vibsim.TracePoint:
-    """Water's occupancies at time ``t``: ``linspace`` ends the trace exactly on ``t``."""
-    return vibsim.trace(t, 2, vibsim.water_spec())[-1][int(harmonic)]
+def at_time(t: float, harmonic: bool = False) -> np.ndarray:
+    """Water's (same-left, separate, same-right) row at time ``t``.
+
+    ``linspace`` ends the trace exactly on ``t``.
+    """
+    return vibsim.trace(t, 2, vibsim.water_spec())[2 if harmonic else 1][-1]
 
 
-def occupancies(point: vibsim.TracePoint) -> tuple[float, float, float]:
-    return (point.p_same_left, point.p_same_right, point.p_separate)
+def occupancies(row: np.ndarray) -> tuple[float, float, float]:
+    """(same-left, same-right, separate), the oracles' order."""
+    left, separate, right = row
+    return (left, right, separate)
 
 
 def test_water_parameters_and_defect_frequencies():
@@ -81,31 +86,31 @@ def test_harmonic_dynamics_factorize_into_single_quanta():
     for t in (0.09, 0.21, 0.38):
         phases = np.diag(np.exp(1j * scale * t * np.array([spec.nu10, spec.nu01])))
         single = matrix.conj().T @ phases @ matrix
-        point = at_time(t, harmonic=True)
-        assert abs(point.p_same_left - abs(single[0, 0]) ** 4) < 1e-12
-        assert abs(point.p_same_right - abs(single[1, 0]) ** 4) < 1e-12
-        assert abs(point.p_separate - 2.0 * abs(single[0, 0] * single[1, 0]) ** 2) < 1e-12
+        left, separate, right = at_time(t, harmonic=True)
+        assert abs(left - abs(single[0, 0]) ** 4) < 1e-12
+        assert abs(right - abs(single[1, 0]) ** 4) < 1e-12
+        assert abs(separate - 2.0 * abs(single[0, 0] * single[1, 0]) ** 2) < 1e-12
 
 
 def test_harmonic_revival_period():
     for t in (0.11, 0.26):
         now = at_time(t, harmonic=True)
         later = at_time(t + WATER_PERIOD_PS, harmonic=True)
-        assert abs(now.p_same_left - later.p_same_left) < 1e-6
-        assert abs(now.p_separate - later.p_separate) < 1e-6
+        assert abs(now[0] - later[0]) < 1e-6
+        assert abs(now[1] - later[1]) < 1e-6
 
 
 def test_trace_starts_pinned_and_splits_the_models():
-    points = vibsim.trace(0.5, 51, vibsim.water_spec())
-    assert len(points) == 51
-    anharmonic, harmonic = points[0]
-    assert anharmonic.p_same_left == 1.0
-    assert harmonic.p_same_left == 1.0
-    for pair in points:
-        for point in pair:
-            total = point.p_same_left + point.p_same_right + point.p_separate
+    times, anharmonic, harmonic = vibsim.trace(0.5, 51, vibsim.water_spec())
+    assert len(times) == 51
+    assert anharmonic.shape == harmonic.shape == (51, 3)
+    assert anharmonic[0, 0] == 1.0
+    assert harmonic[0, 0] == 1.0
+    for rows in (anharmonic, harmonic):
+        for left, separate, right in rows:
+            total = left + right + separate
             assert abs(total - 1.0) < 1e-12
-    divergence = max(abs(a.p_same_left - h.p_same_left) for a, h in points)
+    divergence = np.max(np.abs(anharmonic[:, 0] - harmonic[:, 0]))
     assert divergence > 0.05
 
 
@@ -142,6 +147,7 @@ def test_layer_circuit_reproduces_the_lifted_propagator():
 
 
 def test_zero_time_is_the_exact_input():
-    for point in vibsim.trace(0.5, 3, vibsim.water_spec())[0]:
-        assert point.t == 0.0
-        assert occupancies(point) == (1.0, 0.0, 0.0)
+    times, *models = vibsim.trace(0.5, 3, vibsim.water_spec())
+    assert times[0] == 0.0
+    for rows in models:
+        assert occupancies(rows[0]) == (1.0, 0.0, 0.0)
