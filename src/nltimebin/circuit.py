@@ -370,7 +370,7 @@ def sample_statistics(
     Returns the (len(phis), 3) triples and their standard errors.
 
     Valid domain: finite phases, whole ``1 <= shots <= 2**63 - 1`` (the
-    generator draws 64-bit counts) and ``seed >= 0``, plus the model
+    generator draws 64-bit counts) and whole ``seed >= 0``, plus the model
     parameters' domain (finite ``phi_nl`` and ``theta_perp``, ``ell_nl``
     in [0, 1]); anything else raises ``ValueError`` naming the parameter.
     A histogram too sparse to normalize raises ``NormalizationError``
@@ -383,13 +383,15 @@ def sample_statistics(
         raise ValueError(f"shots must be at most 2**63 - 1, got {shots!r}")
     if shots != int(shots):
         raise ValueError(f"shots must be a whole number, got {shots!r}")
-    if seed < 0:
+    if not seed >= 0:
         raise ValueError(f"seed must be non-negative, got {seed!r}")
+    if seed % 1 != 0:
+        raise ValueError(f"seed must be a whole number, got {seed!r}")
     weights = peak_cell_probabilities(phis, phi_nl, ell_nl, theta_perp).reshape(-1, _N_CELLS)
     total = weights.sum(axis=1, keepdims=True)
     if np.any(total <= 0.0):
         raise ValueError("all coincidence cells have zero probability")
-    streams = np.random.SeedSequence(seed).spawn(phis.size)
+    streams = np.random.SeedSequence(int(seed)).spawn(phis.size)
     counts = [
         np.random.default_rng(stream).multinomial(shots, p)
         for stream, p in zip(streams, weights / total)

@@ -19,9 +19,9 @@ from pathlib import Path
 
 from . import SPEED_OF_LIGHT_CM
 
-# Standard library only at module level: each subcommand checks all its
-# flags first and then imports numpy and the physics modules it runs, so
-# ``--help`` and a flag error (exit 2) never load them.
+# Standard library only at module level: ``_settings`` parses every flag
+# first and each subcommand then imports numpy and the physics modules it
+# runs, so ``--help`` and a flag error (exit 2) never load them.
 
 # Laboratory-to-dimensionless conversions are anchored to the emitter
 # lifetime once, here; the physics modules never see lab units.
@@ -131,13 +131,118 @@ def parse_count(value, flag: str, minimum: int) -> int:
     return number
 
 
+def _count(minimum: int):
+    """The parser of a whole-number flag of at least ``minimum``."""
+    return lambda value, flag: parse_count(value, flag, minimum)
+
+
+def _parse_sweep_end(value, flag: str) -> float:
+    delta_max = parse_detuning(value, flag)
+    if delta_max <= 0.0:
+        raise FlagError(flag, f"sweep end must be positive, got {delta_max!r}")
+    return delta_max
+
+
+def _parse_sigma_list(value, flag: str) -> list[float]:
+    if isinstance(value, (list, tuple)):
+        entries = list(value)
+    else:
+        entries = [part for part in str(value).split(",") if part.strip()]
+    if not entries:
+        raise FlagError(flag, "at least one spectral width is required")
+    return [parse_width(entry, flag) for entry in entries]
+
+
+def _read_statistics_csv(value, flag: str) -> tuple[list, list, list | None]:
+    """Phases, (p20, p11, p02) rows and, if the file has them, their errors."""
+    if value is None:
+        raise FlagError(flag, "a statistics CSV path is required")
+    path = str(value)
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            lines = [line for line in handle if not line.startswith("#")]
+    except OSError as exc:
+        raise FlagError(flag, f"cannot read {path!r}: {exc}") from exc
+    reader = csv.DictReader(lines)
+    needed = ("phi", "p20", "p11", "p02")
+    error_cols = ("sigma_p20", "sigma_p11", "sigma_p02")
+    if reader.fieldnames is None or any(c not in reader.fieldnames for c in needed):
+        raise FlagError(flag, f"{path!r} must provide columns {', '.join(needed)}")
+    missing = [c for c in error_cols if c not in reader.fieldnames]
+    if 0 < len(missing) < len(error_cols):
+        raise FlagError(flag, f"{path!r} has some error columns but lacks {', '.join(missing)}")
+    phis, triples, errors = [], [], []
+    try:
+        for record in reader:
+            phis.append(float(record["phi"]))
+            triples.append([float(record[c]) for c in needed[1:]])
+            if not missing:
+                errors.append([float(record[c]) for c in error_cols])
+    except (TypeError, ValueError) as exc:
+        raise FlagError(flag, f"non-numeric entry in {path!r}: {exc}") from exc
+    if not phis:
+        raise FlagError(flag, f"{path!r} holds no data rows")
+    return phis, triples, None if missing else errors
+
+
+def _parse_switch(value, flag: str) -> bool:
+    if not isinstance(value, bool):
+        raise FlagError(flag, f"expected true or false, got {value!r}")
+    return value
+
+
+def _parse_out(value, flag: str) -> Path:
+    """The output directory, created; parsed last, so a flag error creates none."""
+    if not isinstance(value, str):
+        raise FlagError(flag, f"expected a directory path, got {value!r}")
+    out = Path(value)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise FlagError(flag, f"cannot create directory {out}: {exc}") from exc
+    return out
+
+
 # ---------------------------------------------------------------------------
-# Config-file merge and artifact writers
+# The flag table: per subcommand, (flag, parser, built-in default, help) in
+# parse order.  ``--config`` has no parser: it supplies the other defaults.
+
+_DELTA = ("--delta", parse_detuning, 0.0, "pulse detuning (bare, GHz, or cm-1)")
+_SIGMA = ("--sigma", parse_width, 1.0, "spectral width (bare, GHz, cm-1, or FWHM ps)")
+_COMMON = (
+    ("--config", None, None, "JSON file with per-flag defaults"),
+    ("--out", _parse_out, ".", "output directory (default: current)"),
+)
+_COMMANDS = {
+    "jti": "joint detection-time intensity matrix",
+    "fringe": "output statistics over a phase sweep",
+    "characterize": "effective parameters over a detuning sweep",
+    "fit": "fit nonlinear phase and loss to a statistics CSV",
+    "water": "two-quantum stretch dynamics of water",
+}
+_FLAGS = {
+    "jti": (_DELTA, _SIGMA,
+            ("--phi", parse_angle, 0.0, "linear interferometer phase in radians"),
+            ("--grid", _count(16), 256, "time-grid points per axis"), *_COMMON),
+    "fringe": (_DELTA, _SIGMA,
+               ("--grid", _count(2), 101, "number of phases in [0, 2pi]"),
+               ("--shots", _count(0), 0, "sampled coincidences per phase (0 = exact)"),
+               ("--seed", _count(0), 0, "random seed for sampling"), *_COMMON),
+    "characterize": (
+        ("--sigma", _parse_sigma_list, 1.0, "spectral width(s), comma separated"),
+        ("--delta-max", _parse_sweep_end, 5.0, "sweep end (bare, GHz, or cm-1)"),
+        ("--grid", _count(2), 21, "number of detunings in [0, delta-max]"), *_COMMON),
+    "fit": (
+        ("--data", _read_statistics_csv, None, "statistics CSV (phi, p20, p11, p02 [, sigma_*])"),
+        ("--distinguishability", _parse_switch, False, "also fit the photon overlap rotation"),
+        *_COMMON),
+    "water": (("--tmax", parse_time_ps, 0.5, "trace length in ps"),
+              ("--steps", _count(2), 51, "number of trace points"), *_COMMON),
+}
 
 
-def _load_config(args: argparse.Namespace) -> dict:
+def _load_config(path, known: list[str]) -> dict:
     """The ``--config`` JSON object; each key must name a flag of the subcommand."""
-    path = args.config
     if path is None:
         return {}
     try:
@@ -149,42 +254,46 @@ def _load_config(args: argparse.Namespace) -> dict:
         raise FlagError("--config", f"{path!r} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise FlagError("--config", f"{path!r} must hold a JSON object")
-    known = set(vars(args)) - {"func", "command", "config"}
     for key in config:
         if key not in known:
             raise FlagError("--config", f"unknown key {key!r}; expected one of {sorted(known)}")
     return config
 
 
-def _setting(args: argparse.Namespace, config: dict, dest: str, fallback):
-    """Resolve one parameter: flag beats config file beats built-in."""
-    value = getattr(args, dest)
-    if value is not None:
-        return value
-    if dest in config:
-        return config[dest]
-    return fallback
+def _settings(args: argparse.Namespace) -> dict:
+    """Every flag of the subcommand through its parser: flag beats config file beats built-in."""
+    flags = {flag[2:].replace("-", "_"): (flag, parse, default)
+             for flag, parse, default, _ in _FLAGS[args.command] if parse is not None}
+    config = _load_config(args.config, list(flags))
+    settings = {}
+    for dest, (flag, parse, default) in flags.items():
+        value = getattr(args, dest)
+        settings[dest] = parse(config.get(dest, default) if value is None else value, flag)
+    return settings
 
 
-def _out_dir(args: argparse.Namespace, config: dict) -> Path:
-    out = _setting(args, config, "out", ".")
-    if not isinstance(out, str):
-        raise FlagError("--out", f"expected a directory path, got {out!r}")
-    out = Path(out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise FlagError("--out", f"cannot create directory {out}: {exc}") from exc
-    return out
+# ---------------------------------------------------------------------------
+# Artifact writers
 
 
-def _write_csv(path: Path, meta: str, columns: list[str], rows) -> None:
+def _echo(settings: dict) -> dict:
+    """The resolved settings an artifact records: all but ``out``."""
+    return {key: value for key, value in settings.items() if key != "out"}
+
+
+def _write_csv(command: str, settings: dict, columns: list[str], rows) -> Path:
+    """``<out>/<command>.csv`` under a meta line of the settings in table order."""
+    meta = " ".join([command] + [
+        f"{key}={','.join(map(repr, value)) if isinstance(value, list) else repr(value)}"
+        for key, value in _echo(settings).items()])
+    path = settings["out"] / f"{command}.csv"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(_SCHEMA_LINE + "\n")
         handle.write(f"# {meta}\n")
         handle.write(",".join(columns) + "\n")
         for row in rows:
             handle.write(",".join(repr(float(v)) for v in row) + "\n")
+    return path
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -199,59 +308,42 @@ def _peak_to_trough(values) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the settings ``_settings`` resolved
 
 
-def cmd_jti(args: argparse.Namespace) -> None:
-    config = _load_config(args)
-    delta = parse_detuning(_setting(args, config, "delta", 0.0), "--delta")
-    sigma = parse_width(_setting(args, config, "sigma", 1.0), "--sigma")
-    phi = parse_angle(_setting(args, config, "phi", 0.0), "--phi")
-    grid = parse_count(_setting(args, config, "grid", 256), "--grid", 16)
-    out = _out_dir(args, config)
-
+def cmd_jti(settings: dict) -> None:
     import numpy as np
 
     from . import scatter
 
-    pulse = scatter.PulseSpec(delta=delta, sigma=sigma)
-    times = np.linspace(-8.0, 8.0, grid)
+    pulse = scatter.PulseSpec(settings["delta"], settings["sigma"])
+    times = np.linspace(-8.0, 8.0, settings["grid"])
     try:
-        intensity = scatter.circuit_jti(phi, pulse, times=times)
+        intensity = scatter.circuit_jti(settings["phi"], pulse, times=times)
     except ValueError as exc:
-        # The other flags are checked above; only the grid's length can be refused.
+        # Every flag is parsed already; only the grid's length can be refused.
         raise FlagError("--grid", str(exc)) from exc
     intensity = intensity / intensity.max()
 
-    path = out / "jti.csv"
-    meta = f"jti delta={delta!r} sigma={sigma!r} phi={phi!r} grid={grid}"
     columns = ["time"] + [repr(float(t)) for t in times]
-    _write_csv(path, meta, columns, np.column_stack([times, intensity]))
-    print(path)
+    print(_write_csv("jti", settings, columns, np.column_stack([times, intensity])))
 
 
-def cmd_fringe(args: argparse.Namespace) -> None:
-    config = _load_config(args)
-    delta = parse_detuning(_setting(args, config, "delta", 0.0), "--delta")
-    sigma = parse_width(_setting(args, config, "sigma", 1.0), "--sigma")
-    grid = parse_count(_setting(args, config, "grid", 101), "--grid", 2)
-    shots = parse_count(_setting(args, config, "shots", 0), "--shots", 0)
-    seed = parse_count(_setting(args, config, "seed", 0), "--seed", 0)
-    out = _out_dir(args, config)
-
+def cmd_fringe(settings: dict) -> None:
     import numpy as np
 
     from . import circuit, scatter
 
-    params = scatter.nonlinear_params(scatter.PulseSpec(delta=delta, sigma=sigma))
-    phis = np.linspace(0.0, 2.0 * math.pi, grid)
+    params = scatter.nonlinear_params(scatter.PulseSpec(settings["delta"], settings["sigma"]))
+    phis = np.linspace(0.0, 2.0 * math.pi, settings["grid"])
+    shots = settings["shots"]
 
     columns = ["phi", "p20", "p11", "p02"]
     if shots > 0:
         columns += ["sigma_p20", "sigma_p11", "sigma_p02"]
         try:
             triples, errors = circuit.sample_statistics(
-                phis, params.phi_nl, params.ell_nl, shots, seed
+                phis, params.phi_nl, params.ell_nl, shots, settings["seed"]
             )
         except circuit.NormalizationError as exc:
             raise FlagError("--shots", f"{shots} shots are too few to normalize: {exc}") from exc
@@ -263,15 +355,9 @@ def cmd_fringe(args: argparse.Namespace) -> None:
         triples = circuit.model_triple(phis, params.phi_nl, params.ell_nl)
         rows = np.column_stack([phis, triples])
 
-    meta = f"fringe delta={delta!r} sigma={sigma!r} grid={grid} shots={shots} seed={seed}"
-    _write_csv(out / "fringe.csv", meta, columns, rows)
-
+    path = _write_csv("fringe", settings, columns, rows)
     summary = {
-        "delta": delta,
-        "sigma": sigma,
-        "grid": grid,
-        "shots": shots,
-        "seed": seed,
+        **_echo(settings),
         "eta": params.eta,
         "ell_nl": params.ell_nl,
         "phi_nl": params.phi_nl,
@@ -281,37 +367,19 @@ def cmd_fringe(args: argparse.Namespace) -> None:
         "visibility_p11": _peak_to_trough(triples[:, 1]),
         "visibility_p02": _peak_to_trough(triples[:, 2]),
     }
-    _write_json(out / "fringe_summary.json", summary)
-    print(out / "fringe.csv")
-    print(out / "fringe_summary.json")
+    _write_json(settings["out"] / "fringe_summary.json", summary)
+    print(path)
+    print(settings["out"] / "fringe_summary.json")
 
 
-def _parse_sigma_list(value, flag: str) -> list[float]:
-    if isinstance(value, (list, tuple)):
-        entries = list(value)
-    else:
-        entries = [part for part in str(value).split(",") if part.strip()]
-    if not entries:
-        raise FlagError(flag, "at least one spectral width is required")
-    return [parse_width(entry, flag) for entry in entries]
-
-
-def cmd_characterize(args: argparse.Namespace) -> None:
-    config = _load_config(args)
-    sigmas = _parse_sigma_list(_setting(args, config, "sigma", 1.0), "--sigma")
-    delta_max = parse_detuning(_setting(args, config, "delta_max", 5.0), "--delta-max")
-    if delta_max <= 0.0:
-        raise FlagError("--delta-max", f"sweep end must be positive, got {delta_max!r}")
-    grid = parse_count(_setting(args, config, "grid", 21), "--grid", 2)
-    out = _out_dir(args, config)
-
+def cmd_characterize(settings: dict) -> None:
     import numpy as np
 
     from . import scatter
 
-    deltas = np.linspace(0.0, delta_max, grid)
+    deltas = np.linspace(0.0, settings["delta_max"], settings["grid"])
     rows = []
-    for sigma in sigmas:
+    for sigma in settings["sigma"]:
         for delta in deltas:
             pulse = scatter.PulseSpec(delta=float(delta), sigma=sigma)
             params = scatter.nonlinear_params(pulse)
@@ -343,77 +411,31 @@ def cmd_characterize(args: argparse.Namespace) -> None:
         "pair_transmission",
         "single_transmission_squared",
     ]
-    meta = (
-        f"characterize sigma={','.join(repr(s) for s in sigmas)} "
-        f"delta_max={delta_max!r} grid={grid}"
-    )
-    path = out / "characterize.csv"
-    _write_csv(path, meta, columns, rows)
-    print(path)
+    print(_write_csv("characterize", settings, columns, rows))
 
 
-def _read_statistics_csv(path: str) -> tuple[list, list, list | None]:
-    """Phases, (p20, p11, p02) rows and, if the file has them, their errors."""
-    try:
-        with open(path, encoding="utf-8", newline="") as handle:
-            lines = [line for line in handle if not line.startswith("#")]
-    except OSError as exc:
-        raise FlagError("--data", f"cannot read {path!r}: {exc}") from exc
-    reader = csv.DictReader(lines)
-    needed = ("phi", "p20", "p11", "p02")
-    error_cols = ("sigma_p20", "sigma_p11", "sigma_p02")
-    if reader.fieldnames is None or any(c not in reader.fieldnames for c in needed):
-        raise FlagError("--data", f"{path!r} must provide columns {', '.join(needed)}")
-    has_errors = all(c in reader.fieldnames for c in error_cols)
-    phis, triples, errors = [], [], []
-    try:
-        for record in reader:
-            phis.append(float(record["phi"]))
-            triples.append([float(record[c]) for c in needed[1:]])
-            if has_errors:
-                errors.append([float(record[c]) for c in error_cols])
-    except (TypeError, ValueError) as exc:
-        raise FlagError("--data", f"non-numeric entry in {path!r}: {exc}") from exc
-    if not phis:
-        raise FlagError("--data", f"{path!r} holds no data rows")
-    return phis, triples, errors if has_errors else None
-
-
-def cmd_fit(args: argparse.Namespace) -> None:
-    config = _load_config(args)
-    data = _setting(args, config, "data", None)
-    if data is None:
-        raise FlagError("--data", "a statistics CSV path is required")
-    free_overlap = _setting(args, config, "distinguishability", False)
-    if not isinstance(free_overlap, bool):
-        raise FlagError("--distinguishability", f"expected true or false, got {free_overlap!r}")
-    out = _out_dir(args, config)
-
-    phis, triples, errors = _read_statistics_csv(str(data))
-
+def cmd_fit(settings: dict) -> None:
     from . import fit
 
+    phis, triples, errors = settings["data"]
     try:
-        result = fit.fit_nl(phis, triples, errors, fit_distinguishability=free_overlap)
+        result = fit.fit_nl(
+            phis, triples, errors, fit_distinguishability=settings["distinguishability"])
     except ValueError as exc:
         raise FlagError("--data", str(exc)) from exc
 
-    path = out / "fit.json"
+    path = settings["out"] / "fit.json"
     _write_json(path, result.to_json_dict())
     print(path)
 
 
-def cmd_water(args: argparse.Namespace) -> None:
-    config = _load_config(args)
-    tmax = parse_time_ps(_setting(args, config, "tmax", 0.5), "--tmax")
-    steps = parse_count(_setting(args, config, "steps", 51), "--steps", 2)
-    out = _out_dir(args, config)
-
+def cmd_water(settings: dict) -> None:
     import numpy as np
 
     from . import vibsim
 
-    times, anharmonic, harmonic = vibsim.trace(tmax, steps, vibsim.water_spec())
+    times, anharmonic, harmonic = vibsim.trace(
+        settings["tmax"], settings["steps"], vibsim.water_spec())
     # The trace's (same-left, separate, same-right) rows, separate first.
     rows = np.column_stack([times, anharmonic[:, [1, 0, 2]], harmonic[:, [1, 0, 2]]])
     columns = [
@@ -425,9 +447,7 @@ def cmd_water(args: argparse.Namespace) -> None:
         "p_same_left_harmonic",
         "p_same_right_harmonic",
     ]
-    path = out / "water.csv"
-    _write_csv(path, f"water tmax={tmax!r} steps={steps}", columns, rows)
-    print(path)
+    print(_write_csv("water", settings, columns, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -440,60 +460,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate time-bin circuit model data as CSV/JSON artifacts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON file with per-flag defaults")
-        p.add_argument("--out", help="output directory (default: current)")
-
-    p_jti = sub.add_parser("jti", help="joint detection-time intensity matrix")
-    p_jti.add_argument("--delta", help="pulse detuning (bare, GHz, or cm-1)")
-    p_jti.add_argument("--sigma", help="spectral width (bare, GHz, cm-1, or FWHM ps)")
-    p_jti.add_argument("--phi", help="linear interferometer phase in radians")
-    p_jti.add_argument("--grid", type=int, help="time-grid points per axis")
-    common(p_jti)
-    p_jti.set_defaults(func=cmd_jti)
-
-    p_fringe = sub.add_parser("fringe", help="output statistics over a phase sweep")
-    p_fringe.add_argument("--delta", help="pulse detuning (bare, GHz, or cm-1)")
-    p_fringe.add_argument("--sigma", help="spectral width (bare, GHz, cm-1, or FWHM ps)")
-    p_fringe.add_argument("--grid", type=int, help="number of phases in [0, 2pi]")
-    p_fringe.add_argument("--shots", type=int, help="sampled coincidences per phase (0 = exact)")
-    p_fringe.add_argument("--seed", type=int, help="random seed for sampling")
-    common(p_fringe)
-    p_fringe.set_defaults(func=cmd_fringe)
-
-    p_char = sub.add_parser("characterize", help="effective parameters over a detuning sweep")
-    p_char.add_argument("--sigma", help="spectral width(s), comma separated")
-    p_char.add_argument("--delta-max", dest="delta_max", help="sweep end (bare, GHz, or cm-1)")
-    p_char.add_argument("--grid", type=int, help="number of detunings in [0, delta-max]")
-    common(p_char)
-    p_char.set_defaults(func=cmd_characterize)
-
-    p_fit = sub.add_parser("fit", help="fit nonlinear phase and loss to a statistics CSV")
-    p_fit.add_argument("--data", help="statistics CSV (phi, p20, p11, p02 [, sigma_*])")
-    p_fit.add_argument(
-        "--distinguishability",
-        action="store_true",
-        default=None,
-        help="also fit the photon overlap rotation",
-    )
-    common(p_fit)
-    p_fit.set_defaults(func=cmd_fit)
-
-    p_water = sub.add_parser("water", help="two-quantum stretch dynamics of water")
-    p_water.add_argument("--tmax", help="trace length in ps")
-    p_water.add_argument("--steps", type=int, help="number of trace points")
-    common(p_water)
-    p_water.set_defaults(func=cmd_water)
-
+    for command, text in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for flag, parse, _, help_text in _FLAGS[command]:
+            # Every value reaches its parser as it arrived: a string, or None if not given.
+            action = "store_true" if parse is _parse_switch else "store"
+            p.add_argument(flag, action=action, default=None, help=help_text)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        # Looked up at run time, so a profiler that wraps the ``cmd_*`` attributes sees the call.
+        globals()[f"cmd_{args.command}"](_settings(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,8 @@ import sys
 from dataclasses import dataclass, field
 
 _EPS = sys.float_info.epsilon
+# Standard errors whose weights 1 / e^2, and sums of them, are finite and nonzero.
+_ERROR_MIN, _ERROR_MAX = 1e-100, 1e100
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +245,19 @@ def rt_spectrum(omega, qd: QDCharacterization):
 # Interference fringes
 
 
+def _check_error_scale(errors) -> None:
+    for e in errors:
+        if not _ERROR_MIN <= e <= _ERROR_MAX:
+            raise ValueError(f"errors must be in [{_ERROR_MIN:.0e}, {_ERROR_MAX:.0e}], got {e!r}")
+
+
 def _checked_series(x, y, errors, names: str) -> tuple[list[float], list[float], list[float]]:
     """Float lists ``x`` and ``y`` and the weights 1 / ``errors``^2.
 
     The weights are ones when ``errors`` is None.  Raises ``ValueError``
     unless ``x`` and ``y`` (together ``names``) have one length with at
     least 8 finite points, and ``errors``, if given, is one number or
-    one per point, finite and positive.
+    one per point, in [1e-100, 1e100].
     """
     x, y = _floats(x), _floats(y)
     if len(x) != len(y):
@@ -267,6 +275,7 @@ def _checked_series(x, y, errors, names: str) -> tuple[list[float], list[float],
         raise ValueError(f"errors of length {len(errors)} do not broadcast to {len(x)} points")
     if not all(math.isfinite(e) and e > 0.0 for e in errors):
         raise ValueError("errors must be finite and positive")
+    _check_error_scale(errors)
     return x, y, [1.0 / (e * e) for e in errors]
 
 
@@ -279,7 +288,7 @@ def fit_fringe(phi, values, errors=None) -> FitResult:
     information and is flagged unidentifiable with an infinite error.
 
     Valid domain: at least 8 finite points whose phases span a full
-    fringe period (pi), and ``errors``, if given, finite and positive;
+    fringe period (pi), and ``errors``, if given, in [1e-100, 1e100];
     anything else raises ``ValueError``.
     """
     phi, values, weights = _checked_series(phi, values, errors, "phi and values")
@@ -457,8 +466,10 @@ def fit_nl(phi, triples, errors=None, fit_distinguishability: bool = False) -> F
     Each phase's covariance C is rebuilt from its three marginal errors,
     which fix it for a row that sums to one, and the objective is the
     chi-square ``r^T C^+ r``; directions C does not span, such as a class
-    with zero error, carry no weight.  Without errors it is the plain sum
-    of squares with two degrees of freedom per phase.
+    with zero error, carry no weight.  Each error is 0 or in [1e-100,
+    1e100], and some phase must keep a weight; other errors raise
+    ``ValueError``.  Without errors it is the plain sum of squares with
+    two degrees of freedom per phase.
     ``fit_distinguishability`` frees the overlap rotation angle and
     reports the distinguishable fraction.
 
@@ -498,7 +509,10 @@ def fit_nl(phi, triples, errors=None, fit_distinguishability: bool = False) -> F
             raise ValueError("errors must match the shape of triples")
         if not all(math.isfinite(e) and e >= 0.0 for row in errors for e in row):
             raise ValueError("errors must be finite and non-negative")
+        _check_error_scale(e for row in errors for e in row if e > 0.0)
         precisions = [_row_precision(c) for c in _row_covariance(phi, errors)]
+        if not any(precisions):
+            raise ValueError("errors give no phase any weight")
     for p in phi:
         if not math.isfinite(p):
             raise ValueError(f"phi must be finite, got {p!r}")

@@ -272,8 +272,6 @@ class NonlinearParams:
     drives the circuit fringe.
     """
 
-    delta: float
-    sigma: float
     eta: float
     p_single: float
     ell_nl: float
@@ -374,8 +372,6 @@ def _params(pulse: PulseSpec, nodes: int) -> NonlinearParams:
         )
     phi_nl = math.acos(min(1.0, max(-1.0, folded)))
     return NonlinearParams(
-        delta=pulse.delta,
-        sigma=pulse.sigma,
         eta=eta,
         p_single=p_single,
         ell_nl=ell,

@@ -406,11 +406,19 @@ def test_degenerate_sampled_histogram_names_its_phase():
         ([0.1], 2**63, 0, "^shots must be at most"),
         ([0.1], 1000.5, 0, "^shots must be a whole number"),
         ([0.1], math.nan, 0, "^shots must be positive"),
+        ([0.1], 100, 1.5, "^seed must be a whole number"),
+        ([0.1], 100, math.inf, "^seed must be a whole number"),
+        ([0.1], 100, math.nan, "^seed must be non-negative"),
     ],
 )
 def test_sampled_statistics_domain(phis, shots, seed, match):
     with pytest.raises(ValueError, match=match):
         circuit.sample_statistics(phis, 0.9, 0.2, shots=shots, seed=seed)
+
+
+def test_a_whole_float_seed_draws_the_stream_of_its_integer():
+    assert np.array_equal(circuit.sample_statistics([0.1, 0.2], 0.9, 0.2, 500, 3.0)[0],
+                          circuit.sample_statistics([0.1, 0.2], 0.9, 0.2, 500, 3)[0])
 
 
 @settings(deadline=None, max_examples=40)

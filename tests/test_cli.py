@@ -307,6 +307,35 @@ def test_config_values_of_the_wrong_kind_name_their_flag(
     assert capsys.readouterr().err.startswith(f"error: {expected}")
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("jti", "--grid", "2.5"), ("fringe", "--shots", "1e5"), ("water", "--steps", "abc"),
+     ("characterize", "--delta-max", "-1")],
+)
+def test_a_flag_and_its_config_value_share_one_parser(tmp_path, capsys, command, flag, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+    messages = []
+    for argv in ([command, flag, value], [command, "--config", cfg]):
+        assert run(argv + ["--out", tmp_path / "x"]) == 2
+        messages.append(capsys.readouterr().err)
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"error: {flag}: ")
+    assert not (tmp_path / "x").exists()
+
+
+def test_partial_error_columns_are_refused(tmp_path, capsys):
+    phis = np.linspace(0.15, 2.95, 9)
+    triples = circuit.model_triple(phis, 0.8, 0.2)
+    path = tmp_path / "partial.csv"
+    np.savetxt(path, np.column_stack([phis, triples, np.full(9, 0.01)]), delimiter=",",
+               header="phi,p20,p11,p02,sigma_p11", comments="")
+    assert run(["fit", "--data", path, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --data: ")
+    assert "sigma_p20, sigma_p02" in err
+
+
 def test_module_execution_entry_point(tmp_path):
     out = tmp_path / "w"
     proc = subprocess.run(
@@ -389,9 +418,9 @@ def test_each_subcommand_loads_only_the_modules_it_uses(name, tmp_path):
 FLAG_ERRORS = {
     "characterize": [["characterize", "--grid", "1"],
                      ["characterize", "--delta-max", "40cm-1", "--grid", "1"]],
-    "jti": [["jti", "--grid", "1"]],
-    "fringe": [["fringe", "--grid", "1"]],
-    "water": [["water", "--steps", "1"]],
+    "jti": [["jti", "--grid", "1"], ["jti", "--grid", "2.5"]],
+    "fringe": [["fringe", "--grid", "1"], ["fringe", "--shots", "1e5"]],
+    "water": [["water", "--steps", "1"], ["water", "--steps", "abc"]],
     "fit": [["fit"]],
 }
 

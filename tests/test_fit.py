@@ -373,6 +373,26 @@ def test_nl_fit_rejects_errors_that_break_the_triangle_inequality():
         fit.fit_nl(phi, triples, errors)
 
 
+@pytest.mark.parametrize("scale", [0.0, 1e-200, 1e200])
+def test_errors_that_leave_no_weight_raise_value_errors_naming_them(scale, tmp_path, capsys):
+    # Zero errors weigh nothing, and the squares of 1e-200 and 1e200 leave a float.
+    phi = np.linspace(0.15, 2.95, 9)
+    triples = circuit.model_triple(phi, 0.9, 0.2)
+    errors = np.full(triples.shape, scale)
+    for free in (False, True):
+        with pytest.raises(ValueError, match="^errors "):
+            fit.fit_nl(phi, triples, errors, fit_distinguishability=free)
+    if scale > 0.0:
+        with pytest.raises(ValueError, match="^errors "):
+            fit.fit_fringe(2.0 * phi, triples[:, 0], scale)
+    # The CLI reports them as a bad --data file.
+    path = tmp_path / "weightless.csv"
+    np.savetxt(path, np.column_stack([phi, triples, errors]), delimiter=",", comments="",
+               header="phi,p20,p11,p02,sigma_p20,sigma_p11,sigma_p02")
+    assert cli.main(["fit", "--data", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: --data: errors ")
+
+
 def test_nl_fit_rejects_rows_that_do_not_sum_to_one(tmp_path, capsys):
     phi = np.linspace(0.15, 2.95, 9)
     triples = circuit.model_triple(phi, 0.9, 0.2)
