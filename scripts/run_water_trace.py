@@ -23,7 +23,7 @@ def main() -> int:
     args = parser.parse_args()
 
     spec = water_spec()
-    times, anharmonic, harmonic = trace(args.tmax, args.steps, spec)
+    times, anharmonic, harmonic = map(np.asarray, trace(args.tmax, args.steps, spec))
 
     # The trace's rows are (same-left, separate, same-right).
     order = [0, 2, 1]

@@ -4,11 +4,13 @@ The package splits into spectral scattering of pulses on a two-level
 emitter (``scatter``), the interferometer measurement model and its
 two-photon statistics (``circuit``), estimation routines
 (``fit``, on the standard library), vibrational dynamics mapped onto
-the same circuit (``vibsim``), and a command-line artifact generator
-(``cli``).  Submodules load on first attribute access.  The CLI imports
-only the standard library up front and loads the modules a subcommand
-uses once its flags are checked, so ``--help`` and flag errors run
-without numpy, and so does ``fit``.
+the same circuit (``vibsim``, on the standard library), and a
+command-line artifact generator (``cli``).  ``circuit``, ``fit`` and
+``vibsim`` share one closed form of the output triple, the private
+``_triple``.  Submodules load on first attribute access.  The CLI
+imports only the standard library up front and loads the modules a
+subcommand uses once its flags are checked, so ``--help`` and flag
+errors run without numpy, and so do ``fit`` and ``water``.
 """
 
 from __future__ import annotations

@@ -3,17 +3,17 @@
 Covers three layers of the experiment pipeline:
 
 * closed-form two-photon output statistics of the balanced circuit
-  (``model_triple``), affine in three coefficients for every degree of
-  partial distinguishability, and the closed-form pair state that
-  enters the recombiner;
+  (``model_triple``, which stacks the standard-library closed form of
+  ``_triple`` over a sweep), and the closed-form pair state that enters
+  the recombiner;
 * normalization of raw coincidence histograms into output-pattern
   probabilities, with first-order Poisson error propagation;
 * the expected 3x3 peak cells per detector pair, routed through the one
   detection interferometer, and the seeded synthesize -> normalize
   sweep built on them.
 
-Like ``model_triple``, the histogram layers take a whole phase sweep at
-once: arrays of shape (phases, 6, 3, 3).
+The histogram layers take a whole phase sweep at once: arrays of shape
+(phases, 6, 3, 3).
 
 The detection optics are fixed: even splitters with the phase pi/2 on
 two reflections, and lossless detectors.  Detector efficiencies scale
@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from ._triple import _check_domain, _triples
 
 DETECTORS = ("a1", "a2", "b1", "b2")
 
@@ -54,22 +56,6 @@ _CLASS_KEYS = ("20", "11", "02")
 # Closed-form output statistics
 
 
-def _triple_coefficients(cos_nl, t, cos_perp) -> np.ndarray:
-    """Weights (1, s, q, r) of ``_triple_basis`` at cos phi_nl, t = 1 - ell_nl, cos theta_perp.
-
-    s = cos^2 theta_perp, q = s u, r = t cos phi_nl cos theta_perp u, u = 1 / (1 + t^2).
-    Broadcasts to (..., 4) in r's dtype (complex steps too); entries round as scalar calls do.
-    """
-    u = 1.0 / (1.0 + t * t)
-    r = np.asarray(t * cos_nl * cos_perp * u)
-    weights = np.empty(r.shape + (4,), r.dtype)
-    weights[..., 0] = 1.0
-    weights[..., 1] = cos_perp**2
-    weights[..., 2] = cos_perp**2 * u
-    weights[..., 3] = r
-    return weights
-
-
 def _checked_finite(values: np.ndarray, name: str = "phi") -> np.ndarray:
     """The values as a float array of at least one dimension; raise unless all are finite."""
     array = np.atleast_1d(np.asarray(values, dtype=float))
@@ -77,32 +63,6 @@ def _checked_finite(values: np.ndarray, name: str = "phi") -> np.ndarray:
     if not finite.all():
         raise ValueError(f"{name} must be finite, got {float(array[~finite][0])!r}")
     return array
-
-
-def _triple_basis(phi: np.ndarray) -> np.ndarray:
-    """Per-phase 3x4 basis: renormalized (p20, p11, p02) = basis @ weights.
-
-    For every overlap angle p20, p02 = a +- r cos phi + (q / 4) cos 2 phi
-    and p11 = 1 - 2 a - (q / 2) cos 2 phi, a = (1 + s - q) / 4.
-    """
-    phis = _checked_finite(phi)
-    one = np.ones_like(phis)
-    columns = np.stack([one, one, np.cos(2.0 * phis) - 1.0, np.cos(phis)], axis=1)
-    shapes = np.array([[0.25, 0.25, 0.25, 1.0], [0.5, -0.5, -0.5, 0.0], [0.25, 0.25, 0.25, -1.0]])
-    return columns[:, None, :] * shapes
-
-
-def _check_model_domain(ell_nl: float, **angles: float) -> None:
-    """Raise ``ValueError`` naming the first model parameter outside its domain.
-
-    The domain is finite angles (phases and ``theta_perp``) and
-    ``ell_nl`` in [0, 1].
-    """
-    for name, value in angles.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if not 0.0 <= ell_nl <= 1.0:
-        raise ValueError(f"ell_nl must be in [0, 1], got {ell_nl!r}")
 
 
 def model_triple(
@@ -113,8 +73,8 @@ def model_triple(
 ) -> np.ndarray:
     """Renormalized (p20, p11, p02) stacked over an array of phases.
 
-    Evaluates every phase at once; the overall transmission factors out
-    and the raw total is (1 + t^2) / 2 at every phase.  ``phi_nl`` is one
+    The closed form of ``_triple``, one row per phase; the overall
+    transmission factors out and the raw total is (1 + t^2) / 2 at every phase.  ``phi_nl`` is one
     nonlinear phase for every ``phi`` or one per ``phi``, and broadcasts
     against a single ``phi``; row k equals the call at its own pair of
     phases, bit for bit.  Valid domain: finite phases, finite ``phi_nl``
@@ -122,14 +82,12 @@ def model_triple(
     ``ValueError`` naming the parameter.
     """
     nonlinear = _checked_finite(phi_nl, "phi_nl")
-    _check_model_domain(ell_nl, theta_perp=theta_perp)
-    basis = _triple_basis(phi)
-    if len(basis) > 1 and nonlinear.size not in (1, len(basis)):
-        raise ValueError(f"phi_nl must hold one phase or {len(basis)}, got {nonlinear.size}")
-    # math.cos, not np.cos, whose SIMD loops need not round as libm does.
-    cos_nl = np.array([math.cos(p) for p in nonlinear])
-    weights = _triple_coefficients(cos_nl, 1.0 - ell_nl, math.cos(theta_perp))
-    return (basis @ weights[:, :, None])[:, :, 0]
+    _check_domain(ell_nl, theta_perp=theta_perp)
+    phis = _checked_finite(phi)
+    if phis.size > 1 and nonlinear.size not in (1, phis.size):
+        raise ValueError(f"phi_nl must hold one phase or {phis.size}, got {nonlinear.size}")
+    phis, nonlinear = np.broadcast_arrays(phis, nonlinear)
+    return np.reshape(_triples(phis.tolist(), nonlinear.tolist(), ell_nl, theta_perp), (-1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +295,7 @@ def peak_cell_probabilities(
     raises ``ValueError`` naming the parameter.
     """
     phis = _checked_finite(phi)
-    _check_model_domain(ell_nl, phi_nl=phi_nl, theta_perp=theta_perp)
+    _check_domain(ell_nl, phi_nl=phi_nl, theta_perp=theta_perp)
     states = _recombiner_pair(phis + _CALIBRATION_OFFSET, phi_nl, ell_nl, theta_perp)
     pairs = _SLOT_MAP @ states @ _SLOT_MAP.T
     weights = np.abs(pairs[..., _SLOT_S, _SLOT_T]) ** 2

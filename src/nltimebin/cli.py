@@ -430,14 +430,12 @@ def cmd_fit(settings: dict) -> None:
 
 
 def cmd_water(settings: dict) -> None:
-    import numpy as np
-
     from . import vibsim
 
     times, anharmonic, harmonic = vibsim.trace(
         settings["tmax"], settings["steps"], vibsim.water_spec())
     # The trace's (same-left, separate, same-right) rows, separate first.
-    rows = np.column_stack([times, anharmonic[:, [1, 0, 2]], harmonic[:, [1, 0, 2]]])
+    rows = [(t, a[1], a[0], a[2], h[1], h[0], h[2]) for t, a, h in zip(times, anharmonic, harmonic)]
     columns = [
         "t_ps",
         "p_separate",

@@ -16,6 +16,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+from ._triple import _OFFSET, _design, _jacobian, _weights
+
 _EPS = sys.float_info.epsilon
 # Standard errors whose weights 1 / e^2, and sums of them, are finite and nonzero.
 _ERROR_MIN, _ERROR_MAX = 1e-100, 1e100
@@ -129,16 +131,26 @@ def _covariance(
     """Covariance ``2 * scale * H^-1`` from the Hessian H, its errors, flat directions flagged.
 
     ``scale`` is one for a variance-weighted objective and the residual
-    variance estimate for a plain sum of squares.  A flagged parameter's
-    standard error is infinite.
+    variance estimate for a plain sum of squares.  A parameter is flagged,
+    with an infinite error, where H scaled to a unit diagonal has an
+    eigenvalue at most 1e-10 times its largest, whatever the data's scale.
     """
-    eigvals, eigvecs = _eigh(curvature)
-    floor = 1e-10 * max(1.0, max(abs(w) for w in eigvals))
+    n = len(names)
+    root = [math.sqrt(curvature[i][i]) if curvature[i][i] > 0.0 else 1.0 for i in range(n)]
+    eigvals, eigvecs = _eigh([[curvature[i][j] / (root[i] * root[j]) for j in range(n)]
+                              for i in range(n)])
+    floor = 1e-10 * max(abs(w) for w in eigvals)
     keep = [w > floor for w in eigvals]
     unidentifiable = tuple(dict.fromkeys(
-        names[max(range(len(names)), key=lambda i: abs(eigvecs[i][k]))]
+        names[max(range(n), key=lambda i: abs(eigvecs[i][k]))]
         for k, kept in enumerate(keep) if not kept))
-    cov = [[2.0 * scale * v for v in row] for row in _inverse(eigvals, eigvecs, keep)]
+    if unidentifiable:
+        inverse = [[v / (root[i] * root[j]) for j, v in enumerate(row)]
+                   for i, row in enumerate(_inverse(eigvals, eigvecs, keep))]
+    else:
+        # The unscaled inverse where nothing is flat keeps the bytes of fit.json.
+        inverse = _inverse(*_eigh(curvature), [True] * n)
+    cov = [[2.0 * scale * v for v in row] for row in inverse]
     std = [math.inf if name in unidentifiable else math.sqrt(max(cov[k][k], 0.0))
            for k, name in enumerate(names)]
     return cov, std, unidentifiable
@@ -314,11 +326,11 @@ def fit_fringe(phi, values, errors=None) -> FitResult:
     cov, std, unidentifiable = _covariance(_curvature(jac, normal), names, scale)
     if amplitude <= 1e-12 * max(1.0, abs(offset)) and "phi0" not in unidentifiable:
         unidentifiable, std[1] = unidentifiable + ("phi0",), math.inf
-    if offset == 0.0:
-        visibility = visibility_error = math.inf
+    visibility = amplitude / offset if offset != 0.0 else math.inf
+    if offset == 0.0 or math.inf in (std[0], std[2]):
+        visibility_error = math.inf
     else:
         grad = (1.0 / offset, 0.0, -amplitude / offset**2)
-        visibility = amplitude / offset
         variance = sum(g * c for g, c in zip(grad, _apply(cov, grad)))
         visibility_error = math.sqrt(max(0.0, variance))
     return FitResult(dict(zip(names, (amplitude, phi0, offset)), visibility=visibility),
@@ -329,33 +341,10 @@ def fit_fringe(phi, values, errors=None) -> FitResult:
 # ---------------------------------------------------------------------------
 # Nonlinear-phase statistics
 
-# The (p20, p11, p02) the model gives at s = q = r = 0: the weight-1
-# column of ``circuit._triple_basis``.
-_OFFSET = (0.25, 0.5, 0.25)
 # An orthonormal basis of the plane normal to (1, 1, 1), where every
 # row covariance lives.
 _PLANE = ((math.sqrt(0.5), -math.sqrt(0.5), 0.0),
           (1.0 / math.sqrt(6.0), 1.0 / math.sqrt(6.0), -2.0 / math.sqrt(6.0)))
-
-
-def _design(phi: float) -> tuple[tuple[float, float, float], ...]:
-    """Per-class rows d(p20, p11, p02) / d(s, q, r): ``circuit._triple_basis(phi)[:, 1:]``."""
-    c1, c2 = math.cos(phi), 0.25 * (math.cos(2.0 * phi) - 1.0)
-    return (0.25, c2, c1), (-0.5, -2.0 * c2, 0.0), (0.25, c2, -c1)
-
-
-def _coefficient_jacobian(cos_nl: float, t: float, cos_perp: float) -> list[list[float]]:
-    """d(s, q, r) / d(cos phi_nl, t, cos theta_perp) of ``circuit._triple_coefficients``.
-
-    s = c^2, q = c^2 u and r = t cos phi_nl c u with c = cos theta_perp
-    and u = 1 / (1 + t^2), so du/dt = -2 t u^2.
-    """
-    u = 1.0 / (1.0 + t * t)
-    return [
-        [0.0, 0.0, 2.0 * cos_perp],
-        [0.0, -2.0 * t * u * u * cos_perp * cos_perp, 2.0 * cos_perp * u],
-        [t * cos_perp * u, cos_nl * cos_perp * u * u * (1.0 - t * t), t * cos_nl * u],
-    ]
 
 
 def _row_covariance(phi, errors) -> list[list[list[float]]]:
@@ -473,7 +462,7 @@ def fit_nl(phi, triples, errors=None, fit_distinguishability: bool = False) -> F
     ``fit_distinguishability`` frees the overlap rotation angle and
     reports the distinguishable fraction.
 
-    The model, ``circuit.model_triple``, is affine in three weights (s, q, r)
+    The model, ``_triple``'s closed form, is affine in three weights (s, q, r)
     whose physical values form a convex set: one generalized-least-squares
     solve, then the exact minimum over the slice at s = cos^2 theta_perp
     (``_slice``).  The plain fit is the slice s = 1.  The slice minimum
@@ -549,11 +538,9 @@ def fit_nl(phi, triples, errors=None, fit_distinguishability: bool = False) -> F
             s = 0.0
     cos_perp = math.sqrt(s)
 
-    u = 1.0 / (1.0 + t * t)
-    weights = (cos_perp * cos_perp, cos_perp * cos_perp * u, t * cos_nl * cos_perp * u)
-    residual = _chi_square(rows, weights)
+    residual = _chi_square(rows, _weights(cos_nl, t, cos_perp))
     # Errors in (cos phi_nl, t, cos theta_perp), carried to the angles by acos.
-    jac = _coefficient_jacobian(cos_nl, t, cos_perp)
+    jac = _jacobian(cos_nl, t, cos_perp)
     if not fit_distinguishability:
         jac, fisher = [row[:2] for row in jac[1:]], [row[1:] for row in fisher[1:]]
     scale = 1.0 if errors is not None else residual / max(2 * len(phi) - len(names), 1)

@@ -7,8 +7,9 @@ the eigenmodes) that evolution is the nonlinear interferometer of
 ``circuit`` at zero pair loss: the pair phases give a linear phase
 phi(t) = -2 pi c t (nu20 - nu02) / 2 and a nonlinear phase
 phi_K(t) = -2 pi c t ((nu20 + nu02) / 2 - nu11), and the occupancies
-(same-left, separate, same-right) are ``circuit.model_triple``'s
-(p20, p11, p02) at those phases.  A whole trace is one call per model.
+(same-left, separate, same-right) are the circuit's (p20, p11, p02)
+at those phases, evaluated by the standard-library closed form of
+``_triple`` without numpy.
 
 Frequencies are wavenumbers (inverse centimeters), times picoseconds.
 Both phases are computed from frequency differences rather than raw
@@ -21,9 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from . import SPEED_OF_LIGHT_CM, circuit
+from . import SPEED_OF_LIGHT_CM
+from ._triple import _triples
 
 # Radians accumulated per picosecond and per wavenumber of frequency.
 _RAD_PER_PS_CM = 2.0 * math.pi * SPEED_OF_LIGHT_CM * 1e-12
@@ -70,7 +70,7 @@ def water_spec() -> MoleculeSpec:
     return MoleculeSpec(nu10=3740.05, nu01=3619.68, nu20=7391.43, nu02=7154.35, nu11=7206.46)
 
 
-def _occupancies(times: np.ndarray, spec: MoleculeSpec) -> np.ndarray:
+def _occupancies(times: list[float], spec: MoleculeSpec) -> list[list[float]]:
     """(same-left, separate, same-right) rows at every time, both quanta starting in the left mode.
 
     The pair phases are theta20 = phi_K + phi and theta02 = phi_K - phi
@@ -80,31 +80,29 @@ def _occupancies(times: np.ndarray, spec: MoleculeSpec) -> np.ndarray:
     """
     linear = 0.5 * (spec.nu20 - spec.nu02)
     kerr = 0.5 * (spec.nu20 + spec.nu02) - spec.nu11
-    with np.errstate(over="ignore"):
-        phi = -_RAD_PER_PS_CM * times * linear
-        phi_nl = -_RAD_PER_PS_CM * times * kerr
-        largest = np.abs(phi) + np.abs(phi_nl)
-    if not (largest <= _MAX_PHASE).all():
+    phis = [-_RAD_PER_PS_CM * t * linear for t in times]
+    phi_nls = [-_RAD_PER_PS_CM * t * kerr for t in times]
+    if not all(abs(a) + abs(b) <= _MAX_PHASE for a, b in zip(phis, phi_nls)):
         raise ValueError(
-            f"t_max = {float(times[-1])!r} ps is too long: an evolution phase exceeds "
+            f"t_max = {times[-1]!r} ps is too long: an evolution phase exceeds "
             f"{_MAX_PHASE:g} rad"
         )
-    return circuit.model_triple(phi, phi_nl, 0.0)
+    return _triples(phis, phi_nls, 0.0, 0.0)
 
 
 def trace(
     t_max: float,
     n_steps: int,
     spec: MoleculeSpec,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[list[float], list[list[float]], list[list[float]]]:
     """Anharmonic and harmonic traces on a uniform time grid.
 
     Returns ``(times, anharmonic, harmonic)``: ``n_steps`` times spanning
-    [0, t_max] inclusive and, per model, an (n_steps, 3) array of
-    ``circuit.model_triple`` rows, the occupancies (same-left, separate,
-    same-right).  Both quanta sit in the left oscillator at t = 0, where
-    a row is exactly (1, 0, 0); the evolution is lossless, so each row
-    sums to one up to rounding.
+    [0, t_max] inclusive, equal to ``np.linspace(0, t_max, n_steps)``
+    bit for bit, and, per model, ``n_steps`` rows of occupancies
+    (same-left, separate, same-right), all as lists.  Both quanta sit in
+    the left oscillator at t = 0, where a row is exactly (1, 0, 0); the
+    evolution is lossless, so each row sums to one up to rounding.
 
     The phases grow linearly in time (about 35 rad/ps for water) and
     each carries a rounding of about |theta| * 1e-16 rad.  Valid domain:
@@ -116,5 +114,8 @@ def trace(
         raise ValueError(f"n_steps must be at least 2, got {n_steps!r}")
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be positive, got {t_max!r}")
-    times = np.linspace(0.0, t_max, n_steps)
+    div = n_steps - 1
+    step = t_max / div
+    # As numpy's linspace: where the step underflows to 0, scale k / div instead.
+    times = [k * step if step else k / div * t_max for k in range(div)] + [float(t_max)]
     return times, _occupancies(times, spec), _occupancies(times, spec.harmonic_variant())

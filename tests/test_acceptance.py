@@ -185,7 +185,7 @@ def test_08_fringe_visibility_calibration():
 def test_09_water_dynamics_trace():
     start = time.perf_counter()
     spec = vibsim.water_spec()
-    _, anharmonic, harmonic = vibsim.trace(0.5, 51, spec)
+    _, anharmonic, harmonic = map(np.asarray, vibsim.trace(0.5, 51, spec))
     # Rows are (same-left, separate, same-right).
     t0_exact = bool(anharmonic[0, 0] == 1.0 and harmonic[0, 0] == 1.0)
     divergence = float(np.max(np.abs(anharmonic[:, 0] - harmonic[:, 0])))
@@ -196,8 +196,8 @@ def test_09_water_dynamics_trace():
     )
     period = 1.0 / (vibsim.SPEED_OF_LIGHT_CM * 1e-12 * abs(spec.nu10 - spec.nu01))
     # ``linspace`` ends a trace exactly on its last time.
-    base = vibsim.trace(0.17, 2, spec)[2][-1]
-    shifted = vibsim.trace(0.17 + period, 2, spec)[2][-1]
+    base = np.asarray(vibsim.trace(0.17, 2, spec)[2][-1])
+    shifted = np.asarray(vibsim.trace(0.17 + period, 2, spec)[2][-1])
     period_dev = float(np.max(np.abs(base - shifted)))
     elapsed = time.perf_counter() - start
     ok = (

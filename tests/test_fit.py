@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from nltimebin import circuit, cli, fit, scatter
+from nltimebin import _triple, circuit, cli, fit, scatter
 
-from _oracles import reference_nl_fit, voigt_transmission_quadrature
+from _oracles import pair_tensor_triples, reference_nl_fit, voigt_transmission_quadrature
 
 
 def test_dip_depth_landmarks():
@@ -105,6 +105,24 @@ def test_flat_fringe_is_flagged_unidentifiable():
     assert abs(result.parameters["visibility"]) < 1e-12
     assert "phi0" in result.unidentifiable
     assert math.isinf(result.std_errors["phi0"])
+
+
+def test_fringe_errors_scale_with_the_data():
+    phi = np.linspace(0.0, 2.0 * math.pi, 25)
+    values = 2.5e11 + 1.25e11 * np.cos(2.0 * phi - 0.6)
+    large = fit.fit_fringe(phi, values, errors=1e6)
+    small = fit.fit_fringe(phi, values * 1e-12, errors=1e-6)
+    assert large.unidentifiable == small.unidentifiable == ()
+    for name, unit in (("amplitude", 1e12), ("offset", 1e12), ("phi0", 1.0), ("visibility", 1.0)):
+        assert math.isclose(large.std_errors[name], unit * small.std_errors[name], rel_tol=1e-9)
+
+
+def test_an_unidentifiable_amplitude_or_offset_leaves_the_visibility_unknown():
+    # At phases 0 and pi the offset and cos 2 phi0 amplitude enter as one sum.
+    phi = np.array([0.0, math.pi] * 4)
+    result = fit.fit_fringe(phi, [1.0, 1.0, 1.1, 1.1, 0.9, 0.9, 1.0, 1.0], errors=0.1)
+    assert {"amplitude", "offset"} & set(result.unidentifiable)
+    assert math.isinf(result.std_errors["visibility"])
 
 
 def test_fringe_fit_pulls_have_unit_spread():
@@ -486,22 +504,26 @@ def test_pseudo_inverse_and_least_squares_match_numpy(n):
     assert fit._pinv([[0.0, 0.0], [0.0, 0.0]], 1e-15) == [[0.0, 0.0], [0.0, 0.0]]
 
 
-def test_design_rows_are_the_circuit_basis():
-    phi = np.random.default_rng(4).uniform(-10.0, 10.0, 200)
-    basis = circuit._triple_basis(phi)
-    mine = np.array([fit._design(p) for p in phi.tolist()])
-    # The two routes may differ by the last bit of a cosine, no more.
-    assert np.max(np.abs(mine - basis[:, :, 1:])) <= np.spacing(1.0)
-    assert np.all(basis[:, :, 0] == fit._OFFSET)
+def test_design_rows_and_weights_give_the_pair_tensor_triples():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        phi, phi_nl = rng.uniform(-10.0, 10.0, 2)
+        ell_nl, theta_perp = rng.uniform(0.0, 1.0), rng.uniform(-3.0, 3.0)
+        weights = _triple._weights(math.cos(phi_nl), 1.0 - ell_nl, math.cos(theta_perp))
+        mine = [o + sum(d * w for d, w in zip(row, weights))
+                for o, row in zip(_triple._OFFSET, _triple._design(phi))]
+        expected = pair_tensor_triples([phi], phi_nl, ell_nl, theta_perp)[0]
+        assert np.max(np.abs(np.array(mine) - expected)) <= 1e-12
 
 
-def test_coefficient_jacobian_is_the_complex_step_of_the_circuit_weights():
+def test_jacobian_is_the_complex_step_of_the_weights():
     rng = np.random.default_rng(5)
     for _ in range(200):
         point = np.array([rng.uniform(-1.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)])
-        steps = [circuit._triple_coefficients(*(point + 1e-30j * e))[1:] for e in np.eye(3)]
+        # Plain arithmetic carries a complex step through ``_weights``.
+        steps = [_triple._weights(*(point + 1e-30j * e).tolist()) for e in np.eye(3)]
         expected = np.array(steps).imag.T / 1e-30
-        assert np.max(np.abs(np.array(fit._coefficient_jacobian(*point)) - expected)) <= 1e-15
+        assert np.max(np.abs(np.array(_triple._jacobian(*point.tolist())) - expected)) <= 1e-15
 
 
 def test_row_precision_is_the_pseudo_inverse_of_the_row_covariance():

@@ -101,7 +101,7 @@ def test_harmonic_revival_period():
 
 
 def test_trace_starts_pinned_and_splits_the_models():
-    times, anharmonic, harmonic = vibsim.trace(0.5, 51, vibsim.water_spec())
+    times, anharmonic, harmonic = map(np.asarray, vibsim.trace(0.5, 51, vibsim.water_spec()))
     assert len(times) == 51
     assert anharmonic.shape == harmonic.shape == (51, 3)
     assert anharmonic[0, 0] == 1.0
@@ -112,6 +112,20 @@ def test_trace_starts_pinned_and_splits_the_models():
             assert abs(total - 1.0) < 1e-12
     divergence = np.max(np.abs(anharmonic[:, 0] - harmonic[:, 0]))
     assert divergence > 0.05
+
+
+# Subnormal ends, where numpy's step underflows to 0, and ordinary ones.
+GRID_ENDS = [5e-324, 1.5e-323, 1e-320, 3.3e-315, 1e-310, 2.2250738585072e-308, 1e-300, 1e-9,
+             0.01, 0.17, 0.5, 1.0 / 3.0, 1.37, 7.3, 1e3, 2.5e5]
+
+
+def test_time_grid_is_numpy_linspace_bit_for_bit():
+    # water.csv's t_ps column is this grid.
+    spec = vibsim.water_spec()
+    for t_max in GRID_ENDS:
+        for n_steps in (2, 3, 5, 7, 10, 33, 51, 77, 101, 201, 333):
+            times = vibsim.trace(t_max, n_steps, spec)[0]
+            assert list(times) == np.linspace(0.0, t_max, n_steps).tolist(), (t_max, n_steps)
 
 
 def test_evolve_input_guards():
