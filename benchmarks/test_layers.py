@@ -35,6 +35,14 @@ def test_model_triple(benchmark, phases, theta_perp):
     assert out.shape == (phases, 3)
 
 
+@pytest.mark.parametrize("theta_perp", [0.0, 0.2])
+@pytest.mark.parametrize("phases", [25, 101])
+def test_peak_cell_probabilities(benchmark, phases, theta_perp):
+    phis = np.linspace(0.0, 2.0 * math.pi, phases)
+    out = benchmark(circuit.peak_cell_probabilities, phis, 0.9, 0.2, theta_perp)
+    assert out.shape == (phases, 6, 3, 3)
+
+
 def test_fit_nl(benchmark):
     phis = np.linspace(0.15, 2.95, 9)
     triples, errors = circuit.sample_statistics(phis, 1.021104, 0.275712, 100_000, 5)

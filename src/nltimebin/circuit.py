@@ -23,6 +23,7 @@ normalization cancels, so the model leaves them out.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -67,27 +68,22 @@ def _checked_finite(values: np.ndarray, name: str = "phi") -> np.ndarray:
 
 def model_triple(
     phi: np.ndarray,
-    phi_nl: np.ndarray | float,
+    phi_nl: float,
     ell_nl: float,
     theta_perp: float = 0.0,
 ) -> np.ndarray:
     """Renormalized (p20, p11, p02) stacked over an array of phases.
 
-    The closed form of ``_triple``, one row per phase; the overall
-    transmission factors out and the raw total is (1 + t^2) / 2 at every phase.  ``phi_nl`` is one
-    nonlinear phase for every ``phi`` or one per ``phi``, and broadcasts
-    against a single ``phi``; row k equals the call at its own pair of
-    phases, bit for bit.  Valid domain: finite phases, finite ``phi_nl``
-    and ``theta_perp``, and ``ell_nl`` in [0, 1]; anything else raises
-    ``ValueError`` naming the parameter.
+    The closed form of ``_triple``, one row per phase at the one
+    nonlinear phase ``phi_nl``; row k equals the call at its own phase,
+    bit for bit.  The overall transmission factors out and the raw total
+    is (1 + t^2) / 2 at every phase.  Valid domain: finite phases, finite
+    ``phi_nl`` and ``theta_perp``, and ``ell_nl`` in [0, 1]; anything
+    else raises ``ValueError`` naming the parameter.
     """
-    nonlinear = _checked_finite(phi_nl, "phi_nl")
-    _check_domain(ell_nl, theta_perp=theta_perp)
-    phis = _checked_finite(phi)
-    if phis.size > 1 and nonlinear.size not in (1, phis.size):
-        raise ValueError(f"phi_nl must hold one phase or {phis.size}, got {nonlinear.size}")
-    phis, nonlinear = np.broadcast_arrays(phis, nonlinear)
-    return np.reshape(_triples(phis.tolist(), nonlinear.tolist(), ell_nl, theta_perp), (-1, 3))
+    _check_domain(ell_nl, phi_nl=phi_nl, theta_perp=theta_perp)
+    phis = _checked_finite(phi).tolist()
+    return np.reshape(_triples(phis, [phi_nl] * len(phis), ell_nl, theta_perp), (-1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +125,17 @@ def normalize_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     output probability; normalizing the three ratios cancels every
     efficiency.
 
-    Valid domain: non-negative, finite, integer-valued counts of shape
-    (..., 6, 3, 3); anything else raises ``ValueError``.  A histogram
-    without side-peak counts in some pair class, or without center-peak
-    counts in every class, raises ``NormalizationError``.
+    Valid domain: non-negative, finite, integer-valued real counts of
+    shape (..., 6, 3, 3); anything else, complex and object arrays
+    included, raises ``ValueError``.  A histogram without side-peak
+    counts in some pair class, or without center-peak counts in every
+    class, raises ``NormalizationError``.
     """
     arr = np.asarray(counts)
     if arr.shape[-3:] != _HIST_SHAPE:
         raise ValueError(f"expected counts of shape (..., 6, 3, 3), got {arr.shape}")
+    if arr.dtype.kind not in "buif":
+        raise ValueError(f"counts must be real numbers, got dtype {arr.dtype}")
     if np.any(arr < 0):
         raise ValueError("counts must be non-negative")
     if not np.issubdtype(arr.dtype, np.integer):
@@ -178,36 +177,17 @@ def normalize_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # of each, which models partially distinguishable photons.
 _N_MODES = 4
 
-# Detection slots (window, detector, ancilla flag), flattened in that
-# order.  Ancilla photons follow the same optics as their physical
-# partners but never interfere with them.
+# Detection slots (window, detector, ancilla flag): the axes the slot map
+# flattens, in that order.  Ancilla photons follow the same optics as
+# their physical partners but never interfere with them.
 _SLOT_SHAPE = (len(PEAKS), len(DETECTORS), 2)
-_SLOT_WINDOW, _SLOT_DETECTOR, _ = np.unravel_index(np.arange(math.prod(_SLOT_SHAPE)), _SLOT_SHAPE)
-
-# Every route of a mode to the detectors: (arm, time bin, ancilla flag)
-# with arm 0 short and 1 long.  The short arm keeps a photon in its own
-# window, the long arm delays it by one: early -> E/M, late -> M/L.
-_ROUTE_ARM, _ROUTE_BIN, _ROUTE_ANCILLA = np.indices((2, 2, 2)).reshape(3, -1)
 
 # Port (0 = a, 1 = b) of each detector.
 _DETECTOR_PORT = np.array([0, 0, 1, 1])
 
-# Slot pairs (s, t) on different detectors, det(s) < det(t), so each
-# coincidence appears once, and the flat (detector pair, window of s,
-# window of t) histogram cell each one feeds.
-_SLOT_S, _SLOT_T = np.nonzero(_SLOT_DETECTOR[:, None] < _SLOT_DETECTOR[None, :])
-# DETECTOR_PAIRS lists the pairs i < j of DETECTORS in row-major order.
-_PAIR_OF_DETECTORS = np.zeros((len(DETECTORS),) * 2, dtype=int)
-_PAIR_OF_DETECTORS[np.triu_indices(len(DETECTORS), 1)] = np.arange(len(DETECTOR_PAIRS))
-_N_CELLS = math.prod(_HIST_SHAPE)
-_SLOT_CELL = np.ravel_multi_index(
-    (
-        _PAIR_OF_DETECTORS[_SLOT_DETECTOR[_SLOT_S], _SLOT_DETECTOR[_SLOT_T]],
-        _SLOT_WINDOW[_SLOT_S],
-        _SLOT_WINDOW[_SLOT_T],
-    ),
-    _HIST_SHAPE,
-)
+# DETECTOR_PAIRS as indices into DETECTORS: the pairs i < j in row-major
+# order, built once: a call costs 10-20% of a 25-phase cell model.
+_PAIR_FIRST, _PAIR_SECOND = np.triu_indices(len(DETECTORS), 1)
 
 
 def _build_slot_map() -> np.ndarray:
@@ -216,13 +196,15 @@ def _build_slot_map() -> np.ndarray:
     Each photon splits evenly between the short and long arm, the
     recombiner evenly onto ports a and b, and each port evenly onto its
     two lossless detectors.  The splitter phase pi/2 sits on the
-    short-to-b and long-to-a reflections.
+    short-to-b and long-to-a reflections.  Mode ``time_bin + 2 * ancilla``
+    is a photon or its ancilla copy; the short arm (0) keeps it in its
+    window, the long arm (1) delays it by one: early -> E/M, late -> M/L.
     """
     phases = np.array([[0.0, math.pi / 2], [math.pi / 2, 0.0]])
     optics = (np.exp(-1j * phases) * math.sqrt(0.5))[:, _DETECTOR_PORT] * 0.5
     slots = np.zeros(_SLOT_SHAPE + (_N_MODES,), dtype=complex)
-    route = (_ROUTE_ARM + _ROUTE_BIN, slice(None), _ROUTE_ANCILLA, _ROUTE_BIN + 2 * _ROUTE_ANCILLA)
-    slots[route] = optics[_ROUTE_ARM]
+    for arm, time_bin, ancilla in itertools.product(range(2), repeat=3):
+        slots[arm + time_bin, :, ancilla, time_bin + 2 * ancilla] = optics[arm]
     return slots.reshape(-1, _N_MODES)
 
 
@@ -297,12 +279,14 @@ def peak_cell_probabilities(
     phis = _checked_finite(phi)
     _check_domain(ell_nl, phi_nl=phi_nl, theta_perp=theta_perp)
     states = _recombiner_pair(phis + _CALIBRATION_OFFSET, phi_nl, ell_nl, theta_perp)
-    pairs = _SLOT_MAP @ states @ _SLOT_MAP.T
-    weights = np.abs(pairs[..., _SLOT_S, _SLOT_T]) ** 2
-    # One bincount for the sweep: phase k owns cells [k, k + 1) * _N_CELLS.
-    cells = _SLOT_CELL + _N_CELLS * np.arange(phis.size)[:, None]
-    flat = np.bincount(cells.ravel(), weights.ravel(), minlength=_N_CELLS * phis.size)
-    return flat.reshape((phis.size,) + _HIST_SHAPE)
+    pairs = (_SLOT_MAP @ states @ _SLOT_MAP.T).reshape((phis.size,) + _SLOT_SHAPE * 2)
+    # Axes (phase, detector of s, detector of t, window of s, window of t,
+    # ancilla of s, ancilla of t), then the detector pairs of the histogram.
+    by_detectors = pairs.transpose(0, 2, 5, 1, 4, 3, 6)
+    weights = np.abs(by_detectors[:, _PAIR_FIRST, _PAIR_SECOND]) ** 2
+    # A cell's four ancilla combinations sum left to right in slot order;
+    # a pairwise sum over both axes rounds them otherwise.
+    return weights[..., 0, 0] + weights[..., 0, 1] + weights[..., 1, 0] + weights[..., 1, 1]
 
 
 # The largest count the 64-bit multinomial draw holds.
@@ -345,7 +329,7 @@ def sample_statistics(
         raise ValueError(f"seed must be non-negative, got {seed!r}")
     if seed % 1 != 0:
         raise ValueError(f"seed must be a whole number, got {seed!r}")
-    weights = peak_cell_probabilities(phis, phi_nl, ell_nl, theta_perp).reshape(-1, _N_CELLS)
+    weights = peak_cell_probabilities(phis, phi_nl, ell_nl, theta_perp).reshape(phis.size, -1)
     total = weights.sum(axis=1, keepdims=True)
     if np.any(total <= 0.0):
         raise ValueError("all coincidence cells have zero probability")

@@ -131,9 +131,10 @@ def _covariance(
     """Covariance ``2 * scale * H^-1`` from the Hessian H, its errors, flat directions flagged.
 
     ``scale`` is one for a variance-weighted objective and the residual
-    variance estimate for a plain sum of squares.  A parameter is flagged,
-    with an infinite error, where H scaled to a unit diagonal has an
-    eigenvalue at most 1e-10 times its largest, whatever the data's scale.
+    variance estimate for a plain sum of squares.  H scaled to a unit
+    diagonal is flat along each eigenvector whose eigenvalue is at most
+    1e-10 times its largest, whatever the data's scale; every parameter
+    such a direction moves is flagged, with an infinite error.
     """
     n = len(names)
     root = [math.sqrt(curvature[i][i]) if curvature[i][i] > 0.0 else 1.0 for i in range(n)]
@@ -141,15 +142,12 @@ def _covariance(
                               for i in range(n)])
     floor = 1e-10 * max(abs(w) for w in eigvals)
     keep = [w > floor for w in eigvals]
-    unidentifiable = tuple(dict.fromkeys(
-        names[max(range(n), key=lambda i: abs(eigvecs[i][k]))]
-        for k, kept in enumerate(keep) if not kept))
-    if unidentifiable:
-        inverse = [[v / (root[i] * root[j]) for j, v in enumerate(row)]
-                   for i, row in enumerate(_inverse(eigvals, eigvecs, keep))]
-    else:
-        # The unscaled inverse where nothing is flat keeps the bytes of fit.json.
-        inverse = _inverse(*_eigh(curvature), [True] * n)
+    # A unit eigenvector's entries round at about 1e-16, so a component
+    # above 1e-8 is a true share of the parameter in the flat direction.
+    unidentifiable = tuple(name for name, row in zip(names, eigvecs)
+                           if any(abs(v) > 1e-8 for v, kept in zip(row, keep) if not kept))
+    inverse = [[v / (root[i] * root[j]) for j, v in enumerate(row)]
+               for i, row in enumerate(_inverse(eigvals, eigvecs, keep))]
     cov = [[2.0 * scale * v for v in row] for row in inverse]
     std = [math.inf if name in unidentifiable else math.sqrt(max(cov[k][k], 0.0))
            for k, name in enumerate(names)]

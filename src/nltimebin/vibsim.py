@@ -108,13 +108,16 @@ def trace(
     each carries a rounding of about |theta| * 1e-16 rad.  Valid domain:
     ``n_steps >= 2`` and finite ``t_max > 0`` at which every phase is at
     most 1e13 rad in magnitude, so rounds by less than 1e-3 rad; anything
-    else raises ``ValueError`` naming the parameter.
+    else raises ``ValueError`` naming the parameter.  A whole float
+    ``n_steps`` runs as its integer.
     """
-    if n_steps < 2:
+    if not n_steps >= 2:
         raise ValueError(f"n_steps must be at least 2, got {n_steps!r}")
+    if n_steps % 1 != 0:
+        raise ValueError(f"n_steps must be a whole number, got {n_steps!r}")
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be positive, got {t_max!r}")
-    div = n_steps - 1
+    div = int(n_steps) - 1
     step = t_max / div
     # As numpy's linspace: where the step underflows to 0, scale k / div instead.
     times = [k * step if step else k / div * t_max for k in range(div)] + [float(t_max)]

@@ -121,7 +121,8 @@ def test_an_unidentifiable_amplitude_or_offset_leaves_the_visibility_unknown():
     # At phases 0 and pi the offset and cos 2 phi0 amplitude enter as one sum.
     phi = np.array([0.0, math.pi] * 4)
     result = fit.fit_fringe(phi, [1.0, 1.0, 1.1, 1.1, 0.9, 0.9, 1.0, 1.0], errors=0.1)
-    assert {"amplitude", "offset"} & set(result.unidentifiable)
+    assert {"amplitude", "offset"} <= set(result.unidentifiable)
+    assert math.isinf(result.std_errors["amplitude"]) and math.isinf(result.std_errors["offset"])
     assert math.isinf(result.std_errors["visibility"])
 
 

@@ -134,6 +134,11 @@ def test_evolve_input_guards():
         vibsim.trace(0.5, 1, spec)
     with pytest.raises(ValueError):
         vibsim.trace(-1.0, 10, spec)
+    for n_steps in (2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^n_steps must be"):
+            vibsim.trace(0.5, n_steps, spec)
+    # A whole float runs as its integer.
+    assert vibsim.trace(0.5, 3.0, spec) == vibsim.trace(0.5, 3, spec)
     # A time whose phase overflows, or exceeds 1e13 rad and so rounds by
     # more than 1e-3 rad, is rejected before numpy warns about it.
     with warnings.catch_warnings():
