@@ -2,9 +2,11 @@
 
 Each subcommand performs one reproducible computation: a joint
 detection-time map, a phase fringe sweep, a detuning characterization
-table, a statistics fit, or the vibrational water trace.  Laboratory
-units are converted to the dimensionless emitter frame exactly once,
-at the flag boundary.
+table, a statistics fit, or the vibrational water trace.  One table
+declares each subcommand with its help and its flags, and one unit
+table each suffix a quantity flag takes, so laboratory units are
+converted to the dimensionless emitter frame exactly once, at the flag
+boundary.  Every input that exits with code 2 names its flag.
 """
 
 from __future__ import annotations
@@ -57,64 +59,56 @@ def _split_quantity(value, flag: str) -> tuple[float, str]:
     return float(match["num"]), match["unit"].strip().lower()
 
 
-def _from_frequency(number: float, unit: str, flag: str) -> float:
-    """Dimensionless angular frequency of a bare, GHz, or cm-1 value."""
-    if unit == "":
-        return number
-    if unit == "ghz":
-        return math.tau * number * 1e9 * (_LIFETIME_PS * 1e-12)
-    if unit in ("cm-1", "1/cm", "cm^-1"):
-        return math.tau * SPEED_OF_LIGHT_CM * number * (_LIFETIME_PS * 1e-12)
-    if unit == "/cm":
-        # The number took the 1 of "0.051/cm": 0.05 1/cm and 0.051 per cm both fit.
-        raise FlagError(
-            flag, "ambiguous unit '/cm'; write the wavenumber as '0.05 1/cm' or '0.05cm-1'"
-        )
-    raise FlagError(flag, f"unknown unit suffix {unit!r}")
+def _wavenumber(number: float) -> float:
+    return math.tau * SPEED_OF_LIGHT_CM * number * (_LIFETIME_PS * 1e-12)
 
 
-def parse_detuning(value, flag: str) -> float:
-    """Dimensionless detuning from a bare, GHz, or cm-1 value."""
-    number, unit = _split_quantity(value, flag)
-    if unit == "ps":
-        raise FlagError(flag, "a detuning cannot carry time units; use GHz or cm-1")
-    out = _from_frequency(number, unit, flag)
-    if not math.isfinite(out):
-        raise FlagError(flag, f"value {value!r} is not finite")
-    return out
+def _fwhm(duration: float) -> float:
+    """The spectral width of a pulse whose intensity FWHM is ``duration`` ps."""
+    return math.sqrt(2.0 * math.log(2.0)) * _LIFETIME_PS / duration if duration > 0.0 else math.nan
 
 
-def parse_width(value, flag: str) -> float:
-    """Dimensionless spectral width; a ps value is an intensity FWHM."""
-    number, unit = _split_quantity(value, flag)
-    if unit == "ps":
-        if number <= 0.0:
-            raise FlagError(flag, f"pulse duration must be positive, got {value!r}")
-        out = math.sqrt(2.0 * math.log(2.0)) * _LIFETIME_PS / number
-    else:
-        out = _from_frequency(number, unit, flag)
-    if not (math.isfinite(out) and out > 0.0):
-        raise FlagError(flag, f"spectral width must be positive, got {value!r}")
-    return out
+# The unit table: each suffix ("" for none) once, with the dimension it gives a number
+# and the number's conversion, a frequency to the emitter frame and a time to ps.
+_UNITS = {"": ("bare", float), "ps": ("time", float),
+          "ghz": ("frequency", lambda number: math.tau * number * 1e9 * (_LIFETIME_PS * 1e-12)),
+          **dict.fromkeys(("cm-1", "1/cm", "cm^-1"), ("frequency", _wavenumber))}
+# Per kind of quantity, what it makes of a number in each dimension it takes.
+_KINDS = {
+    "detuning": {"bare": float, "frequency": float},
+    "spectral width": {"bare": float, "frequency": float, "time": _fwhm},
+    "time": {"bare": float, "time": float},
+    "phase": {"bare": float},
+}
 
 
-def parse_time_ps(value, flag: str) -> float:
-    """Time in picoseconds; only a ps suffix (or none) is accepted."""
-    number, unit = _split_quantity(value, flag)
-    if unit not in ("", "ps"):
-        raise FlagError(flag, f"expected a time in ps, got unit {unit!r}")
-    if not (math.isfinite(number) and number > 0.0):
-        raise FlagError(flag, f"time must be positive, got {value!r}")
-    return number
+def _quantity(kind: str, positive: bool = False):
+    """The parser of a flag of one kind of quantity: finite, or positive if ``positive``."""
+    dimensions = _KINDS[kind]
+    accepted = ", ".join(suffix for suffix, (dimension, _) in _UNITS.items()
+                         if suffix and dimension in dimensions) or "none"
+
+    def parse(value, flag: str) -> float:
+        number, unit = _split_quantity(value, flag)
+        if unit == "/cm":
+            # The number took the 1 of "0.051/cm": 0.05 1/cm and 0.051 per cm both fit.
+            raise FlagError(
+                flag, "ambiguous unit '/cm'; write the wavenumber as '0.05 1/cm' or '0.05cm-1'")
+        dimension, convert = _UNITS.get(unit, (None, None))
+        if dimension not in dimensions:
+            refusal = (f"a {kind} cannot carry {dimension} units" if dimension
+                       else f"unknown unit suffix {unit!r}")
+            raise FlagError(flag, f"{refusal}; accepted suffixes: {accepted}")
+        out = dimensions[dimension](convert(number))
+        if not (math.isfinite(out) and (out > 0.0 or not positive)):
+            raise FlagError(flag, f"{kind} must be positive, got {value!r}" if positive
+                            else f"value {value!r} is not finite")
+        return out
+
+    return parse
 
 
-def parse_angle(value, flag: str) -> float:
-    number, unit = _split_quantity(value, flag)
-    if unit != "":
-        raise FlagError(flag, f"phases are radians; drop the suffix {unit!r}")
-    if not math.isfinite(number):
-        raise FlagError(flag, f"value {value!r} is not finite")
-    return number
+_DETUNING, _WIDTH = _quantity("detuning"), _quantity("spectral width", positive=True)
 
 
 def parse_count(value, flag: str, minimum: int) -> int:
@@ -136,13 +130,6 @@ def _count(minimum: int):
     return lambda value, flag: parse_count(value, flag, minimum)
 
 
-def _parse_sweep_end(value, flag: str) -> float:
-    delta_max = parse_detuning(value, flag)
-    if delta_max <= 0.0:
-        raise FlagError(flag, f"sweep end must be positive, got {delta_max!r}")
-    return delta_max
-
-
 def _parse_sigma_list(value, flag: str) -> list[float]:
     if isinstance(value, (list, tuple)):
         entries = list(value)
@@ -150,7 +137,14 @@ def _parse_sigma_list(value, flag: str) -> list[float]:
         entries = [part for part in str(value).split(",") if part.strip()]
     if not entries:
         raise FlagError(flag, "at least one spectral width is required")
-    return [parse_width(entry, flag) for entry in entries]
+    return [_WIDTH(entry, flag) for entry in entries]
+
+
+# The statistics columns that ``fringe`` writes and ``fit --data`` reads; sampled runs add errors.
+_STATISTICS = ("phi", "p20", "p11", "p02")
+_ERRORS = tuple(f"sigma_{column}" for column in _STATISTICS[1:])
+# The effective parameters of a pulse that ``fringe`` summarizes and ``characterize`` tabulates.
+_EFFECTIVE = ("phi_nl", "ell_nl", "eta", "r_int", "theta_int")
 
 
 def _read_statistics_csv(value, flag: str) -> tuple[list, list, list | None]:
@@ -164,20 +158,19 @@ def _read_statistics_csv(value, flag: str) -> tuple[list, list, list | None]:
     except OSError as exc:
         raise FlagError(flag, f"cannot read {path!r}: {exc}") from exc
     reader = csv.DictReader(lines)
-    needed = ("phi", "p20", "p11", "p02")
-    error_cols = ("sigma_p20", "sigma_p11", "sigma_p02")
-    if reader.fieldnames is None or any(c not in reader.fieldnames for c in needed):
-        raise FlagError(flag, f"{path!r} must provide columns {', '.join(needed)}")
-    missing = [c for c in error_cols if c not in reader.fieldnames]
-    if 0 < len(missing) < len(error_cols):
+    if reader.fieldnames is None or any(c not in reader.fieldnames for c in _STATISTICS):
+        raise FlagError(flag, f"{path!r} must provide columns {', '.join(_STATISTICS)}")
+    missing = [c for c in _ERRORS if c not in reader.fieldnames]
+    if 0 < len(missing) < len(_ERRORS):
         raise FlagError(flag, f"{path!r} has some error columns but lacks {', '.join(missing)}")
     phis, triples, errors = [], [], []
     try:
         for record in reader:
-            phis.append(float(record["phi"]))
-            triples.append([float(record[c]) for c in needed[1:]])
+            phi, *triple = (float(record[c]) for c in _STATISTICS)
+            phis.append(phi)
+            triples.append(triple)
             if not missing:
-                errors.append([float(record[c]) for c in error_cols])
+                errors.append([float(record[c]) for c in _ERRORS])
     except (TypeError, ValueError) as exc:
         raise FlagError(flag, f"non-numeric entry in {path!r}: {exc}") from exc
     if not phis:
@@ -204,41 +197,43 @@ def _parse_out(value, flag: str) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# The flag table: per subcommand, (flag, parser, built-in default, help) in
-# parse order.  ``--config`` has no parser: it supplies the other defaults.
+# The flag table: per subcommand, its help and then (flag, parser, built-in
+# default, help) in parse order.  ``--config`` has no parser: it supplies the
+# other defaults.
 
-_DELTA = ("--delta", parse_detuning, 0.0, "pulse detuning (bare, GHz, or cm-1)")
-_SIGMA = ("--sigma", parse_width, 1.0, "spectral width (bare, GHz, cm-1, or FWHM ps)")
+_DELTA = ("--delta", _DETUNING, 0.0, "pulse detuning (bare, GHz, or cm-1)")
+_SIGMA = ("--sigma", _WIDTH, 1.0, "spectral width (bare, GHz, cm-1, or FWHM ps)")
 _COMMON = (
     ("--config", None, None, "JSON file with per-flag defaults"),
     ("--out", _parse_out, ".", "output directory (default: current)"),
 )
-_COMMANDS = {
-    "jti": "joint detection-time intensity matrix",
-    "fringe": "output statistics over a phase sweep",
-    "characterize": "effective parameters over a detuning sweep",
-    "fit": "fit nonlinear phase and loss to a statistics CSV",
-    "water": "two-quantum stretch dynamics of water",
-}
 _FLAGS = {
-    "jti": (_DELTA, _SIGMA,
-            ("--phi", parse_angle, 0.0, "linear interferometer phase in radians"),
+    "jti": ("joint detection-time intensity matrix", _DELTA, _SIGMA,
+            ("--phi", _quantity("phase"), 0.0, "linear interferometer phase in radians"),
             ("--grid", _count(16), 256, "time-grid points per axis"), *_COMMON),
-    "fringe": (_DELTA, _SIGMA,
+    "fringe": ("output statistics over a phase sweep", _DELTA, _SIGMA,
                ("--grid", _count(2), 101, "number of phases in [0, 2pi]"),
                ("--shots", _count(0), 0, "sampled coincidences per phase (0 = exact)"),
                ("--seed", _count(0), 0, "random seed for sampling"), *_COMMON),
     "characterize": (
+        "effective parameters over a detuning sweep",
         ("--sigma", _parse_sigma_list, 1.0, "spectral width(s), comma separated"),
-        ("--delta-max", _parse_sweep_end, 5.0, "sweep end (bare, GHz, or cm-1)"),
+        ("--delta-max", _quantity("detuning", positive=True), 5.0,
+         "sweep end (bare, GHz, or cm-1)"),
         ("--grid", _count(2), 21, "number of detunings in [0, delta-max]"), *_COMMON),
     "fit": (
-        ("--data", _read_statistics_csv, None, "statistics CSV (phi, p20, p11, p02 [, sigma_*])"),
+        "fit nonlinear phase and loss to a statistics CSV",
+        ("--data", _read_statistics_csv, None,
+         f"statistics CSV ({', '.join(_STATISTICS)} [, sigma_*])"),
         ("--distinguishability", _parse_switch, False, "also fit the photon overlap rotation"),
         *_COMMON),
-    "water": (("--tmax", parse_time_ps, 0.5, "trace length in ps"),
+    "water": ("two-quantum stretch dynamics of water",
+              ("--tmax", _quantity("time", positive=True), 0.5, "trace length in ps"),
               ("--steps", _count(2), 51, "number of trace points"), *_COMMON),
 }
+# The flags that set the pulse of a subcommand that scatters one.
+_PULSE_FLAGS = {"jti": "--delta/--sigma", "fringe": "--delta/--sigma",
+                "characterize": "--delta-max/--sigma"}
 
 
 def _load_config(path, known: list[str]) -> dict:
@@ -263,7 +258,7 @@ def _load_config(path, known: list[str]) -> dict:
 def _settings(args: argparse.Namespace) -> dict:
     """Every flag of the subcommand through its parser: flag beats config file beats built-in."""
     flags = {flag[2:].replace("-", "_"): (flag, parse, default)
-             for flag, parse, default, _ in _FLAGS[args.command] if parse is not None}
+             for flag, parse, default, _ in _FLAGS[args.command][1:] if parse is not None}
     config = _load_config(args.config, list(flags))
     settings = {}
     for dest, (flag, parse, default) in flags.items():
@@ -311,12 +306,22 @@ def _peak_to_trough(values) -> float:
 # Subcommands: each takes the settings ``_settings`` resolved
 
 
+def _pulse(command: str, delta: float, sigma: float):
+    """The pulse a subcommand scatters; one beyond ``scatter``'s float range names its flags."""
+    from . import scatter
+
+    try:
+        return scatter.PulseSpec(delta, sigma)
+    except ValueError as exc:
+        raise FlagError(_PULSE_FLAGS[command], str(exc)) from exc
+
+
 def cmd_jti(settings: dict) -> None:
     import numpy as np
 
     from . import scatter
 
-    pulse = scatter.PulseSpec(settings["delta"], settings["sigma"])
+    pulse = _pulse("jti", settings["delta"], settings["sigma"])
     times = np.linspace(-8.0, 8.0, settings["grid"])
     try:
         intensity = scatter.circuit_jti(settings["phi"], pulse, times=times)
@@ -334,13 +339,13 @@ def cmd_fringe(settings: dict) -> None:
 
     from . import circuit, scatter
 
-    params = scatter.nonlinear_params(scatter.PulseSpec(settings["delta"], settings["sigma"]))
+    params = scatter.nonlinear_params(_pulse("fringe", settings["delta"], settings["sigma"]))
     phis = np.linspace(0.0, 2.0 * math.pi, settings["grid"])
     shots = settings["shots"]
 
-    columns = ["phi", "p20", "p11", "p02"]
+    columns = list(_STATISTICS)
     if shots > 0:
-        columns += ["sigma_p20", "sigma_p11", "sigma_p02"]
+        columns += _ERRORS
         try:
             triples, errors = circuit.sample_statistics(
                 phis, params.phi_nl, params.ell_nl, shots, settings["seed"]
@@ -356,17 +361,9 @@ def cmd_fringe(settings: dict) -> None:
         rows = np.column_stack([phis, triples])
 
     path = _write_csv("fringe", settings, columns, rows)
-    summary = {
-        **_echo(settings),
-        "eta": params.eta,
-        "ell_nl": params.ell_nl,
-        "phi_nl": params.phi_nl,
-        "r_int": params.r_int,
-        "theta_int": params.theta_int,
-        "visibility_p20": _peak_to_trough(triples[:, 0]),
-        "visibility_p11": _peak_to_trough(triples[:, 1]),
-        "visibility_p02": _peak_to_trough(triples[:, 2]),
-    }
+    summary = {**_echo(settings), **{name: getattr(params, name) for name in _EFFECTIVE},
+               **{f"visibility_{column}": _peak_to_trough(triples[:, k])
+                  for k, column in enumerate(_STATISTICS[1:])}}
     _write_json(settings["out"] / "fringe_summary.json", summary)
     print(path)
     print(settings["out"] / "fringe_summary.json")
@@ -381,36 +378,14 @@ def cmd_characterize(settings: dict) -> None:
     rows = []
     for sigma in settings["sigma"]:
         for delta in deltas:
-            pulse = scatter.PulseSpec(delta=float(delta), sigma=sigma)
+            pulse = _pulse("characterize", float(delta), sigma)
             params = scatter.nonlinear_params(pulse)
             single_sq = (params.eta * (1.0 - params.ell_nl)) ** 2
-            rows.append(
-                (
-                    pulse.delta,
-                    pulse.sigma,
-                    params.phi_nl,
-                    params.ell_nl,
-                    params.eta,
-                    params.r_int,
-                    params.theta_int,
-                    params.p_single,
-                    params.eta**2,
-                    single_sq,
-                )
-            )
+            rows.append((pulse.delta, pulse.sigma, *(getattr(params, name) for name in _EFFECTIVE),
+                         params.p_single, params.eta**2, single_sq))
 
-    columns = [
-        "delta",
-        "sigma",
-        "phi_nl",
-        "ell_nl",
-        "eta",
-        "r_int",
-        "theta_int",
-        "p_single",
-        "pair_transmission",
-        "single_transmission_squared",
-    ]
+    columns = ["delta", "sigma", *_EFFECTIVE, "p_single", "pair_transmission",
+               "single_transmission_squared"]
     print(_write_csv("characterize", settings, columns, rows))
 
 
@@ -432,19 +407,16 @@ def cmd_fit(settings: dict) -> None:
 def cmd_water(settings: dict) -> None:
     from . import vibsim
 
-    times, anharmonic, harmonic = vibsim.trace(
-        settings["tmax"], settings["steps"], vibsim.water_spec())
+    try:
+        times, anharmonic, harmonic = vibsim.trace(
+            settings["tmax"], settings["steps"], vibsim.water_spec())
+    except ValueError as exc:
+        # The step count is valid by construction; only the trace's length can be refused.
+        raise FlagError("--tmax", str(exc)) from exc
     # The trace's (same-left, separate, same-right) rows, separate first.
     rows = [(t, a[1], a[0], a[2], h[1], h[0], h[2]) for t, a, h in zip(times, anharmonic, harmonic)]
-    columns = [
-        "t_ps",
-        "p_separate",
-        "p_same_left",
-        "p_same_right",
-        "p_separate_harmonic",
-        "p_same_left_harmonic",
-        "p_same_right_harmonic",
-    ]
+    occupancies = ("p_separate", "p_same_left", "p_same_right")
+    columns = ["t_ps", *occupancies, *(f"{name}_harmonic" for name in occupancies)]
     print(_write_csv("water", settings, columns, rows))
 
 
@@ -458,9 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate time-bin circuit model data as CSV/JSON artifacts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, text in _COMMANDS.items():
+    for command, (text, *flags) in _FLAGS.items():
         p = sub.add_parser(command, help=text)
-        for flag, parse, _, help_text in _FLAGS[command]:
+        for flag, parse, _, help_text in flags:
             # Every value reaches its parser as it arrived: a string, or None if not given.
             action = "store_true" if parse is _parse_switch else "store"
             p.add_argument(flag, action=action, default=None, help=help_text)
@@ -481,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if not isinstance(exc, QuadratureError):
             raise
-        print(f"error: --delta/--sigma: {exc}", file=sys.stderr)
+        print(f"error: {_PULSE_FLAGS[args.command]}: {exc}", file=sys.stderr)
         return 3
     return 0
 

@@ -294,8 +294,10 @@ def fit_fringe(phi, values, errors=None) -> FitResult:
 
     One weighted linear least-squares solve in (offset, amplitude cos 2
     phi0, amplitude sin 2 phi0).  Reports the derived visibility
-    ``amplitude / offset``.  For flat data the fringe phase carries no
-    information and is flagged unidentifiable with an infinite error.
+    ``amplitude / offset``.  A parameter that moves along a direction of
+    (offset, a, b) the data leave flat is flagged unidentifiable with an
+    infinite error: all three at phases 0 and pi alone, and the fringe
+    phase of flat data.
 
     Valid domain: at least 8 finite points whose phases span a full
     fringe period (pi), and ``errors``, if given, in [1e-100, 1e100];
@@ -308,29 +310,41 @@ def fit_fringe(phi, values, errors=None) -> FitResult:
     rows = [((1.0, math.cos(2.0 * p), math.sin(2.0 * p)), v, w)
             for p, v, w in zip(phi, values, weights)]
     normal, moment = _normal_equations(rows)
+    eigvals, eigvecs = _eigh(normal)
     # The singular-value cutoff of np.linalg.lstsq(rcond=None), squared for the normal matrix.
-    coeff = _apply(_pinv(normal, (_EPS * max(len(phi), 3)) ** 2), moment)
+    cutoff = (_EPS * max(len(phi), 3)) ** 2 * max(abs(w) for w in eigvals)
+    coeff = _apply(_inverse(eigvals, eigvecs, [abs(w) > cutoff for w in eigvals]), moment)
     offset, a, b = coeff
     amplitude = math.hypot(a, b)
     phi0 = 0.5 * math.atan2(b, a)
     residual = _chi_square(rows, coeff)
 
     names = ("amplitude", "phi0", "offset")
-    # d(offset, a, b) / d(amplitude, phi0, offset) through the Fisher matrix.
-    cos2, sin2 = math.cos(2.0 * phi0), math.sin(2.0 * phi0)
-    jac = [[0.0, 0.0, 1.0], [cos2, -2.0 * amplitude * sin2, 0.0],
-           [sin2, 2.0 * amplitude * cos2, 0.0]]
     scale = 1.0 if errors is not None else residual / max(len(phi) - 3, 1)
-    cov, std, unidentifiable = _covariance(_curvature(jac, normal), names, scale)
+    # Flat directions are found in (offset, a, b), which all share the data's units, so
+    # no rescaling can make an uninformed coefficient look identified.
+    keep = [w > 1e-10 * eigvals[-1] for w in eigvals]
+    flat = [[row[k] for row in eigvecs] for k, kept in enumerate(keep) if not kept]
+    cov = [[scale * v for v in row] for row in _inverse(eigvals, eigvecs, keep)]
+    # Unit gradients of (amplitude, 2 amplitude * phi0, offset) in (offset, a, b).
+    cos2, sin2 = math.cos(2.0 * phi0), math.sin(2.0 * phi0)
+    grads = ((0.0, cos2, sin2), (0.0, -sin2, cos2), (1.0, 0.0, 0.0))
+    unidentifiable = tuple(name for name, g in zip(names, grads)
+                           if any(abs(sum(x * y for x, y in zip(g, v))) > 1e-8 for v in flat))
     if amplitude <= 1e-12 * max(1.0, abs(offset)) and "phi0" not in unidentifiable:
-        unidentifiable, std[1] = unidentifiable + ("phi0",), math.inf
+        unidentifiable += ("phi0",)
+
+    def error(grad) -> float:
+        return math.sqrt(max(0.0, sum(g * c for g, c in zip(grad, _apply(cov, grad)))))
+
+    std = [math.inf if name in unidentifiable else error(g) for name, g in zip(names, grads)]
+    if std[1] < math.inf:
+        std[1] /= 2.0 * amplitude
     visibility = amplitude / offset if offset != 0.0 else math.inf
     if offset == 0.0 or math.inf in (std[0], std[2]):
         visibility_error = math.inf
     else:
-        grad = (1.0 / offset, 0.0, -amplitude / offset**2)
-        variance = sum(g * c for g, c in zip(grad, _apply(cov, grad)))
-        visibility_error = math.sqrt(max(0.0, variance))
+        visibility_error = error((-amplitude / offset**2, cos2 / offset, sin2 / offset))
     return FitResult(dict(zip(names, (amplitude, phi0, offset)), visibility=visibility),
                      dict(zip(names, std), visibility=visibility_error), residual,
                      converged=True, evaluations=1, unidentifiable=unidentifiable)

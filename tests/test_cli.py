@@ -12,13 +12,14 @@ import warnings
 import numpy as np
 import pytest
 
-from nltimebin import circuit, cli, scatter
+from nltimebin import SPEED_OF_LIGHT_CM, circuit, cli, scatter
 
 # Lab units as the flag parsers convert them, at the 155.5 ps emitter lifetime.
 LIFETIME_S = 155.5e-12
 ONE_GHZ = 2.0 * math.pi * 1.0 * 1e9 * LIFETIME_S
 WAVENUMBER_005 = 2.0 * math.pi * 2.99792458e10 * 0.05 * LIFETIME_S
 FWHM_100PS = math.sqrt(2.0 * math.log(2.0)) * 155.5 / 100.0
+TWO_GHZ, THREE_GHZ = (2.0 * math.pi * n * 1e9 * LIFETIME_S for n in (2.0, 3.0))
 
 
 def run(argv):
@@ -169,14 +170,44 @@ def test_config_and_flag_runs_agree_bytewise(tmp_path):
         ("--delta", "1GHz", ONE_GHZ),
         ("--delta", "0.05cm-1", WAVENUMBER_005),
         ("--sigma", "100ps", FWHM_100PS),
+        ("--delta-max", "3GHz", THREE_GHZ),
+        ("--sigma", "100ps, 2GHz,0.5", (FWHM_100PS, TWO_GHZ, 0.5)),
     ],
 )
 def test_unit_suffixes_match_plain_values(tmp_path, flag, quantity, numeric):
-    assert run(["jti", flag, quantity, "--grid", 16, "--out", tmp_path / "a"]) == 0
-    assert run(["jti", flag, repr(numeric), "--grid", 16, "--out", tmp_path / "b"]) == 0
-    assert (tmp_path / "a" / "jti.csv").read_bytes() == (
-        tmp_path / "b" / "jti.csv"
+    plain = ",".join(map(repr, numeric)) if isinstance(numeric, tuple) else repr(numeric)
+    # A sweep end or a list of widths sets a characterize sweep, the rest a jti pulse.
+    command, grid = ("characterize", 3) if flag == "--delta-max" or "," in plain else ("jti", 16)
+    for name, value in (("a", quantity), ("b", plain)):
+        assert run([command, flag, value, "--grid", grid, "--out", tmp_path / name]) == 0
+    assert (tmp_path / "a" / f"{command}.csv").read_bytes() == (
+        tmp_path / "b" / f"{command}.csv"
     ).read_bytes()
+
+
+def test_emitter_frame_conversions(tmp_path):
+    # Lab units meet the emitter frame only in the CLI flag parsers,
+    # anchored to the 155.5 ps emitter lifetime.
+    assert abs(cli._DETUNING("1GHz", "--delta") - ONE_GHZ) < 1e-12
+    assert abs(cli._WIDTH("1GHz", "--sigma") - ONE_GHZ) < 1e-12
+    expected = 2.0 * math.pi * SPEED_OF_LIGHT_CM * LIFETIME_S
+    for unit in ("cm-1", "1/cm", "cm^-1"):
+        assert abs(cli._DETUNING(f"1 {unit}", "--delta") - expected) < 1e-9
+        assert abs(cli._WIDTH(f"1 {unit}", "--sigma") - expected) < 1e-9
+    # Without a space the number swallows the 1 of 1/cm, and either reading fits.
+    for value in ("0.051/cm", "21/cm", "1/cm"):
+        for parse, flag in ((cli._DETUNING, "--delta"), (cli._WIDTH, "--sigma")):
+            with pytest.raises(cli.FlagError, match=f"^{flag}: ambiguous unit '/cm'.*'0.05 1/cm'"):
+                parse(value, flag)
+    assert cli.main(["fringe", "--delta", "0.051/cm", "--grid", "2", "--out", str(tmp_path)]) == 2
+    assert abs(cli._WIDTH("100ps", "--sigma") - FWHM_100PS) < 1e-12
+    assert cli._DETUNING("-0.5", "--delta") == -0.5
+    with pytest.raises(cli.FlagError, match="^--delta: a detuning cannot carry time units"):
+        cli._DETUNING("100ps", "--delta")
+    # An infinite duration would be a zero width.
+    for duration in ("0ps", "1e999ps"):
+        with pytest.raises(cli.FlagError, match="^--sigma: "):
+            cli._WIDTH(duration, "--sigma")
 
 
 def test_time_suffix_accepted_where_times_belong(tmp_path):
@@ -215,7 +246,9 @@ def test_quadrature_failure_maps_to_exit_three(tmp_path, capsys):
         warnings.simplefilter("error")
         argv = ["characterize", "--sigma", "1e-20", "--grid", 2, "--delta-max", 1]
         assert run(argv + ["--out", tmp_path / "x"]) == 3
-    assert "sigma=1e-20: the single-photon norm" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: --delta-max/--sigma: ")
+    assert "sigma=1e-20: the single-photon norm" in err
 
 
 def test_unresolved_time_map_maps_to_exit_three(tmp_path, capsys):
@@ -254,17 +287,20 @@ def test_malformed_inputs_exit_with_code_two(tmp_path, capsys):
 
     # Widths whose square overflows or underflows a float, and a shot
     # count beyond the 64-bit draw.
-    for command in ("fringe", "jti", "characterize"):
+    pulse_flags = {"fringe": "--delta/--sigma", "jti": "--delta/--sigma",
+                   "characterize": "--delta-max/--sigma"}
+    for command, flags in pulse_flags.items():
         for sigma in ("1e200", "1e-200"):
             capsys.readouterr()
             assert run([command, "--sigma", sigma, "--out", tmp_path / "x"]) == 2
-            assert capsys.readouterr().err.startswith("error: sigma must be in")
+            assert capsys.readouterr().err.startswith(f"error: {flags}: sigma must be in")
     # Detunings whose square overflows.
     for argv in (["fringe", "--delta", "1e308"], ["jti", "--delta=-1e151"],
                  ["characterize", "--delta-max", "1e200", "--grid", 2]):
         capsys.readouterr()
         assert run(argv + ["--out", tmp_path / "x"]) == 2
-        assert capsys.readouterr().err.startswith("error: delta must be in")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pulse_flags[argv[0]]}: delta must be in")
     assert run(["fringe", "--shots", 10**20, "--grid", 3, "--out", tmp_path / "x"]) == 2
     assert capsys.readouterr().err.startswith("error: --shots: shots must be at most 2**63 - 1")
     # Traces so long that their phases overflow, or round by more than
@@ -273,7 +309,8 @@ def test_malformed_inputs_exit_with_code_two(tmp_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["water", "--tmax", tmax, "--steps", 3, "--out", tmp_path / "x"]) == 2
-        assert capsys.readouterr().err.startswith(f"error: t_max = {float(tmax)!r} ps is too long")
+        assert capsys.readouterr().err.startswith(
+            f"error: --tmax: t_max = {float(tmax)!r} ps is too long")
 
     with pytest.raises(SystemExit) as exc:
         run(["bogus"])
@@ -310,7 +347,8 @@ def test_config_values_of_the_wrong_kind_name_their_flag(
 @pytest.mark.parametrize(
     "command, flag, value",
     [("jti", "--grid", "2.5"), ("fringe", "--shots", "1e5"), ("water", "--steps", "abc"),
-     ("characterize", "--delta-max", "-1")],
+     ("characterize", "--delta-max", "-1"), ("jti", "--phi", "1ps"), ("water", "--tmax", "1GHz"),
+     ("characterize", "--delta-max", "1ps")],
 )
 def test_a_flag_and_its_config_value_share_one_parser(tmp_path, capsys, command, flag, value):
     cfg = tmp_path / "run.json"

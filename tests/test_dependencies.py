@@ -46,9 +46,8 @@ PUBLIC_NAMES = {
         "sample_statistics",
     ],
     "cli": [
-        "FlagError", "parse_detuning", "parse_width", "parse_time_ps", "parse_angle",
-        "parse_count", "cmd_jti", "cmd_fringe", "cmd_characterize", "cmd_fit", "cmd_water",
-        "build_parser", "main",
+        "FlagError", "parse_count", "cmd_jti", "cmd_fringe", "cmd_characterize", "cmd_fit",
+        "cmd_water", "build_parser", "main",
     ],
     "fit": ["FitResult", "QDCharacterization", "rt_spectrum", "fit_fringe", "fit_nl"],
     "scatter": [

@@ -126,6 +126,17 @@ def test_an_unidentifiable_amplitude_or_offset_leaves_the_visibility_unknown():
     assert math.isinf(result.std_errors["visibility"])
 
 
+def test_phases_zero_and_pi_leave_every_fringe_parameter_unidentifiable():
+    # sin 2 phi vanishes at both phases up to rounding, so the fringe phase
+    # is as unknown as the offset and the cos 2 phi0 amplitude.
+    phi = np.array([0.0, math.pi] * 4)
+    values = [1.0, 1.0, 1.1, 1.1, 0.9, 0.9, 1.0, 1.0]
+    for errors in (0.01, None):
+        result = fit.fit_fringe(phi, values, errors)
+        assert set(result.unidentifiable) == {"amplitude", "phi0", "offset"}
+        assert all(math.isinf(e) for e in result.std_errors.values()), result.std_errors
+
+
 def test_fringe_fit_pulls_have_unit_spread():
     phi = np.linspace(0.0, 2.0 * math.pi, 61)
     truth = {"amplitude": 0.25 * 0.971, "phi0": 0.4, "offset": 0.25, "visibility": 0.971}

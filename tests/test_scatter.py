@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import wofz
 
-import nltimebin
-from nltimebin import circuit, cli, scatter
+from nltimebin import circuit, scatter
 
 from _oracles import (
     bound_integral_quadrature,
@@ -405,34 +404,6 @@ def test_invalid_pulse_and_quadrature_rejected():
             scatter.PulseSpec(delta, 1.0)
     scatter.PulseSpec(1e150, 1.0)
     scatter.PulseSpec(-1e150, 1.0)
-
-
-def test_emitter_frame_conversions(tmp_path):
-    # Lab units meet the emitter frame only in the CLI flag parsers,
-    # anchored to the 155.5 ps emitter lifetime.
-    tau_s = 155.5e-12
-    ghz = 2.0 * math.pi * 1e9 * tau_s
-    assert abs(cli.parse_detuning("1GHz", "--delta") - ghz) < 1e-12
-    assert abs(cli.parse_width("1GHz", "--sigma") - ghz) < 1e-12
-    expected = 2.0 * math.pi * nltimebin.SPEED_OF_LIGHT_CM * tau_s
-    for unit in ("cm-1", "1/cm", "cm^-1"):
-        assert abs(cli.parse_detuning(f"1 {unit}", "--delta") - expected) < 1e-9
-        assert abs(cli.parse_width(f"1 {unit}", "--sigma") - expected) < 1e-9
-    # Without a space the number swallows the 1 of 1/cm, and either reading fits.
-    for value in ("0.051/cm", "21/cm", "1/cm"):
-        for parse, flag in ((cli.parse_detuning, "--delta"), (cli.parse_width, "--sigma")):
-            with pytest.raises(cli.FlagError, match=f"^{flag}: ambiguous unit '/cm'.*'0.05 1/cm'"):
-                parse(value, flag)
-    assert cli.main(["fringe", "--delta", "0.051/cm", "--grid", "2", "--out", str(tmp_path)]) == 2
-    fwhm = math.sqrt(2.0 * math.log(2.0)) * 155.5 / 100.0
-    assert abs(cli.parse_width("100ps", "--sigma") - fwhm) < 1e-12
-    assert cli.parse_detuning("-0.5", "--delta") == -0.5
-    with pytest.raises(cli.FlagError, match="^--delta: a detuning cannot carry time units"):
-        cli.parse_detuning("100ps", "--delta")
-    # An infinite duration would be a zero width.
-    for duration in ("0ps", "1e999ps"):
-        with pytest.raises(cli.FlagError, match="^--sigma: "):
-            cli.parse_width(duration, "--sigma")
 
 
 @pytest.fixture(scope="module")
