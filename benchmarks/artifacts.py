@@ -11,7 +11,9 @@ temporary directory, in list order, and run k writes to ``out/k``; the
 tells whether its artifacts, its stdout, its stderr and its exit code
 match; each differing stream is printed whole from both sides, parent
 lines marked ``-`` and change lines ``+``, with the side's directory
-written as ``<dir>``.  The exit status is 1 if any artifact, stdout or
+written as ``<dir>``.  Each differing JSON artifact lists every leaf that
+moved: its key path, the parent and change values and, for two numbers,
+their relative difference, so a one-ulp move shows as such.  The exit status is 1 if any artifact, stdout or
 exit code differs, else 0: a changed error message alone is reported
 but passes.
 """
@@ -19,6 +21,7 @@ but passes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -138,6 +141,35 @@ def _show(name: str, before: str, after: str) -> None:
             print(f"        {sign}{line}")
 
 
+def _leaves(value, path: str = ""):
+    """``(key path, leaf)`` pairs of a parsed JSON document, in document order."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{k}]")
+    else:
+        yield path, value
+
+
+def _show_json(name: str, before: bytes | None, after: bytes | None) -> None:
+    """Every leaf of a JSON artifact that differs between the two sides."""
+    try:
+        old, new = (dict(_leaves(json.loads(b))) if b is not None else {} for b in (before, after))
+    except ValueError:
+        return
+    print(f"      {name}:")
+    for path in list(old) + [p for p in new if p not in old]:
+        a, b = old.get(path, "<absent>"), new.get(path, "<absent>")
+        if repr(a) == repr(b):
+            continue
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+        top = max(abs(a), abs(b)) if numbers else 0.0
+        relative = f"  relative {abs(a - b) / top:.2g}" if 0.0 < top < math.inf else ""
+        print(f"        {path}: {a!r} -> {b!r}{relative}")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
@@ -167,6 +199,9 @@ def main(argv: list[str]) -> int:
                    "differs: " + ", ".join(differing + [n for n, ok in checks.items() if not ok]))
         print(f"{k:3d} exit {before['code']}/{after['code']}  files {len(names)}  {verdict}  "
               f"| {' '.join(argv)}")
+        for name in differing:
+            if name.endswith(".json"):
+                _show_json(name, before["files"].get(name), after["files"].get(name))
         for stream in ("stdout", "stderr"):
             if not checks[stream]:
                 _show(stream, before[stream], after[stream])

@@ -52,7 +52,10 @@ def _split_quantity(value, flag: str) -> tuple[float, str]:
     if isinstance(value, bool):
         raise FlagError(flag, f"expected a number, got {value!r}")
     if isinstance(value, (int, float)):
-        return float(value), ""
+        try:
+            return float(value), ""
+        except OverflowError:
+            raise FlagError(flag, "integer too large for a float") from None
     match = _QUANTITY_RE.match(str(value).strip())
     if match is None:
         raise FlagError(flag, f"cannot parse quantity {value!r}")
@@ -375,14 +378,15 @@ def cmd_characterize(settings: dict) -> None:
     from . import scatter
 
     deltas = np.linspace(0.0, settings["delta_max"], settings["grid"])
+    # Every pulse of the sweep is checked before the first one is scattered.
+    pulses = [_pulse("characterize", float(delta), sigma)
+              for sigma in settings["sigma"] for delta in deltas]
     rows = []
-    for sigma in settings["sigma"]:
-        for delta in deltas:
-            pulse = _pulse("characterize", float(delta), sigma)
-            params = scatter.nonlinear_params(pulse)
-            single_sq = (params.eta * (1.0 - params.ell_nl)) ** 2
-            rows.append((pulse.delta, pulse.sigma, *(getattr(params, name) for name in _EFFECTIVE),
-                         params.p_single, params.eta**2, single_sq))
+    for pulse in pulses:
+        params = scatter.nonlinear_params(pulse)
+        single_sq = (params.eta * (1.0 - params.ell_nl)) ** 2
+        rows.append((pulse.delta, pulse.sigma, *(getattr(params, name) for name in _EFFECTIVE),
+                     params.p_single, params.eta**2, single_sq))
 
     columns = ["delta", "sigma", *_EFFECTIVE, "p_single", "pair_transmission",
                "single_transmission_squared"]

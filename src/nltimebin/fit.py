@@ -8,6 +8,8 @@ numpy; only ``rt_spectrum`` imports numpy and ``scatter``, inside its
 body.  Every solve goes through one small symmetric eigen-solve.
 Uncertainties are the delta method on the Fisher matrix at the optimum,
 infinite where the map to a reported parameter is infinitely steep.
+Both fits turn their curvature into errors and unidentifiable flags
+through one routine, ``_covariance``.
 """
 
 from __future__ import annotations
@@ -86,10 +88,10 @@ def _apply(matrix, vector) -> list[float]:
 
 
 def _curvature(jac, fisher) -> list[list[float]]:
-    """Hessian ``2 J^T F J`` of a chi-square whose linear weights move by ``J``."""
+    """Half the Hessian, ``J^T F J``, of a chi-square whose linear weights move by ``J``."""
     columns = list(zip(*jac))
     fj = [_apply(fisher, col) for col in columns]
-    return [[2.0 * sum(a * b for a, b in zip(col, f)) for f in fj] for col in columns]
+    return [[sum(a * b for a, b in zip(col, f)) for f in fj] for col in columns]
 
 
 def _normal_equations(rows) -> tuple[list[list[float]], list[float]]:
@@ -123,35 +125,32 @@ def _floats(values) -> list[float]:
         return [float(values)]
 
 
-def _covariance(
-    curvature,
-    names: tuple[str, ...],
-    scale: float,
-) -> tuple[list[list[float]], list[float], tuple[str, ...]]:
-    """Covariance ``2 * scale * H^-1`` from the Hessian H, its errors, flat directions flagged.
+def _covariance(curvature, grads, scale: float) -> tuple[list[float], list[bool]]:
+    """Standard errors of the quantities with gradients ``grads``, flat ones flagged.
 
-    ``scale`` is one for a variance-weighted objective and the residual
-    variance estimate for a plain sum of squares.  H scaled to a unit
-    diagonal is flat along each eigenvector whose eigenvalue is at most
-    1e-10 times its largest, whatever the data's scale; every parameter
-    such a direction moves is flagged, with an infinite error.
+    ``curvature`` is half the chi-square's Hessian H, and ``scale`` is
+    one for a variance-weighted objective and the residual variance
+    estimate for a plain sum of squares.  H is flat along each
+    eigenvector whose eigenvalue is at most 1e-10 times its largest,
+    whatever the data's scale.  A quantity whose gradient has a
+    component above 1e-8 of its length on such a direction is flagged,
+    with an infinite error; every other error is the delta method
+    ``sqrt(g^T scale H^+ g)``.
     """
-    n = len(names)
-    root = [math.sqrt(curvature[i][i]) if curvature[i][i] > 0.0 else 1.0 for i in range(n)]
-    eigvals, eigvecs = _eigh([[curvature[i][j] / (root[i] * root[j]) for j in range(n)]
-                              for i in range(n)])
-    floor = 1e-10 * max(abs(w) for w in eigvals)
-    keep = [w > floor for w in eigvals]
-    # A unit eigenvector's entries round at about 1e-16, so a component
-    # above 1e-8 is a true share of the parameter in the flat direction.
-    unidentifiable = tuple(name for name, row in zip(names, eigvecs)
-                           if any(abs(v) > 1e-8 for v, kept in zip(row, keep) if not kept))
-    inverse = [[v / (root[i] * root[j]) for j, v in enumerate(row)]
-               for i, row in enumerate(_inverse(eigvals, eigvecs, keep))]
-    cov = [[2.0 * scale * v for v in row] for row in inverse]
-    std = [math.inf if name in unidentifiable else math.sqrt(max(cov[k][k], 0.0))
-           for k, name in enumerate(names)]
-    return cov, std, unidentifiable
+    values, vectors = _eigh(curvature)
+    floor = 1e-10 * max(abs(w) for w in values)
+    keep = [w > floor for w in values]
+    flat = [[row[k] for row in vectors] for k, kept in enumerate(keep) if not kept]
+    inverse = _inverse(values, vectors, keep)
+    errors, flagged = [], []
+    for g in grads:
+        # A unit eigenvector's entries round at about 1e-16, so a component
+        # above 1e-8 is a true share of the quantity in the flat direction.
+        size = math.sqrt(sum(x * x for x in g))
+        flagged.append(any(abs(sum(x * y for x, y in zip(g, v))) > 1e-8 * size for v in flat))
+        variance = scale * sum(x * y for x, y in zip(g, _apply(inverse, g)))
+        errors.append(math.inf if flagged[-1] else math.sqrt(max(variance, 0.0)))
+    return errors, flagged
 
 
 @dataclass(frozen=True)
@@ -294,10 +293,11 @@ def fit_fringe(phi, values, errors=None) -> FitResult:
 
     One weighted linear least-squares solve in (offset, amplitude cos 2
     phi0, amplitude sin 2 phi0).  Reports the derived visibility
-    ``amplitude / offset``.  A parameter that moves along a direction of
-    (offset, a, b) the data leave flat is flagged unidentifiable with an
-    infinite error: all three at phases 0 and pi alone, and the fringe
-    phase of flat data.
+    ``amplitude / offset``.  A reported value that moves along a direction
+    of (offset, a, b) the data leave flat gets an infinite error, and a
+    parameter that does is flagged unidentifiable: all three at phases 0
+    and pi alone.  So is the fringe phase of data whose amplitude is at
+    most 1e-12 of their offset, flat on their own scale.
 
     Valid domain: at least 8 finite points whose phases span a full
     fringe period (pi), and ``errors``, if given, in [1e-100, 1e100];
@@ -310,10 +310,8 @@ def fit_fringe(phi, values, errors=None) -> FitResult:
     rows = [((1.0, math.cos(2.0 * p), math.sin(2.0 * p)), v, w)
             for p, v, w in zip(phi, values, weights)]
     normal, moment = _normal_equations(rows)
-    eigvals, eigvecs = _eigh(normal)
     # The singular-value cutoff of np.linalg.lstsq(rcond=None), squared for the normal matrix.
-    cutoff = (_EPS * max(len(phi), 3)) ** 2 * max(abs(w) for w in eigvals)
-    coeff = _apply(_inverse(eigvals, eigvecs, [abs(w) > cutoff for w in eigvals]), moment)
+    coeff = _apply(_pinv(normal, (_EPS * max(len(phi), 3)) ** 2), moment)
     offset, a, b = coeff
     amplitude = math.hypot(a, b)
     phi0 = 0.5 * math.atan2(b, a)
@@ -321,30 +319,17 @@ def fit_fringe(phi, values, errors=None) -> FitResult:
 
     names = ("amplitude", "phi0", "offset")
     scale = 1.0 if errors is not None else residual / max(len(phi) - 3, 1)
-    # Flat directions are found in (offset, a, b), which all share the data's units, so
-    # no rescaling can make an uninformed coefficient look identified.
-    keep = [w > 1e-10 * eigvals[-1] for w in eigvals]
-    flat = [[row[k] for row in eigvecs] for k, kept in enumerate(keep) if not kept]
-    cov = [[scale * v for v in row] for row in _inverse(eigvals, eigvecs, keep)]
-    # Unit gradients of (amplitude, 2 amplitude * phi0, offset) in (offset, a, b).
+    # Gradients in (offset, a, b) of amplitude, 2 amplitude * phi0, offset and visibility.
     cos2, sin2 = math.cos(2.0 * phi0), math.sin(2.0 * phi0)
-    grads = ((0.0, cos2, sin2), (0.0, -sin2, cos2), (1.0, 0.0, 0.0))
-    unidentifiable = tuple(name for name, g in zip(names, grads)
-                           if any(abs(sum(x * y for x, y in zip(g, v))) > 1e-8 for v in flat))
-    if amplitude <= 1e-12 * max(1.0, abs(offset)) and "phi0" not in unidentifiable:
-        unidentifiable += ("phi0",)
-
-    def error(grad) -> float:
-        return math.sqrt(max(0.0, sum(g * c for g, c in zip(grad, _apply(cov, grad)))))
-
-    std = [math.inf if name in unidentifiable else error(g) for name, g in zip(names, grads)]
-    if std[1] < math.inf:
-        std[1] /= 2.0 * amplitude
-    visibility = amplitude / offset if offset != 0.0 else math.inf
-    if offset == 0.0 or math.inf in (std[0], std[2]):
-        visibility_error = math.inf
-    else:
-        visibility_error = error((-amplitude / offset**2, cos2 / offset, sin2 / offset))
+    grads = [(0.0, cos2, sin2), (0.0, -sin2, cos2), (1.0, 0.0, 0.0)]
+    if offset != 0.0:
+        grads.append((-amplitude / offset**2, cos2 / offset, sin2 / offset))
+    std, flagged = _covariance(normal, grads, scale)
+    # Data flat on their own scale leave the fringe phase free.
+    flagged[1] = flagged[1] or amplitude <= 1e-12 * abs(offset)
+    unidentifiable = tuple(name for name, f in zip(names, flagged) if f)
+    std[1] = math.inf if flagged[1] else std[1] / (2.0 * amplitude)
+    visibility, visibility_error = (amplitude / offset, std[3]) if offset != 0.0 else (math.inf,) * 2
     return FitResult(dict(zip(names, (amplitude, phi0, offset)), visibility=visibility),
                      dict(zip(names, std), visibility=visibility_error), residual,
                      converged=True, evaluations=1, unidentifiable=unidentifiable)
@@ -556,7 +541,10 @@ def fit_nl(phi, triples, errors=None, fit_distinguishability: bool = False) -> F
     if not fit_distinguishability:
         jac, fisher = [row[:2] for row in jac[1:]], [row[1:] for row in fisher[1:]]
     scale = 1.0 if errors is not None else residual / max(2 * len(phi) - len(names), 1)
-    _, cosine_errors, unidentifiable = _covariance(_curvature(jac, fisher), names, scale)
+    axes = range(len(names))
+    cosine_errors, flagged = _covariance(_curvature(jac, fisher),
+                                         [[float(i == j) for j in axes] for i in axes], scale)
+    unidentifiable = tuple(name for name, f in zip(names, flagged) if f)
     # |d angle / d cosine| = 1 / sine, and ell_nl = 1 - t has slope 1; each is
     # taken as infinite at its steep bound: t = 0 for ell_nl, s = 0 for theta_perp.
     cosines = (cos_nl, float(t == 0.0), cos_perp if s > 0.0 else 1.0)

@@ -325,8 +325,10 @@ def test_malformed_inputs_exit_with_code_two(tmp_path, capsys):
         ("fringe", {"grid": True}, "--grid: expected an integer"),
         ("characterize", {"delta-max": 1.5}, "--config: unknown key 'delta-max'"),
         ("water", {"out": 5}, "--out: expected a directory path"),
+        ("jti", {"delta": int("9" * 400)}, "--delta: integer too large for a float"),
     ],
-    ids=["distinguishability-string", "seed-bool", "grid-bool", "unknown-key", "out-number"],
+    ids=["distinguishability-string", "seed-bool", "grid-bool", "unknown-key", "out-number",
+         "delta-huge-integer"],
 )
 def test_config_values_of_the_wrong_kind_name_their_flag(
     tmp_path, capsys, command, setting, expected
@@ -342,6 +344,21 @@ def test_config_values_of_the_wrong_kind_name_their_flag(
     capsys.readouterr()
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {expected}")
+
+
+def test_characterize_refuses_a_sweep_before_it_scatters_any_pulse(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = scatter.nonlinear_params
+
+    def counted(pulse):
+        calls.append(pulse)
+        return original(pulse)
+
+    monkeypatch.setattr(scatter, "nonlinear_params", counted)
+    argv = ["characterize", "--sigma", "0.5,1e200", "--grid", 5, "--out", tmp_path / "x"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --delta-max/--sigma: sigma must be in")
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -115,6 +115,16 @@ def test_fringe_errors_scale_with_the_data():
     assert large.unidentifiable == small.unidentifiable == ()
     for name, unit in (("amplitude", 1e12), ("offset", 1e12), ("phi0", 1.0), ("visibility", 1.0)):
         assert math.isclose(large.std_errors[name], unit * small.std_errors[name], rel_tol=1e-9)
+    # A fringe on a tiny scale, with or without an offset, keeps its phase error.
+    for fringe in (1.0 + 0.5 * np.cos(2.0 * phi - 0.6), 0.5 * np.cos(2.0 * phi - 0.6)):
+        unit = fit.fit_fringe(phi, fringe, errors=0.01)
+        for factor in (1e-14, 1e11):
+            scaled = fit.fit_fringe(phi, fringe * factor, errors=0.01 * factor)
+            assert scaled.unidentifiable == unit.unidentifiable == ()
+            assert math.isclose(scaled.std_errors["phi0"], unit.std_errors["phi0"], rel_tol=1e-9)
+            for name in ("amplitude", "offset"):
+                assert math.isclose(scaled.std_errors[name], factor * unit.std_errors[name],
+                                    rel_tol=1e-9)
 
 
 def test_an_unidentifiable_amplitude_or_offset_leaves_the_visibility_unknown():
@@ -315,6 +325,21 @@ def test_reversing_the_phase_order_moves_no_parameter():
         assert abs(forward["theta_perp"] - backward["theta_perp"]) < 1e-12
         for name in ("phi_nl", "ell_nl"):
             assert abs(forward[name] - backward[name]) <= 1e-12 * abs(forward[name])
+
+
+def test_nl_fit_errors_scale_with_the_data_errors():
+    # The chi-square's curvature scales as 1 / e^2, so every error scales
+    # as e and no flat direction comes or goes.
+    phi = np.linspace(0.15, 2.95, 11)
+    triples, errors = circuit.sample_statistics(phi, 0.9, 0.3, 10_000, 3, 0.2)
+    for free in (False, True):
+        unit = fit.fit_nl(phi, triples, errors, fit_distinguishability=free)
+        for factor in (1e-3, 1e3):
+            scaled = fit.fit_nl(phi, triples, errors * factor, fit_distinguishability=free)
+            assert scaled.unidentifiable == unit.unidentifiable
+            assert scaled.std_errors.keys() == unit.std_errors.keys()
+            for name, error in unit.std_errors.items():
+                assert math.isclose(scaled.std_errors[name], factor * error, rel_tol=1e-12), name
 
 
 def test_lost_pairs_leave_the_nonlinear_phase_unidentifiable():
